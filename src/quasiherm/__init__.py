@@ -20,7 +20,7 @@ from .factorization import (PseudoMetric, SpaceTriple, TableRow,
                             signature, standard_charge, triple_inner,
                             verify_table)
 from .family import (ChargeAnsatz, CoefficientResiduals, Grid, PotentialSplit,
-                     charge_pg_hermiticity, coefficient_match,
+                     charge_norm, charge_pg_hermiticity, coefficient_match,
                      compatible_split, compose_pct_residual, discretize_charge,
                      discretize_hamiltonian, even_part, first_difference,
                      forward_family, inverse_family, make_ansatz, make_grid,

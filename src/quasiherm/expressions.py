@@ -180,6 +180,57 @@ def _eval(node, x: float) -> float:
     return result
 
 
+class _Rerun(Exception):
+    """A node failed or left the finite range; the scalar loop decides
+    what to raise."""
+
+
+# numpy twins of the scalar operations that are IEEE correctly rounded and
+# hence bit-identical to Python float arithmetic; "^" and the remaining
+# FUNCTIONS go through libm per element, since numpy's SIMD kernels differ
+_NUMPY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_NUMPY_FUNCTIONS = {"sqrt": np.sqrt, "abs": np.abs}
+
+
+def _pointwise(fn, *args: np.ndarray) -> np.ndarray:
+    try:
+        out = np.array([fn(*v) for v in zip(*(a.tolist() for a in args))])
+    except (ArithmeticError, ValueError) as exc:
+        raise _Rerun from exc
+    if out.dtype != float:  # a negative base to a fractional power
+        raise _Rerun
+    return out
+
+
+def _eval_array(node, xs: np.ndarray) -> np.ndarray:
+    """Evaluate once per node over all samples; raises _Rerun as soon as
+    a node fails or is not finite everywhere."""
+    tag = node[0]
+    if tag == "num":
+        out = np.full(xs.shape, node[1])
+    elif tag == "var":
+        out = xs.copy()
+    elif tag == "neg":
+        out = -_eval_array(node[1], xs)
+    elif tag == "call":
+        arg = _eval_array(node[2], xs)
+        if node[1] in _NUMPY_FUNCTIONS:
+            out = _NUMPY_FUNCTIONS[node[1]](arg)
+        else:
+            out = _pointwise(FUNCTIONS[node[1]], arg)
+    else:
+        _, op, lhs, rhs = node
+        a = _eval_array(lhs, xs)
+        b = _eval_array(rhs, xs)
+        if op in _NUMPY_OPS:
+            out = _NUMPY_OPS[op](a, b)
+        else:
+            out = _pointwise(pow, a, b)
+    if not np.isfinite(out).all():
+        raise _Rerun
+    return out
+
+
 def _to_text(node) -> str:
     tag = node[0]
     if tag == "num":
@@ -208,7 +259,24 @@ class Expression:
         return _to_text(self.ast)
 
     def sample(self, xs) -> np.ndarray:
-        return np.array([_eval(self.ast, float(x)) for x in np.asarray(xs).ravel()])
+        """Evaluate at every point, bit-identical to scalar calls.
+
+        Raises EvalError at the first point whose evaluation fails or
+        whose value is not finite.
+        """
+        pts = np.asarray(xs, dtype=float).ravel()
+        try:
+            with np.errstate(all="ignore"):
+                return _eval_array(self.ast, pts)
+        except _Rerun:
+            pass
+        values = []
+        for x in pts.tolist():
+            value = _eval(self.ast, x)
+            if not math.isfinite(value):
+                raise EvalError(f"non-finite value {value!r}", x)
+            values.append(value)
+        return np.array(values)
 
 
 def parse_expression(text: str) -> Expression:

@@ -8,6 +8,11 @@ single choice keeps the whole conjugation algebra of the continuum exact
 on the lattice.  Stencils treat samples beyond the ends as zero, so the
 effective hard walls sit one spacing outside the sampled extent.
 
+Every operator is held as its three stencil bands (lower, diagonal,
+upper), and P acts as a plain reversal, so the family checks run in O(N).
+Dense matrices are assembled from the same bands only for callers that
+need them, such as the Schroedinger eigensolve.
+
 The forward map from a charge ansatz to the potential reads, per sample,
 
     S = sigma^2 - alpha^2 + omega        (even real part)
@@ -32,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadGrid, DimensionMismatch, ParityViolation, SigmaVanishes
-from .operators import parity_matrix
 
 PARITY_ATOL = 1e-12
 
@@ -163,48 +167,95 @@ def make_split(grid: Grid, real_even, real_odd, imag_even, imag_odd
                             ("real_even", "real_odd", "imag_even", "imag_odd")))
 
 
-def first_difference(grid: Grid) -> np.ndarray:
-    """Central first-difference matrix; exactly real antisymmetric."""
+def _d1_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diag, upper) of the central first difference."""
     n = grid.npoints
     c = 1.0 / (2.0 * grid.spacing)
-    d = np.zeros((n, n))
+    return np.full(n - 1, -c), np.zeros(n), np.full(n - 1, c)
+
+
+def _d2_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diag, upper) of the central second difference."""
+    n = grid.npoints
+    h2 = grid.spacing ** 2
+    off = np.full(n - 1, 1.0 / h2)
+    return off, np.full(n, -2.0 / h2), off.copy()
+
+
+def _dense(lower, diag, upper) -> np.ndarray:
+    """Dense tridiagonal matrix from its bands; lower[k] = A[k+1, k]."""
+    n = diag.size
+    d = np.zeros((n, n), dtype=diag.dtype)
     idx = np.arange(n - 1)
-    d[idx, idx + 1] = c
-    d[idx + 1, idx] = -c
+    d[idx + 1, idx] = lower
+    np.fill_diagonal(d, diag)
+    d[idx, idx + 1] = upper
     return d
+
+
+def first_difference(grid: Grid) -> np.ndarray:
+    """Central first-difference matrix; exactly real antisymmetric."""
+    return _dense(*_d1_bands(grid))
 
 
 def second_difference(grid: Grid) -> np.ndarray:
     """Central second-difference matrix; exactly real symmetric."""
-    n = grid.npoints
-    h2 = grid.spacing ** 2
-    d = np.zeros((n, n))
-    np.fill_diagonal(d, -2.0 / h2)
-    idx = np.arange(n - 1)
-    d[idx, idx + 1] = 1.0 / h2
-    d[idx + 1, idx] = 1.0 / h2
-    return d
+    return _dense(*_d2_bands(grid))
 
 
-def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
-    """H = -D2 + diag(V) with zero (Dirichlet) samples beyond the ends."""
+def _hamiltonian_bands(grid: Grid, potential) -> tuple:
+    """(lower, diag, upper) of H = -D2 + diag(V)."""
     v = np.asarray(potential, dtype=complex).ravel()
     if v.shape != (grid.npoints,):
         raise DimensionMismatch(
             f"potential must have length {grid.npoints}, got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("potential samples must be finite")
-    return -second_difference(grid).astype(complex) + np.diag(v)
+    lower, diag, upper = _d2_bands(grid)
+    return -lower, v - diag, -upper
 
 
-def discretize_charge(grid: Grid, sigma, alpha) -> np.ndarray:
-    """C = D1 + diag(sigma + i alpha) with Dirichlet ends."""
+def _charge_bands(grid: Grid, sigma, alpha) -> tuple:
+    """(lower, diag, upper) of C = D1 + diag(sigma + i alpha)."""
     s = np.asarray(sigma, dtype=float).ravel()
     a = np.asarray(alpha, dtype=float).ravel()
     if s.shape != (grid.npoints,) or a.shape != (grid.npoints,):
         raise DimensionMismatch(
             f"charge samples must have length {grid.npoints}")
-    return first_difference(grid).astype(complex) + np.diag(s + 1j * a)
+    lower, diag, upper = _d1_bands(grid)
+    return lower, diag + (s + 1j * a), upper
+
+
+def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
+    """H = -D2 + diag(V) with zero (Dirichlet) samples beyond the ends."""
+    return _dense(*_hamiltonian_bands(grid, potential))
+
+
+def discretize_charge(grid: Grid, sigma, alpha) -> np.ndarray:
+    """C = D1 + diag(sigma + i alpha) with Dirichlet ends."""
+    return _dense(*_charge_bands(grid, sigma, alpha))
+
+
+def _reflected_adjoint(bands) -> tuple:
+    """Bands of P A^dagger P.  The adjoint swaps the off-diagonal bands
+    and the reflection swaps them back, so each band is only conjugated
+    and reversed."""
+    return tuple(np.conj(b[::-1]) for b in bands)
+
+
+def _product_diagonals(a, b) -> list[np.ndarray]:
+    """Diagonals -2..2 of A @ B for tridiagonal A, B; diagonal k >= 0
+    holds (A B)[j, j+k] at index j, diagonal -k holds (A B)[j+k, j]."""
+    al, ad, au = a
+    bl, bd, bu = b
+    main = ad * bd
+    main[1:] += al * bu
+    main[:-1] += au * bl
+    return [al[1:] * bl[:-1],
+            al * bd[:-1] + ad[1:] * bl,
+            main,
+            ad[:-1] * bu + au * bd[1:],
+            au[:-1] * bu[1:]]
 
 
 def forward_family(a: ChargeAnsatz) -> tuple[np.ndarray, np.ndarray]:
@@ -309,17 +360,23 @@ def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
     stencils and are excluded.  Exactly zero (to roundoff) for constant
     compatible data; bounded under refinement for a compatible smooth
     split; growing like 1/h when the first-order compatibility is violated.
+
+    Left-multiplying by P permutes rows within the core, so the maximum
+    is taken over (P H^dagger P) C - C H, a pentadiagonal difference of
+    two tridiagonal products.
     """
     v = ps.potential()
     if v.shape != (grid.npoints,) or a.sigma.shape != (grid.npoints,):
         raise DimensionMismatch("ansatz and split must live on the grid")
-    hmat = discretize_hamiltonian(grid, v)
-    cmat = discretize_charge(grid, a.sigma, a.alpha)
-    pc = parity_matrix(grid.npoints) @ cmat
-    resid = hmat.conj().T @ pc - pc @ hmat
+    hb = _hamiltonian_bands(grid, v)
+    cb = _charge_bands(grid, a.sigma, a.alpha)
+    lhs = _product_diagonals(_reflected_adjoint(hb), cb)
+    rhs = _product_diagonals(cb, hb)
     m = BOUNDARY_MARGIN
-    core = resid[m:grid.npoints - m, m:grid.npoints - m]
-    return float(np.abs(core).max())
+    n = grid.npoints
+    core = [np.abs(lhs_k - rhs_k)[m:n - m - abs(k)]
+            for k, lhs_k, rhs_k in zip(range(-2, 3), lhs, rhs)]
+    return float(np.concatenate(core).max())
 
 
 @dataclass(frozen=True)
@@ -410,8 +467,15 @@ def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
 
     P D1 and P diag(w) are individually Hermitian exactly when the grid is
     symmetric, sigma is even and alpha is odd, so a valid ansatz gives
-    machine zero.
+    machine zero.  P (P C - (P C)^dagger) = C - P C^dagger P has the same
+    norm and stays tridiagonal.
     """
-    cmat = discretize_charge(grid, a.sigma, a.alpha)
-    pc = parity_matrix(grid.npoints) @ cmat
-    return float(np.linalg.norm(pc - pc.conj().T))
+    cb = _charge_bands(grid, a.sigma, a.alpha)
+    dev = [c - g for c, g in zip(cb, _reflected_adjoint(cb))]
+    return float(np.linalg.norm(np.concatenate(dev)))
+
+
+def charge_norm(a: ChargeAnsatz, grid: Grid) -> float:
+    """Frobenius norm of C, equal to that of P C."""
+    return float(np.linalg.norm(np.concatenate(
+        _charge_bands(grid, a.sigma, a.alpha))))

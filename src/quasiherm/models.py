@@ -19,11 +19,10 @@ from .evolution import norm_traces, propagate
 from .expressions import parse_expression
 from .factorization import (as_pseudometric, make_triple, pt_symmetry_residual,
                             standard_charge, verify_table)
-from .family import (ChargeAnsatz, Grid, charge_pg_hermiticity,
+from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      coefficient_match, compatible_split, compose_pct_residual,
-                     discretize_charge, discretize_hamiltonian, forward_family,
-                     inverse_family, make_ansatz, make_grid, make_split,
-                     ode_pair_residual)
+                     discretize_hamiltonian, forward_family, inverse_family,
+                     make_ansatz, make_grid, make_split, ode_pair_residual)
 from .metrics import qh_residual, spectral_metric
 from .operators import parity_matrix
 from .spectral import eigendecompose, is_real_spectrum
@@ -556,9 +555,7 @@ def _task_family_check(spec, opts, tol):
 
     cm = coefficient_match(ansatz, full, grid)
     pg = charge_pg_hermiticity(ansatz, grid)
-    pc_scale = float(np.linalg.norm(
-        parity_matrix(grid.npoints)
-        @ discretize_charge(grid, ansatz.sigma, ansatz.alpha)))
+    pc_scale = charge_norm(ansatz, grid)
     r1, r2 = ode_pair_residual(ansatz, s_even, lam_odd, grid)
     compose_full = compose_pct_residual(ansatz, full, grid)
     compose_partial = compose_pct_residual(ansatz, partial, grid)

@@ -156,3 +156,16 @@ def test_row_mode_csv_is_parseable(model_file, capsys):
     by_name = {r[0]: r for r in rows[1:]}
     # list-valued rows stay a single quoted CSV field
     assert json.loads(by_name["eigenvalues"][1])
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "schroedinger", "grid": {"L": 2, "N": 11},
+     "V_real": "1e200*1e200*x^2"},
+    {"kind": "family", "grid": {"L": 2, "N": 11},
+     "sigma": "1e200*1e200+x^2", "alpha": "x"},
+])
+def test_overflowing_expression_exit_two(model_file, capsys, recwarn, doc):
+    assert main(["report", "--model", model_file(doc)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite value inf (at x = -2.0)" in err
+    assert len(recwarn) == 0

@@ -102,7 +102,78 @@ def test_pretty_print_roundtrip(text):
     assert (np.abs(a - b) / scale).max() <= 1e-15
 
 
-def test_sample_matches_scalar_calls():
-    expr = parse_expression("x*exp(-x^2)")
-    xs = np.linspace(-2, 2, 11)
-    assert np.array_equal(expr.sample(xs), np.array([expr(x) for x in xs]))
+@pytest.mark.parametrize("text", [
+    "x*exp(-x^2)",
+    "sin(3*x) + cos(x/7) - tan(x/3)",
+    "exp(-x^2)*log(1 + x^2) - log(2.5 + x)",
+    "tanh(2*x) + cosh(x)/sinh(1 + x^2)",
+    "sqrt(2 + x)*abs(x - 0.3) - sqrt(x^2)",
+    "abs(x)^1.5 + (1 + x^2)^-0.37 + 2^x + 0.7^(x/3)",
+    "x^3 - (x - 3)^2 + (-1.5)^3*(x - 5)^-3 + (x - 2.5)^4",
+    "-abs(x)^2^0.5 + 1e-3*x/(x^2 + 0.25)",
+])
+def test_sample_matches_scalar_calls(text):
+    expr = parse_expression(text)
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([np.linspace(-2, 2, 4801),
+                         rng.uniform(-2, 2, 2000)])
+    expected = np.array([expr(x) for x in xs])
+    assert expr.sample(xs).tobytes() == expected.tobytes()
+
+
+def test_sample_returns_a_fresh_array():
+    xs = np.linspace(-1, 1, 5)
+    out = parse_expression("x").sample(xs)
+    out[0] = 7.0
+    assert xs[0] == -1.0
+
+
+def _first_scalar_failure(expr, xs):
+    for x in xs:
+        try:
+            expr(x)
+        except EvalError as exc:
+            return exc
+    raise AssertionError("scalar evaluation never failed")
+
+
+@pytest.mark.parametrize("text", [
+    "1/x",
+    "exp(-1/abs(x))",
+    "log(x)",
+    "log(x - 0.5)",
+    "sqrt(x - 1)",
+    "x + sqrt(-x^2)",
+    "exp(400*x)",
+    "x^0.5",
+    "(x - 1)^-2",
+    "cosh(1000*x)",
+])
+def test_sample_errors_match_scalar_loop(text):
+    expr = parse_expression(text)
+    xs = np.linspace(2, -2, 41)
+    expected = _first_scalar_failure(expr, xs)
+    with pytest.raises(EvalError) as err:
+        expr.sample(xs)
+    assert err.value.x == expected.x
+    assert str(err.value) == str(expected)
+
+
+@pytest.mark.parametrize("text,x_bad", [
+    ("1e200*1e200*x^2", -2.0),
+    ("1e200*1e200 + x^2", -2.0),
+    ("exp(-1e200*1e200*x^2)", 0.0),
+    ("1e400 - x", -2.0),
+])
+def test_sample_rejects_non_finite_values(text, x_bad):
+    with pytest.raises(EvalError) as err:
+        parse_expression(text).sample(np.linspace(-2, 2, 41))
+    assert err.value.x == x_bad
+    assert "non-finite" in str(err.value)
+
+
+def test_sample_keeps_finite_values_after_overflow():
+    # intermediate infinities that the scalar rules turn finite survive
+    expr = parse_expression("exp(-1e200*1e200) + tanh(1e200*1e200*(1 + x^2))")
+    xs = np.linspace(-1, 1, 11)
+    assert expr.sample(xs).tobytes() == np.ones(11).tobytes()

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from quasiherm import (BadGrid, ChargeAnsatz, ParityViolation, SigmaVanishes,
-                       adjoint, charge_pg_hermiticity, coefficient_match,
-                       compatible_split, compose_pct_residual, discretize_charge,
-                       discretize_hamiltonian, even_part,
-                       first_difference, forward_family, inverse_family,
-                       make_ansatz, make_grid, make_split, odd_part,
-                       ode_pair_residual, parity_matrix, second_difference)
+                       adjoint, charge_norm, charge_pg_hermiticity,
+                       coefficient_match, compatible_split,
+                       compose_pct_residual, discretize_charge,
+                       discretize_hamiltonian, even_part, first_difference,
+                       forward_family, inverse_family, make_ansatz, make_grid,
+                       make_split, odd_part, ode_pair_residual, parity_matrix,
+                       second_difference)
+from quasiherm.family import BOUNDARY_MARGIN
 
 
 def smooth_ansatz(grid, omega=0.7):
@@ -59,6 +61,34 @@ def test_difference_matrices_symmetries():
     assert np.array_equal(d2.T, d2)
     assert np.array_equal(p @ d1 @ p, -d1)
     assert np.array_equal(p @ d2 @ p, d2)
+
+
+def test_dense_builders_match_literal_construction():
+    # signed zeros count: the Schroedinger eigensolves consume these bytes
+    g = make_grid(3.0, 9)
+    n, h = 9, g.spacing
+    d1 = np.zeros((n, n))
+    d2 = np.zeros((n, n))
+    for i in range(n - 1):
+        d1[i, i + 1] = 1.0 / (2.0 * h)
+        d1[i + 1, i] = -1.0 / (2.0 * h)
+        d2[i, i + 1] = d2[i + 1, i] = 1.0 / h ** 2
+    for i in range(n):
+        d2[i, i] = -2.0 / h ** 2
+    x = g.points
+    at_zero = x == 0.0
+    v = np.empty(n, dtype=complex)
+    v.real = np.where(at_zero, -0.0, x ** 2)
+    v.imag = np.where(at_zero, -0.0, 0.3 * x ** 3)
+    sigma = np.where(at_zero, -0.0, 1.0 + np.cos(x))
+    alpha = np.where(at_zero, -0.0, np.sin(x))
+    h_ref = -d2.astype(complex) + np.diag(v)
+    c_ref = d1.astype(complex) + np.diag(sigma + 1j * alpha)
+    assert first_difference(g).tobytes() == d1.tobytes()
+    assert second_difference(g).tobytes() == d2.tobytes()
+    assert discretize_hamiltonian(g, v).tobytes() == h_ref.tobytes()
+    assert discretize_charge(g, sigma, alpha).tobytes() == c_ref.tobytes()
+    assert first_difference(g).dtype == second_difference(g).dtype == float
 
 
 def test_box_eigenvalue_convergence():
@@ -256,6 +286,55 @@ def _compose_scale(grid, ansatz, split):
     return np.linalg.norm(h) * np.linalg.norm(pc)
 
 
+def _dense_compose(grid, ansatz, split):
+    """Dense reference for compose_pct_residual and its rounding bound
+    16 eps max_core(|P H^dagger P||C| + |C||H|)."""
+    n, m = grid.npoints, BOUNDARY_MARGIN
+    h = discretize_hamiltonian(grid, split.potential())
+    c = discretize_charge(grid, ansatz.sigma, ansatz.alpha)
+    pc = parity_matrix(n) @ c
+    core = slice(m, n - m)
+    resid = (h.conj().T @ pc - pc @ h)[core, core]
+    abs_h, abs_c = np.abs(h), np.abs(c)
+    scale = abs_h.T[::-1, ::-1] @ abs_c + abs_c @ abs_h
+    bound = 16 * np.finfo(float).eps * scale[core, core].max()
+    return float(np.abs(resid).max()), bound
+
+
+def bump_ansatz(grid):
+    x = grid.points
+    return make_ansatz(grid, 0.4 + 1.5 * np.exp(-(x / 0.6) ** 2),
+                       -0.9 * x * np.exp(-(x / 0.8) ** 2), -0.3)
+
+
+@pytest.mark.parametrize("n", [201, 801])
+@pytest.mark.parametrize("ansatz", [smooth_ansatz, bump_ansatz])
+@pytest.mark.parametrize("full", [True, False])
+def test_compose_matches_dense_reference(n, ansatz, full):
+    g = make_grid(4.0, n)
+    a = ansatz(g)
+    if full:
+        ps = compatible_split(a, g)
+    else:
+        s_even, lam_odd = forward_family(a)
+        zeros = np.zeros(n)
+        ps = make_split(g, s_even, zeros, zeros, lam_odd)
+    dense, bound = _dense_compose(g, a, ps)
+    assert abs(compose_pct_residual(a, ps, g) - dense) <= bound
+
+
+def test_compose_matches_dense_reference_on_tiny_grids():
+    rng = np.random.default_rng(5)
+    for n in (5, 7, 9):
+        g = make_grid(1.0, n)
+        raw = rng.normal(size=(6, n))
+        a = make_ansatz(g, even_part(raw[0]), odd_part(raw[1]), 0.2)
+        ps = make_split(g, even_part(raw[2]), odd_part(raw[3]),
+                        even_part(raw[4]), odd_part(raw[5]))
+        dense, bound = _dense_compose(g, a, ps)
+        assert abs(compose_pct_residual(a, ps, g) - dense) <= bound
+
+
 def test_compose_constant_case_vanishes():
     g = make_grid(2.0, 101)
     c0, omega = 0.8, 0.3
@@ -386,6 +465,16 @@ def test_charge_pg_hermiticity_valid_ansatz():
     pc_norm = np.linalg.norm(parity_matrix(201)
                              @ discretize_charge(g, a.sigma, a.alpha))
     assert charge_pg_hermiticity(a, g) <= 1e-13 * pc_norm
+
+
+@pytest.mark.parametrize("n", [201, 801])
+@pytest.mark.parametrize("ansatz", [smooth_ansatz, bump_ansatz])
+def test_charge_pg_hermiticity_exact_and_norm(n, ansatz):
+    g = make_grid(4.0, n)
+    a = ansatz(g)
+    assert charge_pg_hermiticity(a, g) == 0.0
+    pc = parity_matrix(n) @ discretize_charge(g, a.sigma, a.alpha)
+    assert charge_norm(a, g) == pytest.approx(np.linalg.norm(pc), rel=1e-14)
 
 
 def test_charge_pg_hermiticity_zero_ansatz():
