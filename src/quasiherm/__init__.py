@@ -8,15 +8,17 @@ metric-weighted unitarity of the generated evolution.
 
 from .errors import (BadGrid, BrokenPhase, ComplexSpectrum, DegenerateSpectrum,
                      DimensionMismatch, EvalError, ExceptionalPoint,
-                     NonConvergence, NonHermitianMetric, NonPositiveWeight,
-                     NotPTSymmetric, NotPositive, ParityViolation, ParseError,
-                     QuasihermError, SchemaError, SelfOrthogonal, SigmaVanishes,
-                     SingularMetric, SingularPseudoMetric)
-from .evolution import Trajectory, norm_traces, propagate
+                     NonConvergence, NonFiniteResult, NonHermitianMetric,
+                     NonPositiveWeight, NotPTSymmetric, NotPositive,
+                     ParityViolation, ParseError, QuasihermError, SchemaError,
+                     SelfOrthogonal, SigmaVanishes, SingularMetric,
+                     SingularPseudoMetric)
+from .evolution import (Trajectory, norm_traces, propagate,
+                        propagate_spectrum)
 from .expressions import Expression, parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, TableRow,
                             as_pseudometric, charge_from_metric,
-                            conjugation_in, make_triple, pt_symmetry_residual,
+                            charge_from_spectrum, conjugation_in, make_triple, pt_symmetry_residual,
                             signature, standard_charge, triple_inner,
                             verify_table)
 from .family import (ChargeAnsatz, CoefficientResiduals, Grid, PotentialSplit,

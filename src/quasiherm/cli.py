@@ -7,6 +7,7 @@ Exit codes: 0 when every report row passes, 1 when any row fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,6 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def _load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model(fh.read())
@@ -83,7 +90,7 @@ def _emit(report: Report, out: str | None, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         spec = _load_model(args.model)
         options = {"gap_floor": args.gap_floor}

@@ -73,6 +73,10 @@ class NotPTSymmetric(QuasihermError):
     pseudometric within tolerance."""
 
 
+class NonFiniteResult(QuasihermError):
+    """A computed state or trace overflowed to a non-finite value."""
+
+
 class BadGrid(QuasihermError):
     """Grid parameters violate the symmetric-lattice contract."""
 

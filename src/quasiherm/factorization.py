@@ -12,15 +12,17 @@ model, positive definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import (BrokenPhase, DimensionMismatch, ExceptionalPoint,
                      NonHermitianMetric, NotPTSymmetric, SingularMetric,
                      SingularPseudoMetric)
-from .metrics import MetricCandidate, certify_metric, qh_residual
+from .metrics import (MetricCandidate, certify_metric, qh_residual,
+                      spectral_metric)
 from .operators import METRIC_HERMITICITY_RTOL, as_operator, as_state, require_metric
-from .spectral import eigendecompose, is_real_spectrum
+from .spectral import SpectralData, eigendecompose, is_real_spectrum
 
 # eigenvalues within this relative distance of zero make P uninvertible
 PSEUDOMETRIC_NULL_RTOL = 1e-10
@@ -129,6 +131,23 @@ def charge_from_metric(theta, p) -> np.ndarray:
     return pm.inverse_apply(tt)
 
 
+def require_pseudo_hermitian(h: np.ndarray, pm: PseudoMetric,
+                             pt_rel: Callable[[], float], pt_rtol: float
+                             ) -> None:
+    """The checks that precede the eigensolve of the standard charge.
+
+    ``pt_rel`` returns the relative residual of H^dagger P = P H; it runs
+    only once the shapes of H and P are known to match.
+    """
+    if h.shape != pm.matrix.shape:
+        raise DimensionMismatch(
+            f"operator {h.shape} incompatible with pseudometric {pm.matrix.shape}")
+    rel = pt_rel()
+    if rel > pt_rtol:
+        raise NotPTSymmetric(
+            f"H is not pseudo-Hermitian w.r.t. P (relative residual {rel:.3e})")
+
+
 def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
                     pt_rtol: float = DEFAULT_PT_RTOL,
                     pairing_floor: float = PAIRING_FLOOR,
@@ -136,23 +155,35 @@ def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
                     ) -> tuple[np.ndarray, MetricCandidate]:
     """Conventional involutory charge and its positive metric Theta = P C.
 
+    Checks pseudo-Hermiticity, decomposes H, and hands the eigensystem to
+    ``charge_from_spectrum``.
+    """
+    hh = as_operator(h)
+    pm = as_pseudometric(p)
+    require_pseudo_hermitian(hh, pm, lambda: pt_symmetry_residual(hh, pm)[1],
+                             pt_rtol)
+    return charge_from_spectrum(eigendecompose(hh, gap_floor), pm,
+                                reality_tol=reality_tol,
+                                pairing_floor=pairing_floor)
+
+
+def charge_from_spectrum(s: SpectralData, p, *,
+                         reality_tol: float = DEFAULT_REALITY_TOL,
+                         pairing_floor: float = PAIRING_FLOOR
+                         ) -> tuple[np.ndarray, MetricCandidate]:
+    """Standard charge C and metric Theta = P C from the eigensystem of H.
+
     For a P-pseudo-Hermitian H with a real simple spectrum, the left
     eigenvector pairings c_n = <phi_n|P^-1|phi_n> are real; the weights
     kappa_n = 1/|c_n| make Theta = sum kappa_n |phi_n><phi_n| positive
     definite while C = P^-1 Theta squares to the identity and commutes
     with H.
     """
-    hh = as_operator(h)
     pm = as_pseudometric(p)
-    if hh.shape != pm.matrix.shape:
+    if s.dim != pm.dim:
         raise DimensionMismatch(
-            f"operator {hh.shape} incompatible with pseudometric {pm.matrix.shape}")
-    _, pt_rel = pt_symmetry_residual(hh, pm)
-    if pt_rel > pt_rtol:
-        raise NotPTSymmetric(
-            f"H is not pseudo-Hermitian w.r.t. P (relative residual {pt_rel:.3e})")
-
-    s = eigendecompose(hh, gap_floor)
+            f"eigensystem of dim {s.dim} incompatible with pseudometric "
+            f"{pm.matrix.shape}")
     real, max_imag = is_real_spectrum(s, reality_tol)
     if not real:
         raise BrokenPhase(
@@ -170,10 +201,7 @@ def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
         raise ExceptionalPoint(
             f"pairing |c_n| below {pairing_floor:g}; eigensystem degenerating")
 
-    kappa = 1.0 / np.abs(c)
-    theta = (phi * kappa) @ phi.conj().T
-    theta = 0.5 * (theta + theta.conj().T)
-    cand = certify_metric(theta, weights=kappa)
+    cand = spectral_metric(s, 1.0 / np.abs(c), reality_tol=reality_tol)
     charge = pm.inverse_apply(cand.theta)
     return charge, cand
 

@@ -69,11 +69,8 @@ def observability_check(a, theta) -> tuple[float, float]:
 def positivity_certificate(m, *, hermiticity_rtol: float = METRIC_HERMITICITY_RTOL
                            ) -> tuple[float, bool]:
     """Minimum eigenvalue and a scale-invariant positive-definiteness flag."""
-    mm = require_metric(m, hermiticity_rtol)
-    w = np.linalg.eigvalsh(mm)
-    min_eig = float(w[0])
-    max_eig = float(w[-1])
-    return min_eig, bool(min_eig > POSITIVITY_FLOOR_FACTOR * max_eig)
+    cand = certify_metric(m, hermiticity_rtol=hermiticity_rtol)
+    return cand.min_eig, cand.positive
 
 
 def certify_metric(theta, weights=None, *,

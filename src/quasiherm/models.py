@@ -10,22 +10,24 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (BrokenPhase, QuasihermError, ParityViolation, SchemaError,
                      SigmaVanishes)
-from .evolution import norm_traces, propagate
+from .evolution import norm_traces, propagate_spectrum
 from .expressions import parse_expression
-from .factorization import (as_pseudometric, make_triple, pt_symmetry_residual,
-                            standard_charge, verify_table)
+from .factorization import (PseudoMetric, as_pseudometric, charge_from_spectrum,
+                            make_triple, pt_symmetry_residual,
+                            require_pseudo_hermitian, verify_table)
 from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      coefficient_match, compatible_split, compose_pct_residual,
                      discretize_hamiltonian, forward_family, inverse_family,
                      make_ansatz, make_grid, make_split, ode_pair_residual)
-from .metrics import qh_residual, spectral_metric
+from .metrics import MetricCandidate, qh_residual, spectral_metric
 from .operators import parity_matrix
-from .spectral import eigendecompose, is_real_spectrum
+from .spectral import SpectralData, eigendecompose, is_real_spectrum
 
 TOOL_VERSION = "0.1.0"
 
@@ -311,24 +313,6 @@ def parse_model(document) -> ModelSpec:
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def _hamiltonian(spec: ModelSpec) -> np.ndarray:
-    if "matrix" in spec.payload:
-        return spec.payload["matrix"]
-    if spec.kind == "schroedinger":
-        return discretize_hamiltonian(spec.payload["grid"],
-                                      spec.payload["potential"])
-    raise SchemaError(f"task needs an operator model, got kind {spec.kind!r}")
-
-
-def _pseudometric(spec: ModelSpec, dim: int) -> np.ndarray:
-    choice = spec.payload.get("pseudometric", "parity")
-    if isinstance(choice, np.ndarray):
-        return choice
-    if choice == "identity":
-        return np.eye(dim, dtype=complex)
-    return parity_matrix(dim)
-
-
 def _gap_floor(spec: ModelSpec, opts: dict) -> float | None:
     """Degeneracy floor for scenario eigendecompositions.
 
@@ -343,14 +327,73 @@ def _gap_floor(spec: ModelSpec, opts: dict) -> float | None:
     return 0.0 if spec.kind == "schroedinger" else None
 
 
+class _Analysis:
+    """The chain of one model under fixed options: H, its eigensystem, the
+    pseudometric P, the default metric Theta and the standard charge C.
+
+    Every task of a scenario or battery reads from one instance.  Each
+    quantity is built on first use and kept only if the build succeeds, so
+    a task that needs nothing raises nothing, and a domain error is raised
+    afresh, with the same text, by every task that needs the quantity.
+    """
+
+    def __init__(self, spec: ModelSpec, opts: dict, tol: float):
+        self.spec = spec
+        self.opts = opts
+        self.tol = tol
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        payload = self.spec.payload
+        if "matrix" in payload:
+            return payload["matrix"]
+        if self.spec.kind == "schroedinger":
+            return discretize_hamiltonian(payload["grid"], payload["potential"])
+        raise SchemaError(
+            f"task needs an operator model, got kind {self.spec.kind!r}")
+
+    @cached_property
+    def spectrum(self) -> SpectralData:
+        return eigendecompose(self.h, _gap_floor(self.spec, self.opts))
+
+    def reality(self) -> tuple[bool, float]:
+        return is_real_spectrum(self.spectrum, self.tol)
+
+    @cached_property
+    def pseudometric(self) -> PseudoMetric:
+        choice = self.spec.payload.get("pseudometric", "parity")
+        if isinstance(choice, str):
+            dim = self.h.shape[0]
+            choice = (np.eye(dim, dtype=complex) if choice == "identity"
+                      else parity_matrix(dim))
+        return as_pseudometric(choice)
+
+    @cached_property
+    def pt_residual(self) -> float:
+        return pt_symmetry_residual(self.h, self.pseudometric)[1]
+
+    @cached_property
+    def metric(self) -> MetricCandidate:
+        """Default-weight spectral metric; requires a real spectrum."""
+        return spectral_metric(self.spectrum, reality_tol=self.tol)
+
+    @cached_property
+    def charge(self) -> tuple[np.ndarray, MetricCandidate]:
+        """``standard_charge`` of H and P, gated before the eigensolve."""
+        pm = self.pseudometric
+        require_pseudo_hermitian(self.h, pm, lambda: self.pt_residual,
+                                 self.tol)
+        return charge_from_spectrum(self.spectrum, pm, reality_tol=self.tol)
+
+
 def _row(name, value, passed=None, tol=None) -> ReportRow:
     return ReportRow(name, jsonable(value), passed, tol)
 
 
-def _task_spectrum(spec, opts, tol):
-    h = _hamiltonian(spec)
-    s = eigendecompose(h, _gap_floor(spec, opts))
-    real, max_imag = is_real_spectrum(s, tol)
+def _task_spectrum(a: _Analysis, opts, tol):
+    h = a.h
+    s = a.spectrum
+    real, max_imag = a.reality()
     recon_rel = (np.linalg.norm(h - s.reconstruction())
                  / max(np.linalg.norm(h), np.finfo(float).tiny))
     pairing_dev = np.linalg.norm(s.pairing() - np.eye(s.dim))
@@ -366,16 +409,15 @@ def _task_spectrum(spec, opts, tol):
     return rows, None
 
 
-def _task_metric(spec, opts, tol):
-    h = _hamiltonian(spec)
-    s = eigendecompose(h, _gap_floor(spec, opts))
-    real, max_imag = is_real_spectrum(s, tol)
+def _task_metric(a: _Analysis, opts, tol):
+    real, max_imag = a.reality()
     if not real:
         raise BrokenPhase(
             f"spectrum is complex (max |Im lambda| = {max_imag:.9g})", max_imag)
     weights = opts.get("weights")
-    cand = spectral_metric(s, weights, reality_tol=tol)
-    qh_abs, qh_rel = qh_residual(h, cand.theta)
+    cand = (a.metric if weights is None
+            else spectral_metric(a.spectrum, weights, reality_tol=tol))
+    qh_abs, qh_rel = qh_residual(a.h, cand.theta)
     rows = [
         _row("qh_residual_rel", qh_rel, qh_rel <= tol, tol),
         _row("qh_residual_abs", qh_abs),
@@ -389,16 +431,14 @@ def _task_metric(spec, opts, tol):
     return rows, None
 
 
-def _task_factorize(spec, opts, tol):
-    h = _hamiltonian(spec)
-    p = _pseudometric(spec, h.shape[0])
-    _, pt_rel = pt_symmetry_residual(h, p)
-    charge, cand = standard_charge(h, p, reality_tol=tol, pt_rtol=tol,
-                                   gap_floor=_gap_floor(spec, opts))
+def _task_factorize(a: _Analysis, opts, tol):
+    h = a.h
+    pm = a.pseudometric
+    pt_rel = a.pt_residual
+    charge, cand = a.charge
     qh_abs, qh_rel = qh_residual(h, cand.theta)
     c2_dev = (np.linalg.norm(charge @ charge - np.eye(h.shape[0]))
               / max(np.linalg.norm(charge) ** 2, np.finfo(float).tiny))
-    pm = as_pseudometric(p)
     rows = [
         _row("pt_residual_rel", pt_rel, pt_rel <= tol, tol),
         _row("charge_involution_rel", c2_dev, c2_dev <= tol, tol),
@@ -415,12 +455,10 @@ def _task_factorize(spec, opts, tol):
     return rows, None
 
 
-def _task_table(spec, opts, tol):
-    h = _hamiltonian(spec)
-    p = _pseudometric(spec, h.shape[0])
-    charge, cand = standard_charge(h, p, reality_tol=tol, pt_rtol=tol,
-                                   gap_floor=_gap_floor(spec, opts))
-    triple = make_triple(p, charge)
+def _task_table(a: _Analysis, opts, tol):
+    h = a.h
+    charge, _ = a.charge
+    triple = make_triple(a.pseudometric, charge)
     rows = [_row("mode", triple.mode)]
     for trow in verify_table(triple, h, rtol=tol):
         value = trow.rel_residual if trow.rel_residual is not None \
@@ -446,21 +484,20 @@ def _psi0_from_options(opts, dim: int) -> np.ndarray:
     return arr
 
 
-def _task_evolve(spec, opts, tol):
-    h = _hamiltonian(spec)
+def _task_evolve(a: _Analysis, opts, tol):
+    h = a.h
     t_max = float(opts.get("t_max", 20.0))
     steps = int(opts.get("steps", 200))
     if t_max <= 0 or steps < 2:
         raise SchemaError("need t_max > 0 and steps >= 2", "evolve")
     psi0 = _psi0_from_options(opts, h.shape[0])
     times = np.linspace(0.0, t_max, steps)
-    traj = propagate(h, psi0, times, gap_floor=_gap_floor(spec, opts))
+    traj = propagate_spectrum(a.spectrum, psi0, times)
 
     metrics = {"identity": np.eye(h.shape[0], dtype=complex)}
-    s = eigendecompose(h, _gap_floor(spec, opts))
-    real, max_imag = is_real_spectrum(s, tol)
+    real, max_imag = a.reality()
     if real:
-        metrics["theta"] = spectral_metric(s, reality_tol=tol).theta
+        metrics["theta"] = a.metric.theta
     series = norm_traces(traj, metrics)
 
     ident = np.array([v for _, name, v in series if name == "identity"])
@@ -490,8 +527,8 @@ def _family_parts(spec: ModelSpec) -> tuple[Grid, ChargeAnsatz]:
     return spec.payload["grid"], spec.payload["ansatz"]
 
 
-def _task_family_forward(spec, opts, tol):
-    grid, ansatz = _family_parts(spec)
+def _task_family_forward(a: _Analysis, opts, tol):
+    grid, ansatz = _family_parts(a.spec)
     s_even, lam_odd = forward_family(ansatz)
     split = compatible_split(ansatz, grid)
     s_parity = float(np.abs(s_even - s_even[::-1]).max())
@@ -514,7 +551,8 @@ def _task_family_forward(spec, opts, tol):
     return rows, series
 
 
-def _task_family_inverse(spec, opts, tol):
+def _task_family_inverse(a: _Analysis, opts, tol):
+    spec = a.spec
     grid, ansatz = _family_parts(spec)
     branch = int(opts.get("branch", +1))
     if "s_even" in spec.payload:
@@ -546,7 +584,8 @@ def _task_family_inverse(spec, opts, tol):
     return rows, series
 
 
-def _task_family_check(spec, opts, tol):
+def _task_family_check(a: _Analysis, opts, tol):
+    spec = a.spec
     grid, ansatz = _family_parts(spec)
     full = compatible_split(ansatz, grid)
     zeros = np.zeros(grid.npoints)
@@ -621,17 +660,21 @@ def _error_value(exc: QuasihermError):
     return str(exc)
 
 
+def _run_task(a: _Analysis, task: str) -> tuple[list, list | None]:
+    """Rows and series of one task; a domain error becomes one failed row."""
+    try:
+        return _TASKS[task](a, a.opts, a.tol)
+    except QuasihermError as exc:
+        row = ReportRow(exc.code, jsonable(_error_value(exc)), False, None)
+        return [row], None
+
+
 def run_scenario(spec: ModelSpec, task: str, options=None, *,
                  tol: float = DEFAULT_TOL) -> Report:
     """Dispatch a task against a model; domain errors become failed rows."""
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {sorted(_TASKS)}")
-    opts = dict(options or {})
-    series = None
-    try:
-        rows, series = _TASKS[task](spec, opts, tol)
-    except QuasihermError as exc:
-        rows = [ReportRow(exc.code, jsonable(_error_value(exc)), False, None)]
+    rows, series = _run_task(_Analysis(spec, dict(options or {}), tol), task)
     return Report(scenario=f"{spec.kind}/{task}", digest=spec.digest,
                   version=TOOL_VERSION, rows=rows, series=series)
 
@@ -639,15 +682,17 @@ def run_scenario(spec: ModelSpec, task: str, options=None, *,
 def run_battery(spec: ModelSpec, options=None, *,
                 tol: float = DEFAULT_TOL) -> Report:
     """Run every task applicable to the model kind; rows are prefixed with
-    the task name."""
+    the task name.  The tasks share one analysis, so the eigenproblem is
+    solved once and Theta and C are built once."""
     if spec.kind == "family":
         tasks = ["family-forward", "family-inverse", "family-check"]
     else:
         tasks = ["spectrum", "metric", "factorize", "table", "evolve"]
+    analysis = _Analysis(spec, dict(options or {}), tol)
     rows: list[ReportRow] = []
     for task in tasks:
-        sub = run_scenario(spec, task, options, tol=tol)
-        for r in sub.rows:
+        sub_rows, _ = _run_task(analysis, task)
+        for r in sub_rows:
             rows.append(ReportRow(f"{task}.{r.name}", r.value, r.passed, r.tol))
     return Report(scenario=f"{spec.kind}/report", digest=spec.digest,
                   version=TOOL_VERSION, rows=rows, series=None)

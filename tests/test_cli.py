@@ -169,3 +169,39 @@ def test_overflowing_expression_exit_two(model_file, capsys, recwarn, doc):
     err = capsys.readouterr().err
     assert "non-finite value inf (at x = -2.0)" in err
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overflowing_evolve_is_a_failed_row(model_file, capsys, recwarn, fmt):
+    # a broken phase with max |Im lambda| ~ 38.5 overflows exp(-i lambda t)
+    doc = {"kind": "schroedinger", "grid": {"L": 8, "N": 201},
+           "V_real": "0", "V_imag": "0.1*x^3"}
+    code = main(["evolve", "--model", model_file(doc), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "NonFiniteResult" in captured.out
+    assert "nan" not in captured.out and "inf" not in captured.out
+    assert captured.err == ""
+    assert len(recwarn) == 0
+
+
+def test_main_reuses_one_parser(model_file, capsys, monkeypatch):
+    from quasiherm import cli
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    path = model_file(MODEL_2X2)
+    main(["evolve", "--model", path, "--steps", "3", "--format", "csv"])
+    short = capsys.readouterr().out
+    main(["evolve", "--model", path, "--format", "csv"])
+    default = capsys.readouterr().out
+    # options of one call do not stick to the next
+    assert len(short.splitlines()) == 1 + 2 * 3
+    assert len(default.splitlines()) == 1 + 2 * 200
+    assert built == [1]
+    assert original() is not original()

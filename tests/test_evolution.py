@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from quasiherm import (NonHermitianMetric, eigendecompose, hermitize,
-                       norm_traces, propagate, qh_residual, spectral_metric,
+from quasiherm import (NonFiniteResult, NonHermitianMetric, Trajectory,
+                       eigendecompose, hermitize, norm_traces, propagate,
+                       propagate_spectrum, qh_residual, spectral_metric,
                        standard_charge)
 
 
@@ -125,3 +126,29 @@ def test_theta_drift_on_random_certified_pairs(seed):
     traj = propagate(h, psi0, np.linspace(0.0, 20.0, 120))
     vals = np.array([v for *_, v in norm_traces(traj, {"t": cand.theta})])
     assert np.abs(vals - vals[0]).max() <= 1e-9 * abs(vals[0])
+
+
+def test_propagate_spectrum_matches_propagate(model_h):
+    times = np.linspace(0.0, 5.0, 11)
+    direct = propagate(model_h, [1.0, 0.0], times)
+    shared = propagate_spectrum(eigendecompose(model_h), [1.0, 0.0], times)
+    assert direct.times.tobytes() == shared.times.tobytes()
+    assert direct.states.tobytes() == shared.states.tobytes()
+    with pytest.raises(ValueError):
+        propagate_spectrum(eigendecompose(model_h), [1.0, 0.0], [1.0, 0.5])
+
+
+def test_propagate_overflow_is_a_typed_error(recwarn):
+    # exp(40 t) overflows a double beyond t ~ 17.7
+    h = np.diag([40j, -40j])
+    with pytest.raises(NonFiniteResult, match="t = 20"):
+        propagate(h, [1.0, 1.0], np.linspace(0.0, 20.0, 5))
+    assert len(recwarn) == 0
+
+
+def test_norm_traces_overflow_is_a_typed_error(recwarn):
+    traj = Trajectory(np.array([0.0, 1.0]),
+                      np.array([[1.0, 0.0], [1e200, 1e200]], dtype=complex))
+    with pytest.raises(NonFiniteResult, match="'I'"):
+        norm_traces(traj, {"I": np.eye(2)})
+    assert len(recwarn) == 0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from quasiherm import (BrokenPhase, ExceptionalPoint, NonHermitianMetric,
-                       NotPTSymmetric, SingularPseudoMetric, as_pseudometric,
-                       charge_from_metric, conjugation_in, make_triple,
+from quasiherm import (BrokenPhase, DimensionMismatch, ExceptionalPoint,
+                       NonHermitianMetric, NotPTSymmetric,
+                       SingularPseudoMetric, as_pseudometric,
+                       charge_from_metric, charge_from_spectrum,
+                       conjugation_in, eigendecompose, make_triple,
                        parity_matrix, pt_symmetry_residual, qh_residual,
                        signature, standard_charge, triple_inner, verify_table)
 
@@ -249,3 +251,23 @@ def test_verify_table_on_random_pseudo_hermitian_models(seed):
         assert row.rel_residual <= 1e-10, row
     if dim % 2 == 0:
         assert signature(p) == (dim // 2, dim // 2)
+
+
+def test_charge_from_spectrum_matches_dyad_sum():
+    # reference: Theta = sum_n |phi_n><phi_n| / |c_n|, symmetrized, and
+    # C = P^-1 Theta, written out without the library's helpers
+    h = np.array([[0.6j, 1.0], [1.0, -0.6j]])
+    p = parity_matrix(2)
+    s = eigendecompose(h)
+    charge, cand = charge_from_spectrum(s, p)
+    phi = s.left_vectors
+    c = np.einsum("ij,ij->j", phi.conj(), np.linalg.solve(p, phi)).real
+    theta = (phi * (1.0 / np.abs(c))) @ phi.conj().T
+    theta = 0.5 * (theta + theta.conj().T)
+    assert np.array_equal(cand.theta, theta)
+    assert np.array_equal(charge, np.linalg.solve(p, theta))
+    via_h, via_h_cand = standard_charge(h, p)
+    assert charge.tobytes() == via_h.tobytes()
+    assert cand.theta.tobytes() == via_h_cand.theta.tobytes()
+    with pytest.raises(DimensionMismatch):
+        charge_from_spectrum(s, parity_matrix(3))
