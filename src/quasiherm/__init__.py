@@ -6,7 +6,7 @@ discretizes the first-order differential charge family, and demonstrates
 metric-weighted unitarity of the generated evolution.
 """
 
-from .errors import (BadGrid, BrokenPhase, ComplexSpectrum, DegenerateSpectrum,
+from .errors import (BadGrid, BrokenPhase, DegenerateSpectrum,
                      DimensionMismatch, EvalError, ExceptionalPoint,
                      NonConvergence, NonFiniteResult, NonHermitianMetric,
                      NonPositiveWeight, NotPTSymmetric, NotPositive,
@@ -27,7 +27,7 @@ from .family import (ChargeAnsatz, CoefficientResiduals, Grid, PotentialSplit,
                      discretize_hamiltonian, even_part, first_difference,
                      forward_family, inverse_family, make_ansatz, make_grid,
                      make_split, odd_part, ode_pair_residual,
-                     second_difference, symmetrize)
+                     second_difference)
 from .metrics import (MetricCandidate, certify_metric, hermitize,
                       observability_check, positivity_certificate, qh_residual,
                       spectral_metric)

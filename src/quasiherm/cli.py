@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .errors import (BadGrid, EvalError, ParityViolation, ParseError,
@@ -19,14 +20,30 @@ _MODEL_STAGE_ERRORS = (SchemaError, ParseError, EvalError, ParityViolation,
                        BadGrid)
 
 
+def _finite_float(text: str, minimum: float = -math.inf) -> float:
+    """argparse type: a finite float no smaller than ``minimum``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= minimum):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number{bound}, got {text!r}")
+    return value
+
+
+_nonnegative_float = functools.partial(_finite_float, minimum=0.0)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="path to a model file")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    parser.add_argument("--tol", type=_nonnegative_float, default=DEFAULT_TOL,
                         help="relative tolerance for pass/fail rows")
     parser.add_argument("--out", default=None,
                         help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--gap-floor", type=float, default=None,
+    parser.add_argument("--gap-floor", type=_nonnegative_float, default=None,
                         help="degeneracy floor override for eigensolves")
 
 
@@ -43,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve")
     _add_common(p)
-    p.add_argument("--t-max", type=float, default=20.0)
+    p.add_argument("--t-max", type=_finite_float, default=20.0)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--psi0", default="0",
                    help="basis index or path to a JSON [re, im] vector")

@@ -40,10 +40,6 @@ class SelfOrthogonal(QuasihermError):
     the standard signal of an exceptional point."""
 
 
-class ComplexSpectrum(QuasihermError):
-    """Spectral construction requires a real spectrum but got a complex one."""
-
-
 class NonPositiveWeight(QuasihermError):
     """Metric weights must be strictly positive."""
 

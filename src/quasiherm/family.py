@@ -78,33 +78,18 @@ def make_grid(half_width: float, npoints: int) -> Grid:
     return Grid(float(half_width), n, h, x)
 
 
+def parity_deviation(f: np.ndarray, sign: int) -> float:
+    """max |f - sign * f reflected|: zero for even (+1) or odd (-1) samples."""
+    return float(np.abs(f - sign * f[::-1]).max())
+
+
 def _check_parity(name: str, f: np.ndarray, sign: int) -> None:
     scale = max(1.0, float(np.abs(f).max()))
-    dev = float(np.abs(f - sign * f[::-1]).max())
+    dev = parity_deviation(f, sign)
     if dev > PARITY_ATOL * scale:
         kind = "even" if sign == 1 else "odd"
         raise ParityViolation(
             f"{name} is not {kind} on the grid (deviation {dev:.3e})")
-
-
-def symmetrize(f, sign: int, *, warn_rtol: float = 1e-10,
-               name: str = "samples") -> np.ndarray:
-    """Project samples onto their even (+1) or odd (-1) part.
-
-    Emits a warning when the discarded opposite-parity content exceeds
-    warn_rtol relative to the sample scale.
-    """
-    ff = np.asarray(f, dtype=float)
-    proj = 0.5 * (ff + sign * ff[::-1])
-    lost = float(np.abs(ff - proj).max())
-    scale = max(1.0, float(np.abs(ff).max()))
-    if lost > warn_rtol * scale:
-        import warnings
-
-        warnings.warn(
-            f"{name}: symmetrization discarded asymmetry {lost:.3e}",
-            stacklevel=2)
-    return proj
 
 
 @dataclass(frozen=True)
@@ -316,15 +301,14 @@ def ode_pair_residual(a: ChargeAnsatz, s_even, lam_odd, grid: Grid
 
 
 def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
-                   branch: int = +1, *, sigma_floor: float = SIGMA_FLOOR
-                   ) -> ChargeAnsatz:
+                   branch: int = +1) -> ChargeAnsatz:
     """Recover (sigma, alpha) from (S, Lambda, omega).
 
     Solves sigma^4 + (omega - S) sigma^2 - Lambda^2/4 = 0 for the
     nonnegative root, 2 sigma^2 = (S - omega) + sqrt((S - omega)^2 +
     Lambda^2), then alpha = Lambda / (2 sigma).  ``branch`` flips the
     common sign of sigma and alpha; both branches map forward to the same
-    potential.  Points with |sigma| below ``sigma_floor`` are tolerated
+    potential.  Points with |sigma| below SIGMA_FLOOR are tolerated
     only where Lambda vanishes too (alpha is set to 0 there); otherwise
     SigmaVanishes reports the offending indices.
     """
@@ -338,13 +322,13 @@ def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
     # radicand >= shifted^2, so the root below is always real nonnegative
     sigma_sq = 0.5 * (shifted + np.sqrt(shifted * shifted + lam_arr * lam_arr))
     sigma = branch * np.sqrt(sigma_sq)
-    small = np.abs(sigma) < sigma_floor
+    small = np.abs(sigma) < SIGMA_FLOOR
     lam_scale = max(1.0, float(np.abs(lam_arr).max()))
     degenerate = small & (np.abs(lam_arr) > 1e-12 * lam_scale)
     if np.any(degenerate):
         idx = np.nonzero(degenerate)[0]
         raise SigmaVanishes(
-            f"sigma below {sigma_floor:g} at {idx.size} points with "
+            f"sigma below {SIGMA_FLOOR:g} at {idx.size} points with "
             "nonvanishing Lambda; inverse map degenerates", indices=idx)
     alpha = np.zeros_like(sigma)
     ok = ~small

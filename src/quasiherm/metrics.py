@@ -12,26 +12,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ComplexSpectrum, DimensionMismatch, NonPositiveWeight,
-                     NotPositive)
-from .operators import METRIC_HERMITICITY_RTOL, as_operator, require_metric
-from .spectral import SpectralData, is_real_spectrum
+from .errors import DimensionMismatch, NonPositiveWeight, NotPositive
+from .operators import as_operator, require_metric
+from .spectral import DEFAULT_REALITY_TOL, SpectralData, require_real_spectrum
 
 # positive means min_eig > floor * max_eig: scale-invariant certificate
 POSITIVITY_FLOOR_FACTOR = 1e-12
 
-DEFAULT_REALITY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class MetricCandidate:
-    """Hermitian candidate metric with its positivity certificate."""
+    """Hermitian candidate metric with its ascending eigenvalues, from
+    which the positivity certificate is read."""
 
     theta: np.ndarray
-    min_eig: float
-    max_eig: float
-    positive: bool
+    eigenvalues: np.ndarray
     weights: np.ndarray | None = None
+
+    @property
+    def min_eig(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def max_eig(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    @property
+    def positive(self) -> bool:
+        return bool(self.min_eig > POSITIVITY_FLOOR_FACTOR * self.max_eig)
 
     @property
     def condition(self) -> float:
@@ -47,14 +55,18 @@ def qh_residual(h, theta) -> tuple[float, float]:
     if hh.shape != tt.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with metric {tt.shape}")
-    resid = hh.conj().T @ tt - tt @ hh
+    return _frobenius_residual(hh.conj().T @ tt - tt @ hh,
+                               float(np.linalg.norm(hh))
+                               * float(np.linalg.norm(tt)))
+
+
+def _frobenius_residual(resid: np.ndarray, denom: float) -> tuple[float, float]:
+    """Frobenius norm of ``resid`` and its ratio to ``denom``; a zero
+    denominator gives 0 for a zero residual and inf otherwise."""
     abs_res = float(np.linalg.norm(resid))
-    denom = float(np.linalg.norm(hh)) * float(np.linalg.norm(tt))
     if denom == 0.0:
-        rel = 0.0 if abs_res == 0.0 else float("inf")
-    else:
-        rel = abs_res / denom
-    return abs_res, rel
+        return abs_res, 0.0 if abs_res == 0.0 else float("inf")
+    return abs_res, abs_res / denom
 
 
 def observability_check(a, theta) -> tuple[float, float]:
@@ -66,24 +78,17 @@ def observability_check(a, theta) -> tuple[float, float]:
     return qh_residual(a, theta)
 
 
-def positivity_certificate(m, *, hermiticity_rtol: float = METRIC_HERMITICITY_RTOL
-                           ) -> tuple[float, bool]:
+def positivity_certificate(m) -> tuple[float, bool]:
     """Minimum eigenvalue and a scale-invariant positive-definiteness flag."""
-    cand = certify_metric(m, hermiticity_rtol=hermiticity_rtol)
+    cand = certify_metric(m)
     return cand.min_eig, cand.positive
 
 
-def certify_metric(theta, weights=None, *,
-                   hermiticity_rtol: float = METRIC_HERMITICITY_RTOL
-                   ) -> MetricCandidate:
+def certify_metric(theta, weights=None) -> MetricCandidate:
     """Symmetrize, certify, and package an explicit candidate metric."""
-    mm = require_metric(theta, hermiticity_rtol)
-    w = np.linalg.eigvalsh(mm)
-    min_eig = float(w[0])
-    max_eig = float(w[-1])
-    positive = bool(min_eig > POSITIVITY_FLOOR_FACTOR * max_eig)
+    mm = require_metric(theta)
     wts = None if weights is None else np.asarray(weights, dtype=float).copy()
-    return MetricCandidate(mm, min_eig, max_eig, positive, wts)
+    return MetricCandidate(mm, np.linalg.eigvalsh(mm), wts)
 
 
 def spectral_metric(s: SpectralData, weights=None, *,
@@ -92,13 +97,9 @@ def spectral_metric(s: SpectralData, weights=None, *,
 
     The strictly positive weights kappa_n parameterize the full
     non-uniqueness of the metric family; all-ones is the default member.
-    Requires a real spectrum.
+    A complex spectrum raises BrokenPhase.
     """
-    real, max_imag = is_real_spectrum(s, reality_tol)
-    if not real:
-        raise ComplexSpectrum(
-            f"spectrum has max |Im lambda| = {max_imag:.6g}; no positive "
-            "metric exists")
+    require_real_spectrum(s, reality_tol)
     if weights is None:
         kappa = np.ones(s.dim)
     else:

@@ -7,8 +7,10 @@ and the input digest is a SHA-256 over the canonicalized model document.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,8 +25,9 @@ from .factorization import (PseudoMetric, as_pseudometric, charge_from_spectrum,
                             require_pseudo_hermitian, verify_table)
 from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      coefficient_match, compatible_split, compose_pct_residual,
-                     discretize_hamiltonian, forward_family, inverse_family,
-                     make_ansatz, make_grid, make_split, ode_pair_residual)
+                     discretize_hamiltonian, even_part, forward_family,
+                     inverse_family, make_ansatz, make_grid, make_split,
+                     odd_part, ode_pair_residual, parity_deviation)
 from .metrics import MetricCandidate, qh_residual, spectral_metric
 from .operators import parity_matrix
 from .spectral import SpectralData, eigendecompose, is_real_spectrum
@@ -161,10 +164,26 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_complex(parts, value, path: str) -> complex:
+    """complex(*parts) for JSON numbers ``parts`` read from ``value``; inf,
+    nan and integers beyond the float range are schema errors."""
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise SchemaError(f"expected a finite number, got {value!r}", path)
+    return z
+
+
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise SchemaError(f"expected a number, got {value!r}", path)
-    return float(value)
+    return _finite_complex((value,), value, path).real
 
 
 def _as_int(value, path: str) -> int:
@@ -174,13 +193,10 @@ def _as_int(value, path: str) -> int:
 
 
 def _as_complex_entry(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value)):
-        return complex(value[0], value[1])
-    raise SchemaError(f"expected [re, im] pair, got {value!r}", path)
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(_is_number(v) for v in parts):
+        raise SchemaError(f"expected [re, im] pair, got {value!r}", path)
+    return _finite_complex(parts, value, path)
 
 
 def _parse_matrix(data, path: str) -> np.ndarray:
@@ -220,7 +236,7 @@ def _sample_expression(text, grid: Grid, path: str) -> np.ndarray:
 
 def _sample_with_parity(text, grid: Grid, sign: int, path: str) -> np.ndarray:
     raw = _sample_expression(text, grid, path)
-    proj = 0.5 * (raw + sign * raw[::-1])
+    proj = even_part(raw) if sign == 1 else odd_part(raw)
     lost = float(np.abs(raw - proj).max())
     scale = max(1.0, float(np.abs(raw).max()))
     if lost > MODEL_PARITY_RTOL * scale:
@@ -259,7 +275,7 @@ def parse_model(document) -> ModelSpec:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("model document must be an object")
@@ -356,9 +372,6 @@ class _Analysis:
     def spectrum(self) -> SpectralData:
         return eigendecompose(self.h, _gap_floor(self.spec, self.opts))
 
-    def reality(self) -> tuple[bool, float]:
-        return is_real_spectrum(self.spectrum, self.tol)
-
     @cached_property
     def pseudometric(self) -> PseudoMetric:
         choice = self.spec.payload.get("pseudometric", "parity")
@@ -393,7 +406,7 @@ def _row(name, value, passed=None, tol=None) -> ReportRow:
 def _task_spectrum(a: _Analysis, opts, tol):
     h = a.h
     s = a.spectrum
-    real, max_imag = a.reality()
+    real, max_imag = is_real_spectrum(s, tol)
     recon_rel = (np.linalg.norm(h - s.reconstruction())
                  / max(np.linalg.norm(h), np.finfo(float).tiny))
     pairing_dev = np.linalg.norm(s.pairing() - np.eye(s.dim))
@@ -410,13 +423,7 @@ def _task_spectrum(a: _Analysis, opts, tol):
 
 
 def _task_metric(a: _Analysis, opts, tol):
-    real, max_imag = a.reality()
-    if not real:
-        raise BrokenPhase(
-            f"spectrum is complex (max |Im lambda| = {max_imag:.9g})", max_imag)
-    weights = opts.get("weights")
-    cand = (a.metric if weights is None
-            else spectral_metric(a.spectrum, weights, reality_tol=tol))
+    cand = a.metric
     qh_abs, qh_rel = qh_residual(a.h, cand.theta)
     rows = [
         _row("qh_residual_rel", qh_rel, qh_rel <= tol, tol),
@@ -445,8 +452,7 @@ def _task_factorize(a: _Analysis, opts, tol):
         _row("qh_residual_rel", qh_rel, qh_rel <= tol, tol),
         _row("qh_residual_abs", qh_abs),
         _row("theta_positive", bool(cand.positive), bool(cand.positive)),
-        _row("theta_eigenvalues",
-             np.linalg.eigvalsh(cand.theta)),
+        _row("theta_eigenvalues", cand.eigenvalues),
         _row("p_signature", [pm.signature[0], pm.signature[1]]),
     ]
     if h.shape[0] <= MATRIX_ROW_DIM_CAP:
@@ -495,7 +501,7 @@ def _task_evolve(a: _Analysis, opts, tol):
     traj = propagate_spectrum(a.spectrum, psi0, times)
 
     metrics = {"identity": np.eye(h.shape[0], dtype=complex)}
-    real, max_imag = a.reality()
+    real, max_imag = is_real_spectrum(a.spectrum, tol)
     if real:
         metrics["theta"] = a.metric.theta
     series = norm_traces(traj, metrics)
@@ -531,8 +537,8 @@ def _task_family_forward(a: _Analysis, opts, tol):
     grid, ansatz = _family_parts(a.spec)
     s_even, lam_odd = forward_family(ansatz)
     split = compatible_split(ansatz, grid)
-    s_parity = float(np.abs(s_even - s_even[::-1]).max())
-    lam_parity = float(np.abs(lam_odd + lam_odd[::-1]).max())
+    s_parity = parity_deviation(s_even, +1)
+    lam_parity = parity_deviation(lam_odd, -1)
     rows = [
         _row("S_parity_dev", s_parity, s_parity <= 1e-12, 1e-12),
         _row("Lambda_parity_dev", lam_parity, lam_parity <= 1e-12, 1e-12),

@@ -19,8 +19,6 @@ METRIC_HERMITICITY_RTOL = 1e-12
 # adjoint would be numerically meaningless.
 METRIC_CONDITION_CAP = 1e12
 
-DEFAULT_RTOL = 1e-10
-
 
 def as_operator(a) -> np.ndarray:
     """Coerce to a finite square complex matrix (always a fresh copy)."""
@@ -44,10 +42,6 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     return w
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose in the working basis."""
     return as_operator(a).conj().T
@@ -59,35 +53,34 @@ def time_reversal(a) -> np.ndarray:
     return as_operator(a).conj()
 
 
-def require_metric(m, rtol: float = METRIC_HERMITICITY_RTOL) -> np.ndarray:
+def require_metric(m) -> np.ndarray:
     """Validate Hermiticity of a metric and return its symmetrized form."""
     mm = as_operator(m)
     scale = max(np.linalg.norm(mm), np.finfo(float).tiny)
     drift = np.linalg.norm(mm - mm.conj().T)
-    if drift > rtol * scale:
+    if drift > METRIC_HERMITICITY_RTOL * scale:
         raise NonHermitianMetric(
             f"metric deviates from Hermiticity by {drift:.3e} "
-            f"(relative cap {rtol:g})"
+            f"(relative cap {METRIC_HERMITICITY_RTOL:g})"
         )
     return 0.5 * (mm + mm.conj().T)
 
 
-def adjoint_wrt(a, m, *, hermiticity_rtol: float = METRIC_HERMITICITY_RTOL,
-                cond_cap: float = METRIC_CONDITION_CAP) -> np.ndarray:
+def adjoint_wrt(a, m) -> np.ndarray:
     """Hermitian conjugate of ``a`` in the inner product weighted by ``m``.
 
     Returns M^-1 A^dagger M.  Reduces to the plain adjoint for M = I and is
     an involution for any admissible metric.
     """
     aa = as_operator(a)
-    mm = require_metric(m, hermiticity_rtol)
+    mm = require_metric(m)
     if aa.shape != mm.shape:
         raise DimensionMismatch(
             f"operator {aa.shape} incompatible with metric {mm.shape}")
     w = np.abs(np.linalg.eigvalsh(mm))
-    if w.min() == 0.0 or w.max() / w.min() > cond_cap:
+    if w.min() == 0.0 or w.max() / w.min() > METRIC_CONDITION_CAP:
         raise SingularMetric(
-            f"metric condition number exceeds cap {cond_cap:g}")
+            f"metric condition number exceeds cap {METRIC_CONDITION_CAP:g}")
     return np.linalg.solve(mm, aa.conj().T @ mm)
 
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateSpectrum, DimensionMismatch, NonConvergence,
-                     SelfOrthogonal)
+from .errors import (BrokenPhase, DegenerateSpectrum, DimensionMismatch,
+                     NonConvergence, SelfOrthogonal)
 from .operators import as_operator
 
 # Above this condition number of the right-eigenvector matrix, the left
@@ -24,6 +24,8 @@ LEFT_FROM_ADJOINT_COND = 1e8
 DEFAULT_GAP_FACTOR = 1e-8
 
 SELF_ORTHOGONALITY_RTOL = 1e-12
+
+DEFAULT_REALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -155,3 +157,12 @@ def is_real_spectrum(s: SpectralData, tol: float) -> tuple[bool, float]:
     max_imag = float(np.abs(s.eigenvalues.imag).max())
     radius = max(1.0, float(np.abs(s.eigenvalues).max()))
     return max_imag <= tol * radius, max_imag
+
+
+def require_real_spectrum(s: SpectralData, tol: float) -> None:
+    """Raise BrokenPhase unless ``is_real_spectrum`` holds; the error
+    carries the largest imaginary part."""
+    real, max_imag = is_real_spectrum(s, tol)
+    if not real:
+        raise BrokenPhase(
+            f"spectrum is complex (max |Im lambda| = {max_imag:.9g})", max_imag)

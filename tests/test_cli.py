@@ -205,3 +205,75 @@ def test_main_reuses_one_parser(model_file, capsys, monkeypatch):
     assert len(default.splitlines()) == 1 + 2 * 200
     assert built == [1]
     assert original() is not original()
+
+
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text,path", [
+    ('{"kind": "matrix", "data": [[1e400, 0], [0, 1]]}', "data[0][0]"),
+    ('{"kind": "matrix", "data": [[1, [0, NaN]], [0, 1]]}', "data[0][1]"),
+    ('{"kind": "matrix", "data": [[1, 0], [0, -Infinity]]}', "data[1][1]"),
+    ('{"kind": "matrix", "data": [[%s, 0], [0, 1]]}' % HUGE_INT, "data[0][0]"),
+    ('{"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]],'
+     ' "pseudometric": [[0, 1], [1, Infinity]]}', "pseudometric[1][1]"),
+    ('{"kind": "lattice", "n": 4, "gamma": 1e400}', "gamma"),
+    ('{"kind": "lattice", "n": 4, "coupling": NaN}', "coupling"),
+    ('{"kind": "family", "grid": {"L": 4, "N": 21}, "sigma": "1",'
+     ' "alpha": "x", "omega": Infinity}', "omega"),
+], ids=["data-1e400", "data-pair-NaN", "data-minus-Infinity", "data-huge-int",
+        "pseudometric-Infinity", "gamma-1e400", "coupling-NaN",
+        "omega-Infinity"])
+@pytest.mark.parametrize("task", ["spectrum", "report"])
+def test_non_finite_model_number_exit_two(tmp_path, capsys, recwarn, text,
+                                          path, task):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    assert main([task, "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: expected a finite number" in err
+    assert len(recwarn) == 0
+
+
+def test_integer_beyond_conversion_limit_exit_two(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"kind": "matrix", "data": [[1%s, 0], [0, 1]]}'
+                     % ("0" * 5000))
+    assert main(["spectrum", "--model", str(model)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["[0, 1e400]", "NaN", HUGE_INT],
+                         ids=["pair-1e400", "NaN", "huge-int"])
+def test_non_finite_psi0_entry_is_a_schema_row(model_file, tmp_path, capsys,
+                                               entry):
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(f"[[1, 0], {entry}]")
+    code, doc = run_json(capsys, ["evolve", "--model", model_file(MODEL_2X2),
+                                  "--psi0", str(psi_path)])
+    assert code == 1
+    assert [r["name"] for r in doc["rows"]] == ["SchemaError"]
+    assert "psi0: expected a finite number" in doc["rows"][0]["value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--tol", "-1"],
+    ["spectrum", "--tol", "nan"],
+    ["spectrum", "--tol", "inf"],
+    ["spectrum", "--gap-floor", "-1"],
+    ["spectrum", "--gap-floor", "nan"],
+    ["evolve", "--t-max", "inf"],
+    ["evolve", "--t-max", "nan"],
+], ids=" ".join)
+def test_bad_float_option_exit_two(model_file, capsys, recwarn, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--model", model_file(MODEL_2X2)])
+    assert exit_info.value.code == 2
+    assert "expected a" in capsys.readouterr().err
+    assert len(recwarn) == 0
+
+
+def test_zero_gap_floor_is_accepted(model_file, capsys):
+    code, _ = run_json(capsys, ["spectrum", "--model", model_file(MODEL_2X2),
+                                "--gap-floor", "0"])
+    assert code == 0

@@ -7,7 +7,8 @@ from quasiherm import (BrokenPhase, DimensionMismatch, ExceptionalPoint,
                        charge_from_metric, charge_from_spectrum,
                        conjugation_in, eigendecompose, make_triple,
                        parity_matrix, pt_symmetry_residual, qh_residual,
-                       signature, standard_charge, triple_inner, verify_table)
+                       signature, spectral_metric, standard_charge,
+                       triple_inner, verify_table)
 
 RELATION_ROWS = ("H_sharp_eq_H", "Hdd_C_eq_C_H", "Cd_P_eq_P_C",
                  "Hd_Theta_eq_Theta_H", "C_eq_Cdd", "P_eq_Pd")
@@ -271,3 +272,17 @@ def test_charge_from_spectrum_matches_dyad_sum():
     assert cand.theta.tobytes() == via_h_cand.theta.tobytes()
     with pytest.raises(DimensionMismatch):
         charge_from_spectrum(s, parity_matrix(3))
+
+
+def test_one_broken_phase_verdict(broken_h, parity2):
+    # the metric, the charge from an eigensystem and the charge from H
+    # all reject a complex spectrum with the same code and max |Im lambda|
+    s = eigendecompose(broken_h)
+    max_imags = []
+    for build in (lambda: spectral_metric(s),
+                  lambda: charge_from_spectrum(s, parity2),
+                  lambda: standard_charge(broken_h, parity2)):
+        with pytest.raises(BrokenPhase) as err:
+            build()
+        max_imags.append(err.value.max_imag)
+    assert max_imags == [float(np.abs(s.eigenvalues.imag).max())] * 3

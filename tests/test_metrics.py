@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasiherm import (ComplexSpectrum, NonHermitianMetric, NonPositiveWeight,
+from quasiherm import (BrokenPhase, NonHermitianMetric, NonPositiveWeight,
                        NotPositive, certify_metric, eigendecompose, hermitize,
                        observability_check, positivity_certificate, qh_residual,
                        spectral_metric)
@@ -72,7 +72,7 @@ def test_spectral_metric_non_uniqueness(model_h):
 
 
 def test_spectral_metric_rejects_complex_spectrum(broken_h):
-    with pytest.raises(ComplexSpectrum):
+    with pytest.raises(BrokenPhase):
         spectral_metric(eigendecompose(broken_h))
 
 
@@ -156,3 +156,13 @@ def test_certify_metric_condition():
     cand = certify_metric(np.diag([1.0, 4.0]))
     assert cand.condition == pytest.approx(4.0)
     assert cand.max_eig == 4.0
+
+
+def test_certificate_keeps_every_eigenvalue():
+    rng = np.random.default_rng(7)
+    h, _, _ = random_diagonalizable(rng, 12)
+    cand = spectral_metric(eigendecompose(h))
+    assert cand.eigenvalues.tobytes() == np.linalg.eigvalsh(cand.theta).tobytes()
+    assert cand.min_eig == cand.eigenvalues[0]
+    assert cand.max_eig == cand.eigenvalues[-1]
+    assert cand.positive

@@ -315,3 +315,12 @@ def test_factorize_gates_before_the_eigensolve(monkeypatch):
                           "factorize").rows
     assert [r.name for r in not_pt] == ["NotPTSymmetric"]
     assert calls == []
+
+
+def test_operator_report_certifies_each_matrix_once(monkeypatch):
+    # the signature of P, the default Theta, the charge's Theta and the
+    # table's Theta; factorize reads theta_eigenvalues from the certificate
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    report = run_battery(parse_model(MODEL_LATTICE))
+    assert report.all_passed
+    assert len(calls) == 4
