@@ -6,6 +6,9 @@ discretizes the first-order differential charge family, and demonstrates
 metric-weighted unitarity of the generated evolution.
 """
 
+# before the imports: models reads it for the report header
+__version__ = "0.1.0"
+
 from .errors import (BadGrid, BrokenPhase, DegenerateSpectrum,
                      DimensionMismatch, EvalError, ExceptionalPoint,
                      NonConvergence, NonFiniteResult, NonHermitianMetric,
@@ -37,5 +40,3 @@ from .operators import (adjoint, adjoint_wrt, as_operator, as_state, inner,
                         parity_matrix, time_reversal)
 from .spectral import (SpectralData, biorthonormalize, eigendecompose,
                        is_real_spectrum)
-
-__version__ = "0.1.0"

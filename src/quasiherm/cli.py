@@ -14,10 +14,12 @@ import sys
 
 from .errors import (BadGrid, EvalError, ParityViolation, ParseError,
                      SchemaError)
-from .models import DEFAULT_TOL, Report, parse_model, run_battery, run_scenario
+from .models import (DEFAULT_TOL, FAMILY_TASKS, OPERATOR_TASKS, Report,
+                     parse_model, run_battery, run_scenario)
 
-_MODEL_STAGE_ERRORS = (SchemaError, ParseError, EvalError, ParityViolation,
-                       BadGrid)
+# errors in the model, the option files or the options: exit code 2
+_INPUT_ERRORS = (SchemaError, ParseError, EvalError, ParityViolation, BadGrid,
+                 OSError)
 
 
 def _finite_float(text: str, minimum: float = -math.inf) -> float:
@@ -47,34 +49,38 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="degeneracy floor override for eigensolves")
 
 
+# task options by name (--t-max sets "t_max"); a flag left out is not
+# passed, so the task's own default applies
+_TASK_FLAGS = {
+    "evolve": {"t_max": {"type": _finite_float}, "steps": {"type": int},
+               "psi0": {"help": "basis index or path to a JSON [re, im] vector"}},
+    "family-inverse": {"branch": {"type": int, "choices": (1, -1)}},
+    "family-check": {"refine": {
+        "type": int, "help": "number of h -> h/2 refinement levels"}},
+}
+
+
+def _add_task(group, name: str, task: str) -> None:
+    p = group.add_parser(name)
+    p.set_defaults(task=task)
+    _add_common(p)
+    for key, kwargs in _TASK_FLAGS.get(task, {}).items():
+        p.add_argument("--" + key.replace("_", "-"),
+                       default=argparse.SUPPRESS, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasiherm",
         description="metric construction, factorization, and charge-family "
                     "checks for non-Hermitian operators with real spectra")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("spectrum", "metric", "factorize", "table", "report"):
-        p = sub.add_parser(name)
-        _add_common(p)
-
-    p = sub.add_parser("evolve")
-    _add_common(p)
-    p.add_argument("--t-max", type=_finite_float, default=20.0)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--psi0", default="0",
-                   help="basis index or path to a JSON [re, im] vector")
-
-    p = sub.add_parser("family")
-    fam = p.add_subparsers(dest="family_command", required=True)
-    for name in ("forward", "inverse", "check"):
-        fp = fam.add_parser(name)
-        _add_common(fp)
-        if name == "inverse":
-            fp.add_argument("--branch", type=int, choices=(1, -1), default=1)
-        if name == "check":
-            fp.add_argument("--refine", type=int, default=0,
-                            help="number of h -> h/2 refinement levels")
+    for task in OPERATOR_TASKS + ("report",):
+        _add_task(sub, task, task)
+    fam = sub.add_parser("family").add_subparsers(dest="family_command",
+                                                  required=True)
+    for task in FAMILY_TASKS:
+        _add_task(fam, task.removeprefix("family-"), task)
     return parser
 
 
@@ -93,8 +99,12 @@ def _psi0_option(raw: str):
     try:
         return int(raw)
     except ValueError:
-        with open(raw, "r", encoding="utf-8") as fh:
+        pass
+    with open(raw, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or undecodable bytes
+            raise SchemaError(f"invalid JSON: {exc}", "psi0") from exc
 
 
 def _emit(report: Report, out: str | None, fmt: str) -> None:
@@ -111,29 +121,19 @@ def main(argv=None) -> int:
     try:
         spec = _load_model(args.model)
         options = {"gap_floor": args.gap_floor}
-        if args.command == "evolve":
-            options.update(t_max=args.t_max, steps=args.steps,
-                           psi0=_psi0_option(args.psi0))
-            task = "evolve"
-        elif args.command == "family":
-            task = f"family-{args.family_command}"
-            if args.family_command == "inverse":
-                options["branch"] = args.branch
-            elif args.family_command == "check":
-                options["refine"] = args.refine
-        else:
-            task = args.command
+        for key in _TASK_FLAGS.get(args.task, {}):
+            if key in args:  # given on the command line
+                options[key] = getattr(args, key)
+        if "psi0" in options:
+            options["psi0"] = _psi0_option(options["psi0"])
 
-        if task == "report":
+        if args.task == "report":
             report = run_battery(spec, options, tol=args.tol)
         else:
-            report = run_scenario(spec, task, options, tol=args.tol)
+            report = run_scenario(spec, args.task, options, tol=args.tol)
         _emit(report, args.out, args.format)
         return 0 if report.all_passed else 1
-    except _MODEL_STAGE_ERRORS as exc:
-        print(f"quasiherm: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"quasiherm: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

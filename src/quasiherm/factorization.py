@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ExceptionalPoint, NonHermitianMetric,
                      NotPTSymmetric, SingularMetric, SingularPseudoMetric)
-from .metrics import (MetricCandidate, _frobenius_residual, certify_metric,
+from .metrics import (MetricCandidate, certify_metric, frobenius_residual,
                       qh_residual, spectral_metric)
 from .operators import as_operator, as_state, require_metric
 from .spectral import (DEFAULT_REALITY_TOL, SpectralData, eigendecompose,
@@ -275,12 +275,12 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     c_ddag = conjugation_in(t, "R", c)
 
     relations = [
-        ("H_sharp_eq_H", _frobenius_residual(h_sharp - hh, nh)),
-        ("Hdd_C_eq_C_H", _frobenius_residual(h_ddag @ c - c @ hh, nh * nc)),
+        ("H_sharp_eq_H", frobenius_residual(h_sharp - hh, nh)),
+        ("Hdd_C_eq_C_H", frobenius_residual(h_ddag @ c - c @ hh, nh * nc)),
         ("Cd_P_eq_P_C", qh_residual(c, pmat)),
         ("Hd_Theta_eq_Theta_H", qh_residual(hh, theta)),
-        ("C_eq_Cdd", _frobenius_residual(c_ddag - c, nc)),
-        ("P_eq_Pd", _frobenius_residual(pmat - pmat.conj().T, npm)),
+        ("C_eq_Cdd", frobenius_residual(c_ddag - c, nc)),
+        ("P_eq_Pd", frobenius_residual(pmat - pmat.conj().T, npm)),
     ]
     rows = [TableRow(name, abs_res, rel, bool(rel <= rtol))
             for name, (abs_res, rel) in relations]
@@ -290,7 +290,6 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     rows.append(TableRow("Theta_positive", cand.min_eig, None, cand.positive))
     rows.append(TableRow("P_signature_plus", float(p_count), None, None))
     rows.append(TableRow("P_signature_minus", float(q_count), None, None))
-    dev = float(np.linalg.norm(h_ddag - hh))
-    rows.append(TableRow("H_vs_Hdd_deviation", dev,
-                         dev / nh if nh > 0 else 0.0, None))
+    dev, dev_rel = frobenius_residual(h_ddag - hh, nh)
+    rows.append(TableRow("H_vs_Hdd_deviation", dev, dev_rel, None))
     return rows

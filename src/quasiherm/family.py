@@ -62,10 +62,6 @@ class Grid:
     spacing: float
     points: np.ndarray
 
-    @property
-    def interior(self) -> slice:
-        return slice(1, self.npoints - 1)
-
 
 def make_grid(half_width: float, npoints: int) -> Grid:
     if not (half_width > 0) or not np.isfinite(half_width):
@@ -167,7 +163,7 @@ def _d2_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return off, np.full(n, -2.0 / h2), off.copy()
 
 
-def _dense(lower, diag, upper) -> np.ndarray:
+def tridiagonal(lower, diag, upper) -> np.ndarray:
     """Dense tridiagonal matrix from its bands; lower[k] = A[k+1, k]."""
     n = diag.size
     d = np.zeros((n, n), dtype=diag.dtype)
@@ -180,12 +176,12 @@ def _dense(lower, diag, upper) -> np.ndarray:
 
 def first_difference(grid: Grid) -> np.ndarray:
     """Central first-difference matrix; exactly real antisymmetric."""
-    return _dense(*_d1_bands(grid))
+    return tridiagonal(*_d1_bands(grid))
 
 
 def second_difference(grid: Grid) -> np.ndarray:
     """Central second-difference matrix; exactly real symmetric."""
-    return _dense(*_d2_bands(grid))
+    return tridiagonal(*_d2_bands(grid))
 
 
 def _hamiltonian_bands(grid: Grid, potential) -> tuple:
@@ -213,12 +209,12 @@ def _charge_bands(grid: Grid, sigma, alpha) -> tuple:
 
 def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
     """H = -D2 + diag(V) with zero (Dirichlet) samples beyond the ends."""
-    return _dense(*_hamiltonian_bands(grid, potential))
+    return tridiagonal(*_hamiltonian_bands(grid, potential))
 
 
 def discretize_charge(grid: Grid, sigma, alpha) -> np.ndarray:
     """C = D1 + diag(sigma + i alpha) with Dirichlet ends."""
-    return _dense(*_charge_bands(grid, sigma, alpha))
+    return tridiagonal(*_charge_bands(grid, sigma, alpha))
 
 
 def _reflected_adjoint(bands) -> tuple:

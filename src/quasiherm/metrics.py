@@ -27,7 +27,6 @@ class MetricCandidate:
 
     theta: np.ndarray
     eigenvalues: np.ndarray
-    weights: np.ndarray | None = None
 
     @property
     def min_eig(self) -> float:
@@ -55,12 +54,12 @@ def qh_residual(h, theta) -> tuple[float, float]:
     if hh.shape != tt.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with metric {tt.shape}")
-    return _frobenius_residual(hh.conj().T @ tt - tt @ hh,
-                               float(np.linalg.norm(hh))
-                               * float(np.linalg.norm(tt)))
+    return frobenius_residual(hh.conj().T @ tt - tt @ hh,
+                              float(np.linalg.norm(hh))
+                              * float(np.linalg.norm(tt)))
 
 
-def _frobenius_residual(resid: np.ndarray, denom: float) -> tuple[float, float]:
+def frobenius_residual(resid: np.ndarray, denom: float) -> tuple[float, float]:
     """Frobenius norm of ``resid`` and its ratio to ``denom``; a zero
     denominator gives 0 for a zero residual and inf otherwise."""
     abs_res = float(np.linalg.norm(resid))
@@ -84,11 +83,10 @@ def positivity_certificate(m) -> tuple[float, bool]:
     return cand.min_eig, cand.positive
 
 
-def certify_metric(theta, weights=None) -> MetricCandidate:
+def certify_metric(theta) -> MetricCandidate:
     """Symmetrize, certify, and package an explicit candidate metric."""
     mm = require_metric(theta)
-    wts = None if weights is None else np.asarray(weights, dtype=float).copy()
-    return MetricCandidate(mm, np.linalg.eigvalsh(mm), wts)
+    return MetricCandidate(mm, np.linalg.eigvalsh(mm))
 
 
 def spectral_metric(s: SpectralData, weights=None, *,
@@ -110,9 +108,7 @@ def spectral_metric(s: SpectralData, weights=None, *,
     if not np.all(kappa > 0):
         raise NonPositiveWeight("metric weights must be strictly positive")
     phi = s.left_vectors
-    theta = (phi * kappa) @ phi.conj().T
-    theta = 0.5 * (theta + theta.conj().T)
-    return certify_metric(theta, weights=kappa)
+    return certify_metric((phi * kappa) @ phi.conj().T)
 
 
 def _positive_root_pair(cand: MetricCandidate) -> tuple[np.ndarray, np.ndarray]:

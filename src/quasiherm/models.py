@@ -11,11 +11,12 @@ import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from . import __version__
 from .errors import (BrokenPhase, QuasihermError, ParityViolation, SchemaError,
                      SigmaVanishes)
 from .evolution import norm_traces, propagate_spectrum
@@ -27,17 +28,21 @@ from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      coefficient_match, compatible_split, compose_pct_residual,
                      discretize_hamiltonian, even_part, forward_family,
                      inverse_family, make_ansatz, make_grid, make_split,
-                     odd_part, ode_pair_residual, parity_deviation)
-from .metrics import MetricCandidate, qh_residual, spectral_metric
+                     odd_part, ode_pair_residual, parity_deviation,
+                     tridiagonal)
+from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
+                      spectral_metric)
 from .operators import parity_matrix
 from .spectral import SpectralData, eigendecompose, is_real_spectrum
-
-TOOL_VERSION = "0.1.0"
 
 DEFAULT_TOL = 1e-10
 
 # matrices are embedded in reports only up to this dimension
 MATRIX_ROW_DIM_CAP = 12
+
+# largest lattice site count or Schroedinger grid size, checked before
+# anything is allocated: the analysis holds about eight such dense matrices
+MAX_DENSE_DIM = 2048
 
 MODEL_KINDS = ("matrix", "lattice", "schroedinger", "family")
 
@@ -212,7 +217,7 @@ def _parse_matrix(data, path: str) -> np.ndarray:
     return out
 
 
-def _parse_grid(doc, path: str) -> Grid:
+def _parse_grid(doc, path: str, max_points: float = math.inf) -> Grid:
     if not isinstance(doc, dict):
         raise SchemaError("expected an object with L and N", path)
     length = _as_number(_need(doc, "L", f"{path}."), f"{path}.L")
@@ -224,6 +229,8 @@ def _parse_grid(doc, path: str) -> Grid:
         raise SchemaError("L must be positive", f"{path}.L")
     if npts < 5 or npts % 2 == 0:
         raise SchemaError("N must be an odd integer >= 5", f"{path}.N")
+    if npts > max_points:
+        raise SchemaError(f"N must be at most {max_points}", f"{path}.N")
     return make_grid(length, npts)
 
 
@@ -250,6 +257,8 @@ def _build_lattice(doc: dict) -> np.ndarray:
     n = _as_int(_need(doc, "n", ""), "n")
     if n < 2:
         raise SchemaError("need at least two sites", "n")
+    if n > MAX_DENSE_DIM:
+        raise SchemaError(f"at most {MAX_DENSE_DIM} sites", "n")
     coupling = _as_number(doc.get("coupling", 1.0), "coupling")
     gamma = _as_number(doc.get("gamma", 0.0), "gamma")
     pattern = doc.get("pattern", "endpoints")
@@ -258,16 +267,13 @@ def _build_lattice(doc: dict) -> np.ndarray:
     if pattern == "alternating" and n % 2 == 1:
         raise SchemaError(
             "alternating gain/loss needs an even site count", "pattern")
-    h = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    h[idx, idx + 1] = coupling
-    h[idx + 1, idx] = coupling
+    diag = np.zeros(n, dtype=complex)
     if pattern == "endpoints":
-        h[0, 0] = 1j * gamma
-        h[n - 1, n - 1] = -1j * gamma
+        diag[0], diag[-1] = 1j * gamma, -1j * gamma
     else:
-        h += np.diag(1j * gamma * (-1.0) ** np.arange(n))
-    return h
+        diag += 1j * gamma * (-1.0) ** np.arange(n)
+    off = np.full(n - 1, coupling, dtype=complex)
+    return tridiagonal(off, diag, off)
 
 
 def parse_model(document) -> ModelSpec:
@@ -289,7 +295,7 @@ def parse_model(document) -> ModelSpec:
     elif kind == "lattice":
         payload["matrix"] = _build_lattice(document)
     elif kind == "schroedinger":
-        grid = _parse_grid(_need(document, "grid", ""), "grid")
+        grid = _parse_grid(_need(document, "grid", ""), "grid", MAX_DENSE_DIM)
         v_re = _sample_expression(document.get("V_real", "0"), grid, "V_real")
         v_im = _sample_expression(document.get("V_imag", "0"), grid, "V_imag")
         payload["grid"] = grid
@@ -400,15 +406,17 @@ class _Analysis:
 
 
 def _row(name, value, passed=None, tol=None) -> ReportRow:
-    return ReportRow(name, jsonable(value), passed, tol)
+    """The one row constructor; ``passed`` is a Python bool or None."""
+    return ReportRow(name, jsonable(value),
+                     None if passed is None else bool(passed), tol)
 
 
 def _task_spectrum(a: _Analysis, opts, tol):
     h = a.h
     s = a.spectrum
     real, max_imag = is_real_spectrum(s, tol)
-    recon_rel = (np.linalg.norm(h - s.reconstruction())
-                 / max(np.linalg.norm(h), np.finfo(float).tiny))
+    _, recon_rel = frobenius_residual(h - s.reconstruction(),
+                                      np.linalg.norm(h))
     pairing_dev = np.linalg.norm(s.pairing() - np.eye(s.dim))
     rows = [
         _row("dim", s.dim),
@@ -444,8 +452,8 @@ def _task_factorize(a: _Analysis, opts, tol):
     pt_rel = a.pt_residual
     charge, cand = a.charge
     qh_abs, qh_rel = qh_residual(h, cand.theta)
-    c2_dev = (np.linalg.norm(charge @ charge - np.eye(h.shape[0]))
-              / max(np.linalg.norm(charge) ** 2, np.finfo(float).tiny))
+    _, c2_dev = frobenius_residual(charge @ charge - np.eye(h.shape[0]),
+                                   np.linalg.norm(charge) ** 2)
     rows = [
         _row("pt_residual_rel", pt_rel, pt_rel <= tol, tol),
         _row("charge_involution_rel", c2_dev, c2_dev <= tol, tol),
@@ -527,6 +535,13 @@ def _task_evolve(a: _Analysis, opts, tol):
     return rows, series
 
 
+def _series(x: np.ndarray, named: list) -> list[tuple]:
+    """Point-major (x, name, value) series rows of ``(name, samples)``."""
+    columns = [(name, samples.tolist()) for name, samples in named]
+    return [(xj, name, col[j]) for j, xj in enumerate(x.tolist())
+            for name, col in columns]
+
+
 def _family_parts(spec: ModelSpec) -> tuple[Grid, ChargeAnsatz]:
     if spec.kind != "family":
         raise SchemaError(f"task needs a family model, got kind {spec.kind!r}")
@@ -547,14 +562,10 @@ def _task_family_forward(a: _Analysis, opts, tol):
         _row("real_odd_sup", float(np.abs(split.real_odd).max())),
         _row("imag_even_sup", float(np.abs(split.imag_even).max())),
     ]
-    series = []
-    named = [("sigma", ansatz.sigma), ("alpha", ansatz.alpha),
-             ("S", s_even), ("Lambda", lam_odd),
-             ("real_odd", split.real_odd), ("imag_even", split.imag_even)]
-    for j, x in enumerate(grid.points):
-        for name, arr in named:
-            series.append((float(x), name, float(arr[j])))
-    return rows, series
+    return rows, _series(grid.points, [
+        ("sigma", ansatz.sigma), ("alpha", ansatz.alpha),
+        ("S", s_even), ("Lambda", lam_odd),
+        ("real_odd", split.real_odd), ("imag_even", split.imag_even)])
 
 
 def _task_family_inverse(a: _Analysis, opts, tol):
@@ -583,11 +594,8 @@ def _task_family_inverse(a: _Analysis, opts, tol):
                          alp_err <= 1e-12, 1e-12))
     rows.append(_row("omega", ansatz.omega))
     rows.append(_row("branch", branch))
-    series = []
-    for j, x in enumerate(grid.points):
-        series.append((float(x), "sigma_recovered", float(recovered.sigma[j])))
-        series.append((float(x), "alpha_recovered", float(recovered.alpha[j])))
-    return rows, series
+    return rows, _series(grid.points, [("sigma_recovered", recovered.sigma),
+                                       ("alpha_recovered", recovered.alpha)])
 
 
 def _task_family_check(a: _Analysis, opts, tol):
@@ -639,23 +647,19 @@ def _task_family_check(a: _Analysis, opts, tol):
                 rows.append(_row(f"ode_ratio_Lambda_level{k}", prev[1] / fr2))
             prev = (fr1, fr2)
 
-    series = []
-    for j, x in enumerate(cm.x):
-        series.append((float(x), "d1_abs", float(np.abs(cm.d1[j]))))
-        series.append((float(x), "d0_abs", float(np.abs(cm.d0[j]))))
-    return rows, series
+    return rows, _series(cm.x, [("d1_abs", np.abs(cm.d1)),
+                                ("d0_abs", np.abs(cm.d0))])
 
 
-_TASKS = {
-    "spectrum": _task_spectrum,
-    "metric": _task_metric,
-    "factorize": _task_factorize,
-    "table": _task_table,
-    "evolve": _task_evolve,
-    "family-forward": _task_family_forward,
-    "family-inverse": _task_family_inverse,
-    "family-check": _task_family_check,
-}
+# the tasks of a battery on an operator model and on a family model, in
+# report order
+OPERATOR_TASKS = ("spectrum", "metric", "factorize", "table", "evolve")
+FAMILY_TASKS = ("family-forward", "family-inverse", "family-check")
+
+_TASKS = dict(zip(OPERATOR_TASKS + FAMILY_TASKS, (
+    _task_spectrum, _task_metric, _task_factorize, _task_table, _task_evolve,
+    _task_family_forward, _task_family_inverse, _task_family_check),
+    strict=True))
 
 
 def _error_value(exc: QuasihermError):
@@ -671,8 +675,7 @@ def _run_task(a: _Analysis, task: str) -> tuple[list, list | None]:
     try:
         return _TASKS[task](a, a.opts, a.tol)
     except QuasihermError as exc:
-        row = ReportRow(exc.code, jsonable(_error_value(exc)), False, None)
-        return [row], None
+        return [_row(exc.code, _error_value(exc), False)], None
 
 
 def run_scenario(spec: ModelSpec, task: str, options=None, *,
@@ -682,7 +685,7 @@ def run_scenario(spec: ModelSpec, task: str, options=None, *,
         raise ValueError(f"unknown task {task!r}; expected one of {sorted(_TASKS)}")
     rows, series = _run_task(_Analysis(spec, dict(options or {}), tol), task)
     return Report(scenario=f"{spec.kind}/{task}", digest=spec.digest,
-                  version=TOOL_VERSION, rows=rows, series=series)
+                  version=__version__, rows=rows, series=series)
 
 
 def run_battery(spec: ModelSpec, options=None, *,
@@ -690,15 +693,12 @@ def run_battery(spec: ModelSpec, options=None, *,
     """Run every task applicable to the model kind; rows are prefixed with
     the task name.  The tasks share one analysis, so the eigenproblem is
     solved once and Theta and C are built once."""
-    if spec.kind == "family":
-        tasks = ["family-forward", "family-inverse", "family-check"]
-    else:
-        tasks = ["spectrum", "metric", "factorize", "table", "evolve"]
+    tasks = FAMILY_TASKS if spec.kind == "family" else OPERATOR_TASKS
     analysis = _Analysis(spec, dict(options or {}), tol)
     rows: list[ReportRow] = []
     for task in tasks:
         sub_rows, _ = _run_task(analysis, task)
         for r in sub_rows:
-            rows.append(ReportRow(f"{task}.{r.name}", r.value, r.passed, r.tol))
+            rows.append(replace(r, name=f"{task}.{r.name}"))
     return Report(scenario=f"{spec.kind}/report", digest=spec.digest,
-                  version=TOOL_VERSION, rows=rows, series=None)
+                  version=__version__, rows=rows, series=None)

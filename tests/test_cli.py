@@ -1,9 +1,13 @@
+import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quasiherm.cli import main
+from quasiherm.cli import build_parser, main
+from quasiherm.models import (MAX_DENSE_DIM, parse_model, run_battery,
+                              run_scenario)
 
 MODEL_2X2 = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]]}
 MODEL_BROKEN = {"kind": "matrix", "data": [[[0, 1.2], [1, 0]], [[1, 0], [0, -1.2]]]}
@@ -277,3 +281,109 @@ def test_zero_gap_floor_is_accepted(model_file, capsys):
     code, _ = run_json(capsys, ["spectrum", "--model", model_file(MODEL_2X2),
                                 "--gap-floor", "0"])
     assert code == 0
+
+
+BROKEN_SCHROEDINGER = {"kind": "schroedinger", "grid": {"L": 8, "N": 201},
+                       "V_real": "0", "V_imag": "0.1*x^3"}
+
+
+def test_failed_numpy_verdict_rows_exit_one(model_file, capsys):
+    # reconstruction_rel and biorthonormality_dev fail on this model; their
+    # verdicts come from numpy comparisons
+    code, doc = run_json(capsys, ["spectrum", "--model",
+                                  model_file(BROKEN_SCHROEDINGER)])
+    failing = [r["name"] for r in doc["rows"] if r["pass"] is False]
+    assert failing == ["reconstruction_rel", "biorthonormality_dev"]
+    assert code == 1
+
+
+@pytest.mark.parametrize("content", [b"[[1, 0], [0, 1", b"\xff\xfe[1]"],
+                         ids=["truncated", "not-utf8"])
+def test_bad_psi0_file_exit_two(model_file, tmp_path, capsys, content):
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_bytes(content)
+    assert main(["evolve", "--model", model_file(MODEL_2X2),
+                 "--psi0", str(psi_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "psi0: invalid JSON" in captured.err
+
+
+@pytest.mark.parametrize("doc,path", [
+    ({"kind": "lattice", "n": 10 ** 30}, "n"),
+    ({"kind": "lattice", "n": MAX_DENSE_DIM + 1}, "n"),
+    ({"kind": "schroedinger", "grid": {"L": 8, "N": 10 ** 30 + 1}}, "grid.N"),
+    ({"kind": "schroedinger", "grid": {"L": 8, "N": MAX_DENSE_DIM + 1}},
+     "grid.N"),
+], ids=["lattice-1e30", "lattice-cap+1", "schroedinger-1e30+1",
+        "schroedinger-cap+1"])
+def test_oversize_dense_model_exit_two(model_file, capsys, doc, path):
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--model", model_file(doc)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"{path}: " in capsys.readouterr().err
+    # a dense matrix at the cap alone would take 16 * 2048^2 bytes = 67 MB
+    assert peak < 2 ** 20
+
+
+def test_dense_model_at_the_cap_is_accepted():
+    spec = parse_model({"kind": "lattice", "n": MAX_DENSE_DIM})
+    assert spec.payload["matrix"].shape == (MAX_DENSE_DIM, MAX_DENSE_DIM)
+
+
+COMMON_FLAGS = {"-h", "--help", "--model", "--tol", "--out", "--format",
+                "--gap-floor"}
+CLI_SURFACE = {
+    ("spectrum",): COMMON_FLAGS,
+    ("metric",): COMMON_FLAGS,
+    ("factorize",): COMMON_FLAGS,
+    ("table",): COMMON_FLAGS,
+    ("evolve",): COMMON_FLAGS | {"--t-max", "--steps", "--psi0"},
+    ("report",): COMMON_FLAGS,
+    ("family", "forward"): COMMON_FLAGS,
+    ("family", "inverse"): COMMON_FLAGS | {"--branch"},
+    ("family", "check"): COMMON_FLAGS | {"--refine"},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) of every runnable subcommand."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_cli_lists_every_subcommand():
+    assert {path for path, _ in _leaf_parsers(build_parser())} \
+        == set(CLI_SURFACE)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE), ids=" ".join)
+def test_cli_surface_and_task_defaults(model_file, capsys, command):
+    leaves = dict(_leaf_parsers(build_parser()))
+    flags = {s for a in leaves[command]._actions for s in a.option_strings}
+    assert flags == CLI_SURFACE[command]
+
+    # with no task flag given, the output is the task's own default run
+    doc = MODEL_FAMILY if command[0] == "family" else MODEL_2X2
+    path = model_file(doc)
+    assert main([*command, "--model", path]) == 0
+    out = capsys.readouterr().out
+    spec = parse_model(json.dumps(doc))
+    task = "-".join(command)
+    expected = (run_battery(spec) if task == "report"
+                else run_scenario(spec, task))
+    assert out == expected.to_json()
+    rows = {r["name"]: r["value"] for r in json.loads(out)["rows"]}
+    if task == "family-inverse":
+        assert rows["branch"] == 1
+    if task == "family-check":
+        assert not any("_level" in name for name in rows)

@@ -324,3 +324,27 @@ def test_operator_report_certifies_each_matrix_once(monkeypatch):
     report = run_battery(parse_model(MODEL_LATTICE))
     assert report.all_passed
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "lattice", "n": 7, "gamma": 0.4, "coupling": 1.3},
+    {"kind": "lattice", "n": 8, "gamma": -0.3, "pattern": "alternating"},
+    {"kind": "lattice", "n": 2, "gamma": 0.0},
+], ids=["endpoints", "alternating", "two-sites"])
+def test_lattice_matches_literal_construction(doc):
+    # the assembly through family.tridiagonal is bit-identical to writing
+    # the entries of H one by one
+    n = doc["n"]
+    gamma = doc["gamma"]
+    coupling = doc.get("coupling", 1.0)
+    h = np.zeros((n, n), dtype=complex)
+    for k in range(n - 1):
+        h[k, k + 1] = coupling
+        h[k + 1, k] = coupling
+    if doc.get("pattern") == "alternating":
+        for k in range(n):
+            h[k, k] += 1j * gamma * (-1.0) ** k
+    else:
+        h[0, 0] = 1j * gamma
+        h[n - 1, n - 1] = -1j * gamma
+    assert parse_model(doc).payload["matrix"].tobytes() == h.tobytes()
