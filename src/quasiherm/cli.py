@@ -92,7 +92,11 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def _load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"model file is not UTF-8: {exc}") from exc
+    return parse_model(text)
 
 
 def _psi0_option(raw: str):

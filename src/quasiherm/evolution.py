@@ -79,7 +79,7 @@ def norm_traces(traj: Trajectory, metrics: Mapping[str, np.ndarray]
     rows: list[tuple[float, str, float]] = []
     checked = {}
     for name, m in metrics.items():
-        checked[name] = require_metric(as_operator(m))
+        checked[name] = require_metric(m)
         if checked[name].shape[0] != traj.dim:
             raise NonHermitianMetric(
                 f"metric {name!r} has wrong dimension for the trajectory")

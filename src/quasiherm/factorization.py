@@ -12,6 +12,7 @@ model, positive definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,8 +49,9 @@ class PseudoMetric:
     def positive(self) -> bool:
         return self.signature[1] == 0
 
-    def inverse_apply(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, rhs)
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.matrix)
 
 
 def signature(p) -> tuple[int, int]:
@@ -76,11 +78,15 @@ def as_pseudometric(p) -> PseudoMetric:
 @dataclass(frozen=True)
 class SpaceTriple:
     """The [H, R, F] bookkeeping: P meters R over F, C meters H over R,
-    and their product Theta = P C meters H over F."""
+    and their product Theta = P C, certified in ``metric``, meters H over F."""
 
     P: PseudoMetric
     C: np.ndarray
-    Theta: np.ndarray
+    metric: MetricCandidate
+
+    @property
+    def Theta(self) -> np.ndarray:
+        return self.metric.theta
 
     @property
     def dim(self) -> int:
@@ -93,20 +99,19 @@ class SpaceTriple:
 
 
 def make_triple(p, c) -> SpaceTriple:
-    """Compose Theta = P C and validate that it is a Hermitian metric."""
+    """Compose Theta = P C and certify it as a Hermitian metric."""
     pm = as_pseudometric(p)
     cc = as_operator(c)
     if cc.shape != pm.matrix.shape:
         raise DimensionMismatch(
             f"charge {cc.shape} incompatible with pseudometric {pm.matrix.shape}")
-    theta = pm.matrix @ cc
     try:
-        theta = require_metric(theta)
+        cand = certify_metric(pm.matrix @ cc)
     except NonHermitianMetric as exc:
         raise NonHermitianMetric(
             f"P*C is not Hermitian; (P, C) do not factor a metric: {exc}"
         ) from exc
-    return SpaceTriple(pm, cc, theta)
+    return SpaceTriple(pm, cc, cand)
 
 
 def pt_symmetry_residual(h, p) -> tuple[float, float]:
@@ -126,7 +131,7 @@ def charge_from_metric(theta, p) -> np.ndarray:
     if tt.shape != pm.matrix.shape:
         raise DimensionMismatch(
             f"metric {tt.shape} incompatible with pseudometric {pm.matrix.shape}")
-    return pm.inverse_apply(tt)
+    return pm.inverse @ tt
 
 
 def require_pseudo_hermitian(h: np.ndarray, pm: PseudoMetric,
@@ -184,7 +189,7 @@ def charge_from_spectrum(s: SpectralData, p, *,
     require_real_spectrum(s, reality_tol)
 
     phi = s.left_vectors
-    c = np.einsum("ij,ij->j", phi.conj(), pm.inverse_apply(phi))
+    c = np.einsum("ij,ij->j", phi.conj(), pm.inverse @ phi)
     # pseudo-Hermiticity forces the pairings real; residual is roundoff
     if np.any(np.abs(c.imag) > reality_tol * np.maximum(np.abs(c), 1e-300)):
         raise NotPTSymmetric(
@@ -196,8 +201,7 @@ def charge_from_spectrum(s: SpectralData, p, *,
             f"pairing |c_n| below {pairing_floor:g}; eigensystem degenerating")
 
     cand = spectral_metric(s, 1.0 / np.abs(c), reality_tol=reality_tol)
-    charge = pm.inverse_apply(cand.theta)
-    return charge, cand
+    return pm.inverse @ cand.theta, cand
 
 
 def triple_inner(t: SpaceTriple, space: str, v1, v2) -> complex:
@@ -232,7 +236,7 @@ def conjugation_in(t: SpaceTriple, space: str, a) -> np.ndarray:
     if space == "F":
         return aa.conj().T
     if space == "R":
-        return t.P.inverse_apply(aa.conj().T @ t.P.matrix)
+        return t.P.inverse @ (aa.conj().T @ t.P.matrix)
     try:
         return np.linalg.solve(t.Theta, aa.conj().T @ t.Theta)
     except np.linalg.LinAlgError as exc:
@@ -265,7 +269,6 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
             f"operator {hh.shape} incompatible with triple of dim {t.dim}")
     pmat = t.P.matrix
     c = t.C
-    theta = t.Theta
     nh = float(np.linalg.norm(hh))
     nc = float(np.linalg.norm(c))
     npm = float(np.linalg.norm(pmat))
@@ -278,16 +281,16 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
         ("H_sharp_eq_H", frobenius_residual(h_sharp - hh, nh)),
         ("Hdd_C_eq_C_H", frobenius_residual(h_ddag @ c - c @ hh, nh * nc)),
         ("Cd_P_eq_P_C", qh_residual(c, pmat)),
-        ("Hd_Theta_eq_Theta_H", qh_residual(hh, theta)),
+        ("Hd_Theta_eq_Theta_H", qh_residual(hh, t.Theta)),
         ("C_eq_Cdd", frobenius_residual(c_ddag - c, nc)),
         ("P_eq_Pd", frobenius_residual(pmat - pmat.conj().T, npm)),
     ]
     rows = [TableRow(name, abs_res, rel, bool(rel <= rtol))
             for name, (abs_res, rel) in relations]
 
-    cand = certify_metric(theta)
     p_count, q_count = t.P.signature
-    rows.append(TableRow("Theta_positive", cand.min_eig, None, cand.positive))
+    rows.append(TableRow("Theta_positive", t.metric.min_eig, None,
+                         t.metric.positive))
     rows.append(TableRow("P_signature_plus", float(p_count), None, None))
     rows.append(TableRow("P_signature_minus", float(q_count), None, None))
     dev, dev_rel = frobenius_residual(h_ddag - hh, nh)

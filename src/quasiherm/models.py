@@ -21,8 +21,8 @@ from .errors import (BrokenPhase, QuasihermError, ParityViolation, SchemaError,
                      SigmaVanishes)
 from .evolution import norm_traces, propagate_spectrum
 from .expressions import parse_expression
-from .factorization import (PseudoMetric, as_pseudometric, charge_from_spectrum,
-                            make_triple, pt_symmetry_residual,
+from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
+                            charge_from_spectrum, pt_symmetry_residual,
                             require_pseudo_hermitian, verify_table)
 from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      coefficient_match, compatible_split, compose_pct_residual,
@@ -43,6 +43,16 @@ MATRIX_ROW_DIM_CAP = 12
 # largest lattice site count or Schroedinger grid size, checked before
 # anything is allocated: the analysis holds about eight such dense matrices
 MAX_DENSE_DIM = 2048
+
+# largest steps x dim of an evolve task, checked before the time grid is
+# built: the trajectory and its phase factors each hold that many complex
+# entries (64 MiB apiece at this cap)
+MAX_EVOLVE_ENTRIES = 2 ** 22
+
+# largest finest grid of family check --refine, 2^k (N - 1) + 1 points,
+# checked before any level is sampled: each level samples the model
+# expressions and runs the banded checks on a few dozen grid-sized arrays
+MAX_REFINED_POINTS = 2 ** 20 + 1
 
 MODEL_KINDS = ("matrix", "lattice", "schroedinger", "family")
 
@@ -351,7 +361,7 @@ def _gap_floor(spec: ModelSpec, opts: dict) -> float | None:
 
 class _Analysis:
     """The chain of one model under fixed options: H, its eigensystem, the
-    pseudometric P, the default metric Theta and the standard charge C.
+    pseudometric P, the default metric Theta and the triple (P, C, P C).
 
     Every task of a scenario or battery reads from one instance.  Each
     quantity is built on first use and kept only if the build succeeds, so
@@ -380,12 +390,14 @@ class _Analysis:
 
     @cached_property
     def pseudometric(self) -> PseudoMetric:
+        """Identity and parity are exactly Hermitian, of known inertia."""
         choice = self.spec.payload.get("pseudometric", "parity")
-        if isinstance(choice, str):
-            dim = self.h.shape[0]
-            choice = (np.eye(dim, dtype=complex) if choice == "identity"
-                      else parity_matrix(dim))
-        return as_pseudometric(choice)
+        if not isinstance(choice, str):
+            return as_pseudometric(choice)
+        n = self.h.shape[0]
+        if choice == "identity":
+            return PseudoMetric(np.eye(n, dtype=complex), (n, 0))
+        return PseudoMetric(parity_matrix(n), ((n + 1) // 2, n // 2))
 
     @cached_property
     def pt_residual(self) -> float:
@@ -397,12 +409,13 @@ class _Analysis:
         return spectral_metric(self.spectrum, reality_tol=self.tol)
 
     @cached_property
-    def charge(self) -> tuple[np.ndarray, MetricCandidate]:
+    def triple(self) -> SpaceTriple:
         """``standard_charge`` of H and P, gated before the eigensolve."""
         pm = self.pseudometric
         require_pseudo_hermitian(self.h, pm, lambda: self.pt_residual,
                                  self.tol)
-        return charge_from_spectrum(self.spectrum, pm, reality_tol=self.tol)
+        return SpaceTriple(pm, *charge_from_spectrum(self.spectrum, pm,
+                                                     reality_tol=self.tol))
 
 
 def _row(name, value, passed=None, tol=None) -> ReportRow:
@@ -450,7 +463,7 @@ def _task_factorize(a: _Analysis, opts, tol):
     h = a.h
     pm = a.pseudometric
     pt_rel = a.pt_residual
-    charge, cand = a.charge
+    charge, cand = a.triple.C, a.triple.metric
     qh_abs, qh_rel = qh_residual(h, cand.theta)
     _, c2_dev = frobenius_residual(charge @ charge - np.eye(h.shape[0]),
                                    np.linalg.norm(charge) ** 2)
@@ -470,11 +483,9 @@ def _task_factorize(a: _Analysis, opts, tol):
 
 
 def _task_table(a: _Analysis, opts, tol):
-    h = a.h
-    charge, _ = a.charge
-    triple = make_triple(a.pseudometric, charge)
+    triple = a.triple
     rows = [_row("mode", triple.mode)]
-    for trow in verify_table(triple, h, rtol=tol):
+    for trow in verify_table(triple, a.h, rtol=tol):
         value = trow.rel_residual if trow.rel_residual is not None \
             else trow.abs_residual
         row_tol = tol if trow.passed is not None and trow.rel_residual is not None \
@@ -504,6 +515,10 @@ def _task_evolve(a: _Analysis, opts, tol):
     steps = int(opts.get("steps", 200))
     if t_max <= 0 or steps < 2:
         raise SchemaError("need t_max > 0 and steps >= 2", "evolve")
+    if steps * h.shape[0] > MAX_EVOLVE_ENTRIES:
+        raise SchemaError(
+            f"need steps * dim <= {MAX_EVOLVE_ENTRIES}, got {steps} * "
+            f"{h.shape[0]}", "evolve")
     psi0 = _psi0_from_options(opts, h.shape[0])
     times = np.linspace(0.0, t_max, steps)
     traj = propagate_spectrum(a.spectrum, psi0, times)
@@ -601,6 +616,13 @@ def _task_family_inverse(a: _Analysis, opts, tol):
 def _task_family_check(a: _Analysis, opts, tol):
     spec = a.spec
     grid, ansatz = _family_parts(spec)
+    levels = int(opts.get("refine", 0))
+    # min() keeps 2**levels small; any level above 64 is over the cap
+    if levels < 0 or ((grid.npoints - 1) * 2 ** min(levels, 64) + 1
+                      > MAX_REFINED_POINTS):
+        raise SchemaError(
+            f"need refine >= 0 and at most {MAX_REFINED_POINTS} points on "
+            f"the finest grid, got refine {levels}", "refine")
     full = compatible_split(ansatz, grid)
     zeros = np.zeros(grid.npoints)
     s_even, lam_odd = forward_family(ansatz)
@@ -625,7 +647,6 @@ def _task_family_check(a: _Analysis, opts, tol):
         _row("compose_residual_s_lambda_only", compose_partial),
     ]
 
-    levels = int(opts.get("refine", 0))
     if levels > 0:
         # refinement re-samples the model expressions on h -> h/2 grids
         prev = (r1, r2)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from quasiherm.cli import build_parser, main
-from quasiherm.models import (MAX_DENSE_DIM, parse_model, run_battery,
+from quasiherm.models import (MAX_DENSE_DIM, MAX_EVOLVE_ENTRIES,
+                              MAX_REFINED_POINTS, parse_model, run_battery,
                               run_scenario)
 
 MODEL_2X2 = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]]}
@@ -333,6 +334,51 @@ def test_oversize_dense_model_exit_two(model_file, capsys, doc, path):
 def test_dense_model_at_the_cap_is_accepted():
     spec = parse_model({"kind": "lattice", "n": MAX_DENSE_DIM})
     assert spec.payload["matrix"].shape == (MAX_DENSE_DIM, MAX_DENSE_DIM)
+
+
+def test_non_utf8_model_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(MODEL_2X2).encode("utf-16-le"))
+    assert main(["spectrum", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "model file is not UTF-8" in captured.err
+
+
+# MODEL_FAMILY has N = 101, so its finest grid is 100 * 2^k + 1 points
+@pytest.mark.parametrize("argv,path", [
+    (["evolve", "--steps", "1000000000000"], "evolve"),
+    (["evolve", "--steps", str(MAX_EVOLVE_ENTRIES // 2 + 1)], "evolve"),
+    (["family", "check", "--refine", "40"], "refine"),
+    (["family", "check", "--refine", "14"], "refine"),
+    (["family", "check", "--refine", "-2"], "refine"),
+], ids=["steps-1e12", "steps-cap+1", "refine-40", "refine-cap+1",
+        "refine-negative"])
+def test_oversize_task_option_is_a_schema_row(model_file, capsys, argv, path):
+    assert (100 * 2 ** 13 + 1 <= MAX_REFINED_POINTS < 100 * 2 ** 14 + 1)
+    doc = MODEL_FAMILY if argv[0] == "family" else MODEL_2X2
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--model", model_file(doc)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    rows = json.loads(captured.out)["rows"]
+    assert [(r["name"], r["pass"]) for r in rows] == [("SchemaError", False)]
+    assert rows[0]["value"].startswith(f"{path}: need ")
+    assert peak < 2 ** 20
+
+
+def test_refinement_of_the_benchmark_family_runs(model_file, capsys):
+    doc = dict(MODEL_FAMILY, grid={"L": 4, "N": 1201})
+    code, out = run_json(capsys, ["family", "check", "--refine", "2",
+                                  "--model", model_file(doc)])
+    assert code == 0
+    names = {r["name"] for r in out["rows"]}
+    assert {"ode_ratio_S_level2", "ode_ratio_Lambda_level2"} <= names
 
 
 COMMON_FLAGS = {"-h", "--help", "--model", "--tol", "--out", "--format",

@@ -5,8 +5,9 @@ import pytest
 
 import quasiherm.errors as errors_module
 from quasiherm import (ParityViolation, QuasihermError, SchemaError,
-                       parse_model, pt_symmetry_residual, parity_matrix,
-                       run_battery, run_scenario)
+                       as_pseudometric, factorization, models, parse_model,
+                       pt_symmetry_residual, parity_matrix, run_battery,
+                       run_scenario)
 
 MODEL_2X2 = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]]}
 MODEL_BROKEN = {"kind": "matrix", "data": [[[0, 1.2], [1, 0]], [[1, 0], [0, -1.2]]]}
@@ -318,12 +319,73 @@ def test_factorize_gates_before_the_eigensolve(monkeypatch):
 
 
 def test_operator_report_certifies_each_matrix_once(monkeypatch):
-    # the signature of P, the default Theta, the charge's Theta and the
-    # table's Theta; factorize reads theta_eigenvalues from the certificate
+    # the default Theta and the charge's Theta: factorize and table read
+    # the charge's certificate, and the inertia of the parity P is its
+    # closed form; P is inverted once, and the one solve is against Theta
+    # in the table's H-space conjugation
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    solves = count_calls(monkeypatch, np.linalg, "solve")
+    inverted = []
+    original_inv = np.linalg.inv
+
+    def inv(m):
+        inverted.append(np.array(m))
+        return original_inv(m)
+
+    def forbidden(*args):
+        raise AssertionError("the report recomposed the triple")
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(factorization, "make_triple", forbidden)
+    monkeypatch.setattr(models, "make_triple", forbidden, raising=False)
     report = run_battery(parse_model(MODEL_LATTICE))
     assert report.all_passed
-    assert len(calls) == 4
+    assert len(calls) == 2
+    assert len(solves) == 1
+    parity = parity_matrix(MODEL_LATTICE["n"])
+    assert sum(np.array_equal(m, parity) for m in inverted) == 1
+
+
+def matrix_data(m: np.ndarray) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+# H = P^-1 M with M Hermitian positive definite is P-pseudo-Hermitian with
+# a real spectrum, for a P that is neither parity nor a permutation
+P_DENSE = np.diag([1.0, 2.0, -1.5, 3.0])
+M_HPD = np.array([[4.0, 1.0, 0.5j, 0.0],
+                  [1.0, 3.0, 0.25, -0.5j],
+                  [-0.5j, 0.25, 5.0, 1.0],
+                  [0.0, 0.5j, 1.0, 2.0]])
+MODEL_DENSE_P = {"kind": "matrix",
+                 "data": matrix_data(np.linalg.solve(P_DENSE, M_HPD)),
+                 "pseudometric": matrix_data(P_DENSE)}
+
+
+def float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("doc", [MODEL_DENSE_P, MODEL_LATTICE],
+                         ids=["dense-P", "parity-lattice"])
+def test_table_and_factorize_read_one_theta(doc):
+    rows = {r.name: r.value for r in run_battery(parse_model(doc)).rows}
+    assert float_bits(rows["table.Theta_positive"]) == float_bits(
+        rows["factorize.theta_eigenvalues"][0])
+    assert float_bits(rows["table.Hd_Theta_eq_Theta_H"]) == float_bits(
+        rows["factorize.qh_residual_rel"])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_program_built_pseudometric_equals_validated_one(n):
+    data = matrix_data(np.eye(n))
+    for choice, matrix in (("parity", parity_matrix(n)),
+                           ("identity", np.eye(n))):
+        spec = parse_model({"kind": "matrix", "data": data,
+                            "pseudometric": choice})
+        built = models._Analysis(spec, {}, models.DEFAULT_TOL).pseudometric
+        validated = as_pseudometric(matrix)
+        assert built.matrix.tobytes() == validated.matrix.tobytes()
+        assert built.signature == validated.signature
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,0 +1,145 @@
+"""Print a digest of every CLI output over a fixed corpus of models.
+
+Usage: python tools/report_digests.py [--workload-seeds 1 2] > digests.txt
+
+For each (model, invocation, format) one line is printed:
+
+    <exit code> <sha256 of stdout + stderr + warnings> <model> <argv...>
+
+Every call runs ``quasiherm.cli.main`` in process on a model file in a
+temporary directory.  Warnings raised during a call are hashed by category
+and message (not by source line), so the digests change only when what a
+user sees changes.  Compare two trees by running the script in each and
+diffing the outputs; the digests are byte-deterministic per environment
+(numpy, BLAS, BLAS thread count), and BLAS is pinned to one thread here.
+
+The corpus:
+  - the JSON models of the README;
+  - a broken-phase Schroedinger model whose evolution overflows;
+  - a lattice with the identity pseudometric and a matrix model with an
+    explicit dense pseudometric;
+  - every model of the benchmark workloads (bench/workloads.py, read only)
+    at the requested seeds.
+
+Every model gets every task in both formats, plus ``evolve --steps 7
+--t-max 3``, ``family inverse --branch -1`` and ``family check --refine
+2``.  Exits 1 if any call exits 3 (internal error), else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+# BLAS reads these once, when numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np
+from quasiherm.cli import main
+from workloads import WORKLOADS, build_plan
+
+TASKS = (["spectrum"], ["metric"], ["factorize"], ["table"], ["evolve"],
+         ["report"], ["family", "forward"], ["family", "inverse"],
+         ["family", "check"], ["evolve", "--steps", "7", "--t-max", "3"],
+         ["family", "inverse", "--branch", "-1"],
+         ["family", "check", "--refine", "2"])
+FORMATS = ("json", "csv")
+
+BROKEN_EVOLVE = {"kind": "schroedinger", "grid": {"L": 8, "N": 201},
+                 "V_real": "0", "V_imag": "0.1*x^3"}
+IDENTITY_P = {"kind": "lattice", "n": 4, "gamma": 0.0,
+              "pseudometric": "identity"}
+
+
+def explicit_p_model() -> dict:
+    """H = P^-1 M with P = diag(1, 2, -1.5, 3) and M Hermitian positive
+    definite: H is P-pseudo-Hermitian with a real simple spectrum."""
+    p = np.diag([1.0, 2.0, -1.5, 3.0])
+    m = np.array([[4.0, 1.0, 0.5j, 0.0],
+                  [1.0, 3.0, 0.25, -0.5j],
+                  [-0.5j, 0.25, 5.0, 1.0],
+                  [0.0, 0.5j, 1.0, 2.0]])
+    h = np.linalg.solve(p, m)
+
+    def data(a):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return {"kind": "matrix", "data": data(h), "pseudometric": data(p)}
+
+
+def readme_models() -> list[dict]:
+    """The model documents of the README's JSON example block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    decoder = json.JSONDecoder()
+    docs, pos = [], 0
+    while block[pos:].strip():
+        pos += len(block[pos:]) - len(block[pos:].lstrip())
+        doc, pos = decoder.raw_decode(block, pos)
+        docs.append(doc)
+    return docs
+
+
+def corpus(seeds) -> list[tuple[str, dict]]:
+    """(label, document) pairs; documents repeated across plans run once."""
+    named = [(f"readme-{k}", doc) for k, doc in enumerate(readme_models())]
+    named += [("broken-evolve", BROKEN_EVOLVE), ("identity-p", IDENTITY_P),
+              ("explicit-p", explicit_p_model())]
+    for workload in WORKLOADS:
+        for seed in seeds:
+            named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
+                      for m in build_plan(workload, seed)["models"]]
+    seen, out = set(), []
+    for label, doc in named:
+        key = json.dumps(doc, sort_keys=True)
+        if key not in seen:
+            seen.add(key)
+            out.append((label, doc))
+    return out
+
+
+def digest_call(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    text = out.getvalue() + err.getvalue() + "".join(
+        f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def main_digests(seeds) -> int:
+    internal = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "model.json")
+        for label, doc in corpus(seeds):
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+            for task in TASKS:
+                for fmt in FORMATS:
+                    argv = task + ["--model", path, "--format", fmt]
+                    code, digest = digest_call(argv)
+                    internal += code == 3
+                    shown = " ".join(task + ["--format", fmt])
+                    print(f"{code} {digest} {label} {shown}", flush=True)
+    print(f"{internal} internal errors", file=sys.stderr)
+    return 1 if internal else 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload-seeds", type=int, nargs="*",
+                        default=[1, 2])
+    raise SystemExit(main_digests(parser.parse_args().workload_seeds))
