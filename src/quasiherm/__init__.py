@@ -16,8 +16,8 @@ from .errors import (BadGrid, BrokenPhase, DegenerateSpectrum,
                      ParityViolation, ParseError, QuasihermError, SchemaError,
                      SelfOrthogonal, SigmaVanishes, SingularMetric,
                      SingularPseudoMetric)
-from .evolution import (Trajectory, norm_traces, propagate,
-                        propagate_spectrum)
+from .evolution import (Trajectory, norm_trace_columns, norm_traces,
+                        propagate, propagate_spectrum)
 from .expressions import Expression, parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, TableRow,
                             as_pseudometric, charge_from_metric,
@@ -36,7 +36,8 @@ from .metrics import (MetricCandidate, certify_metric, hermitize,
                       spectral_metric)
 from .models import (ModelSpec, Report, ReportRow, parse_model, run_battery,
                      run_scenario)
-from .operators import (adjoint, adjoint_wrt, as_operator, as_state, inner,
-                        parity_matrix, time_reversal)
+from .operators import (adjoint, adjoint_product, adjoint_wrt, as_operator,
+                        as_state, inner, parity_matrix, right_product,
+                        time_reversal)
 from .spectral import (SpectralData, biorthonormalize, eigendecompose,
                        is_real_spectrum)

@@ -7,7 +7,6 @@ from the operator itself, not from integrator error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -68,15 +67,17 @@ def _expand(s: SpectralData, v0: np.ndarray, ts: np.ndarray) -> Trajectory:
     return Trajectory(ts.copy(), states)
 
 
-def norm_traces(traj: Trajectory, metrics: Mapping[str, np.ndarray]
-                ) -> list[tuple[float, str, float]]:
-    """Table of (time, metric name, <psi(t)|M|psi(t)>) rows.
+def norm_trace_columns(traj: Trajectory, metrics: Mapping[str, np.ndarray]
+                       ) -> dict[str, np.ndarray]:
+    """<psi(t)|M|psi(t)> at every time of the trajectory, per metric name.
 
     Each metric must be Hermitian; the traces are then real up to
     roundoff, which is verified before the imaginary parts are dropped.
-    A trace that overflows raises NonFiniteResult.
+    Each metric costs one (T x N)(N x N) product.  The first offending
+    (time, metric) pair, in time-major order, raises: NonFiniteResult for
+    a trace that overflows, NonHermitianMetric for one with an imaginary
+    part.
     """
-    rows: list[tuple[float, str, float]] = []
     checked = {}
     for name, m in metrics.items():
         checked[name] = require_metric(m)
@@ -84,15 +85,35 @@ def norm_traces(traj: Trajectory, metrics: Mapping[str, np.ndarray]
             raise NonHermitianMetric(
                 f"metric {name!r} has wrong dimension for the trajectory")
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, psi in zip(traj.times, traj.states):
-            for name, m in checked.items():
-                val = complex(psi.conj() @ (m @ psi))
-                if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                    raise NonFiniteResult(
-                        f"trace under {name!r} is not finite at t = {t:.9g}")
-                if abs(val.imag) > TRACE_IMAG_RTOL * max(1.0, abs(val.real)):
-                    raise NonHermitianMetric(
-                        f"trace under {name!r} acquired imaginary part "
-                        f"{val.imag:.3e}; metric is not Hermitian enough")
-                rows.append((float(t), name, val.real))
-    return rows
+        traces = {name: np.einsum("ti,ti->t", traj.states.conj(),
+                                  traj.states @ m.T)
+                  for name, m in checked.items()}
+        finite = {name: np.isfinite(v) for name, v in traces.items()}
+        real = {name: np.abs(v.imag)
+                <= TRACE_IMAG_RTOL * np.maximum(1.0, np.abs(v.real))
+                for name, v in traces.items()}
+    bad = np.array([~(finite[name] & real[name]) for name in traces])
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=0)))
+        name = list(traces)[int(np.argmax(bad[:, k]))]
+        t = traj.times[k]
+        if not finite[name][k]:
+            raise NonFiniteResult(
+                f"trace under {name!r} is not finite at t = {t:.9g}")
+        # the roundoff reported is that of the one offending trace alone
+        psi = traj.states[k]
+        imag = complex(psi.conj() @ (checked[name] @ psi)).imag
+        raise NonHermitianMetric(
+            f"trace under {name!r} acquired imaginary part {imag:.3e}; "
+            f"metric is not Hermitian enough")
+    return {name: v.real for name, v in traces.items()}
+
+
+def norm_traces(traj: Trajectory, metrics: Mapping[str, np.ndarray]
+                ) -> list[tuple[float, str, float]]:
+    """Table of (time, metric name, <psi(t)|M|psi(t)>) rows, time-major;
+    the values and errors of ``norm_trace_columns``."""
+    columns = [(name, v.tolist())
+               for name, v in norm_trace_columns(traj, metrics).items()]
+    return [(t, name, values[j]) for j, t in enumerate(traj.times.tolist())
+            for name, values in columns]

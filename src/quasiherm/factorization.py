@@ -11,6 +11,7 @@ model, positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -21,7 +22,8 @@ from .errors import (DimensionMismatch, ExceptionalPoint, NonHermitianMetric,
                      NotPTSymmetric, SingularMetric, SingularPseudoMetric)
 from .metrics import (MetricCandidate, certify_metric, frobenius_residual,
                       qh_residual, spectral_metric)
-from .operators import as_operator, as_state, require_metric
+from .operators import (adjoint_product, as_operator, as_state, parity_matrix,
+                        require_metric, right_product)
 from .spectral import (DEFAULT_REALITY_TOL, SpectralData, eigendecompose,
                        require_real_spectrum)
 
@@ -36,22 +38,80 @@ SPACES = ("F", "R", "H")
 
 @dataclass(frozen=True)
 class PseudoMetric:
-    """Hermitian invertible matrix with its inertia (p, q)."""
+    """Hermitian invertible P with its inertia (p, q).
 
-    matrix: np.ndarray
+    ``kind`` is "parity" (index reversal), "identity" or "dense".  The
+    first two hold no matrix: P X, X P and P^-1 X are a reversal or a copy,
+    equal bit for bit to the dense products, and their inertia is closed
+    form.  A "dense" P holds its validated ``entries`` and is inverted
+    once, on first use of ``inverse``.
+    """
+
+    kind: str
+    dim: int
     signature: tuple[int, int]
+    entries: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
+    @classmethod
+    def structured(cls, kind: str, n: int) -> "PseudoMetric":
+        """The "parity" or "identity" pseudometric of dimension n."""
+        if kind == "parity":
+            return cls(kind, n, ((n + 1) // 2, n // 2))
+        if kind == "identity":
+            return cls(kind, n, (n, 0))
+        raise ValueError(f"no structured pseudometric {kind!r}")
 
     @property
     def positive(self) -> bool:
         return self.signature[1] == 0
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim, self.dim
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        if self.kind == "parity":
+            return parity_matrix(self.dim)
+        if self.kind == "identity":
+            return np.eye(self.dim, dtype=complex)
+        return self.entries
+
     @cached_property
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
+        """P^-1; parity and identity are their own inverses."""
+        if self.kind == "dense":
+            return np.linalg.inv(self.entries)
+        return self.matrix
+
+    @cached_property
+    def norm(self) -> float:
+        """Frobenius norm of P."""
+        if self.kind == "dense":
+            return float(np.linalg.norm(self.entries))
+        return math.sqrt(self.dim)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P X: reverses the rows (the entries of a vector) for parity."""
+        if self.kind == "parity":
+            return x[::-1].copy()
+        if self.kind == "identity":
+            return x.copy()
+        return self.entries @ x
+
+    def apply_right(self, x: np.ndarray) -> np.ndarray:
+        """X P: reverses the columns (the entries of a vector) for parity."""
+        if self.kind == "parity":
+            return x[..., ::-1].copy()
+        if self.kind == "identity":
+            return x.copy()
+        return x @ self.entries
+
+    def inverse_apply(self, x: np.ndarray) -> np.ndarray:
+        """P^-1 X."""
+        if self.kind == "dense":
+            return self.inverse @ x
+        return self.apply(x)
 
 
 def signature(p) -> tuple[int, int]:
@@ -68,11 +128,12 @@ def signature(p) -> tuple[int, int]:
 
 
 def as_pseudometric(p) -> PseudoMetric:
-    """Validate a matrix (or pass through a PseudoMetric) into a PseudoMetric."""
+    """Validate a matrix into a "dense" PseudoMetric (a PseudoMetric passes
+    through)."""
     if isinstance(p, PseudoMetric):
         return p
     mm = require_metric(p)
-    return PseudoMetric(mm, signature(mm))
+    return PseudoMetric("dense", mm.shape[0], signature(mm), mm)
 
 
 @dataclass(frozen=True)
@@ -102,11 +163,11 @@ def make_triple(p, c) -> SpaceTriple:
     """Compose Theta = P C and certify it as a Hermitian metric."""
     pm = as_pseudometric(p)
     cc = as_operator(c)
-    if cc.shape != pm.matrix.shape:
+    if cc.shape != pm.shape:
         raise DimensionMismatch(
-            f"charge {cc.shape} incompatible with pseudometric {pm.matrix.shape}")
+            f"charge {cc.shape} incompatible with pseudometric {pm.shape}")
     try:
-        cand = certify_metric(pm.matrix @ cc)
+        cand = certify_metric(pm.apply(cc))
     except NonHermitianMetric as exc:
         raise NonHermitianMetric(
             f"P*C is not Hermitian; (P, C) do not factor a metric: {exc}"
@@ -116,8 +177,16 @@ def make_triple(p, c) -> SpaceTriple:
 
 def pt_symmetry_residual(h, p) -> tuple[float, float]:
     """Residual of the pseudo-Hermiticity relation H^dagger P = P H."""
-    pm = as_pseudometric(p)
-    return qh_residual(h, pm.matrix)
+    return _p_residual(as_operator(h), as_pseudometric(p))
+
+
+def _p_residual(a: np.ndarray, pm: PseudoMetric) -> tuple[float, float]:
+    """Absolute and relative Frobenius residual of A^dagger P - P A."""
+    if a.shape != pm.shape:
+        raise DimensionMismatch(
+            f"operator {a.shape} incompatible with metric {pm.shape}")
+    return frobenius_residual(pm.apply_right(a.conj().T) - pm.apply(a),
+                              float(np.linalg.norm(a)) * pm.norm)
 
 
 def charge_from_metric(theta, p) -> np.ndarray:
@@ -128,10 +197,10 @@ def charge_from_metric(theta, p) -> np.ndarray:
     """
     pm = as_pseudometric(p)
     tt = require_metric(theta)
-    if tt.shape != pm.matrix.shape:
+    if tt.shape != pm.shape:
         raise DimensionMismatch(
-            f"metric {tt.shape} incompatible with pseudometric {pm.matrix.shape}")
-    return pm.inverse @ tt
+            f"metric {tt.shape} incompatible with pseudometric {pm.shape}")
+    return pm.inverse_apply(tt)
 
 
 def require_pseudo_hermitian(h: np.ndarray, pm: PseudoMetric,
@@ -142,9 +211,9 @@ def require_pseudo_hermitian(h: np.ndarray, pm: PseudoMetric,
     ``pt_rel`` returns the relative residual of H^dagger P = P H; it runs
     only once the shapes of H and P are known to match.
     """
-    if h.shape != pm.matrix.shape:
+    if h.shape != pm.shape:
         raise DimensionMismatch(
-            f"operator {h.shape} incompatible with pseudometric {pm.matrix.shape}")
+            f"operator {h.shape} incompatible with pseudometric {pm.shape}")
     rel = pt_rel()
     if rel > pt_rtol:
         raise NotPTSymmetric(
@@ -185,11 +254,11 @@ def charge_from_spectrum(s: SpectralData, p, *,
     if s.dim != pm.dim:
         raise DimensionMismatch(
             f"eigensystem of dim {s.dim} incompatible with pseudometric "
-            f"{pm.matrix.shape}")
+            f"{pm.shape}")
     require_real_spectrum(s, reality_tol)
 
     phi = s.left_vectors
-    c = np.einsum("ij,ij->j", phi.conj(), pm.inverse @ phi)
+    c = np.einsum("ij,ij->j", phi.conj(), pm.inverse_apply(phi))
     # pseudo-Hermiticity forces the pairings real; residual is roundoff
     if np.any(np.abs(c.imag) > reality_tol * np.maximum(np.abs(c), 1e-300)):
         raise NotPTSymmetric(
@@ -201,7 +270,7 @@ def charge_from_spectrum(s: SpectralData, p, *,
             f"pairing |c_n| below {pairing_floor:g}; eigensystem degenerating")
 
     cand = spectral_metric(s, 1.0 / np.abs(c), reality_tol=reality_tol)
-    return pm.inverse @ cand.theta, cand
+    return pm.inverse_apply(cand.theta), cand
 
 
 def triple_inner(t: SpaceTriple, space: str, v1, v2) -> complex:
@@ -217,7 +286,7 @@ def triple_inner(t: SpaceTriple, space: str, v1, v2) -> complex:
     if space == "F":
         return complex(a.conj() @ b)
     if space == "R":
-        return complex(a.conj() @ (t.P.matrix @ b))
+        return complex(a.conj() @ t.P.apply(b))
     return complex(a.conj() @ (t.Theta @ b))
 
 
@@ -230,15 +299,15 @@ def conjugation_in(t: SpaceTriple, space: str, a) -> np.ndarray:
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}, got {space!r}")
     aa = as_operator(a)
-    if aa.shape != t.P.matrix.shape:
+    if aa.shape != t.P.shape:
         raise DimensionMismatch(
             f"operator {aa.shape} incompatible with triple of dim {t.dim}")
     if space == "F":
         return aa.conj().T
     if space == "R":
-        return t.P.inverse @ (aa.conj().T @ t.P.matrix)
+        return t.P.inverse_apply(t.P.apply_right(aa.conj().T))
     try:
-        return np.linalg.solve(t.Theta, aa.conj().T @ t.Theta)
+        return np.linalg.solve(t.Theta, adjoint_product(aa, t.Theta))
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"Theta is numerically singular: {exc}") from exc
 
@@ -264,26 +333,32 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     is reported without a verdict).
     """
     hh = as_operator(h)
-    if hh.shape != t.P.matrix.shape:
+    if hh.shape != t.P.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with triple of dim {t.dim}")
-    pmat = t.P.matrix
+    pm = t.P
     c = t.C
     nh = float(np.linalg.norm(hh))
     nc = float(np.linalg.norm(c))
-    npm = float(np.linalg.norm(pmat))
 
     h_sharp = conjugation_in(t, "H", hh)
     h_ddag = conjugation_in(t, "R", hh)
     c_ddag = conjugation_in(t, "R", c)
+    # H^dd C = P^-1 H^dagger (P C): O(N^2) for a structured P and banded H
+    hdd_c = pm.inverse_apply(adjoint_product(hh, pm.apply(c)))
+    if pm.kind == "dense":
+        p_dev = frobenius_residual(pm.entries - pm.entries.conj().T, pm.norm)
+    else:
+        p_dev = (0.0, 0.0)  # parity and identity are Hermitian by construction
 
     relations = [
         ("H_sharp_eq_H", frobenius_residual(h_sharp - hh, nh)),
-        ("Hdd_C_eq_C_H", frobenius_residual(h_ddag @ c - c @ hh, nh * nc)),
-        ("Cd_P_eq_P_C", qh_residual(c, pmat)),
+        ("Hdd_C_eq_C_H", frobenius_residual(hdd_c - right_product(c, hh),
+                                            nh * nc)),
+        ("Cd_P_eq_P_C", _p_residual(c, pm)),
         ("Hd_Theta_eq_Theta_H", qh_residual(hh, t.Theta)),
         ("C_eq_Cdd", frobenius_residual(c_ddag - c, nc)),
-        ("P_eq_Pd", frobenius_residual(pmat - pmat.conj().T, npm)),
+        ("P_eq_Pd", p_dev),
     ]
     rows = [TableRow(name, abs_res, rel, bool(rel <= rtol))
             for name, (abs_res, rel) in relations]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveWeight, NotPositive
-from .operators import as_operator, require_metric
+from .operators import (adjoint_product, as_operator, require_metric,
+                        right_product)
 from .spectral import DEFAULT_REALITY_TOL, SpectralData, require_real_spectrum
 
 # positive means min_eig > floor * max_eig: scale-invariant certificate
@@ -48,13 +49,14 @@ class MetricCandidate:
 
 
 def qh_residual(h, theta) -> tuple[float, float]:
-    """Absolute and relative Frobenius residual of H^dagger Theta - Theta H."""
+    """Absolute and relative Frobenius residual of H^dagger Theta - Theta H;
+    the products go through the bands of a tridiagonal H."""
     hh = as_operator(h)
     tt = as_operator(theta)
     if hh.shape != tt.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with metric {tt.shape}")
-    return frobenius_residual(hh.conj().T @ tt - tt @ hh,
+    return frobenius_residual(adjoint_product(hh, tt) - right_product(tt, hh),
                               float(np.linalg.norm(hh))
                               * float(np.linalg.norm(tt)))
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import (BrokenPhase, QuasihermError, ParityViolation, SchemaError,
                      SigmaVanishes)
-from .evolution import norm_traces, propagate_spectrum
+from .evolution import norm_trace_columns, propagate_spectrum
 from .expressions import parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
                             charge_from_spectrum, pt_symmetry_residual,
@@ -32,7 +32,6 @@ from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      tridiagonal)
 from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
                       spectral_metric)
-from .operators import parity_matrix
 from .spectral import SpectralData, eigendecompose, is_real_spectrum
 
 DEFAULT_TOL = 1e-10
@@ -65,13 +64,19 @@ MODEL_PARITY_RTOL = 1e-10
 
 def format_float(x: float) -> str:
     """17-significant-digit rendering; round-trip exact for doubles."""
-    if not np.isfinite(x):
+    x = float(x)
+    if not math.isfinite(x):
         return json.dumps(str(x))
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def canonical_json(obj, sort_keys: bool = False) -> str:
     """Minimal deterministic JSON writer with fixed float rendering."""
+    if type(obj) is float:  # the most common leaf, then containers, first
+        return format_float(obj)
+    if isinstance(obj, (list, tuple)):
+        items = [canonical_json(v, sort_keys) for v in obj]
+        return "[" + ",".join(items) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -82,8 +87,6 @@ def canonical_json(obj, sort_keys: bool = False) -> str:
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v, sort_keys) for v in obj) + "]"
     if isinstance(obj, dict):
         keys = sorted(obj) if sort_keys else list(obj)
         return "{" + ",".join(
@@ -214,9 +217,39 @@ def _as_complex_entry(value, path: str) -> complex:
     return _finite_complex(parts, value, path)
 
 
+def _parse_matrix_array(data: list) -> np.ndarray | None:
+    """The matrix of square ``data`` whose entries are all JSON numbers or
+    all [re, im] pairs of them, built array-wise; None for anything else,
+    which the scalar loop of ``_parse_matrix`` then rejects by path."""
+    n = len(data)
+    if not all(type(row) is list and len(row) == n for row in data):
+        return None
+    leaves = [v for row in data for v in row]
+    pairs = all(type(v) is list and len(v) == 2 for v in leaves)
+    if pairs:
+        leaves = [x for v in leaves for x in v]
+    if not all(type(v) is float or type(v) is int for v in leaves):
+        return None
+    try:
+        parts = np.array(leaves, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    out = np.zeros(n * n, dtype=complex)
+    if pairs:
+        out.real, out.imag = parts[0::2], parts[1::2]
+    else:
+        out.real = parts
+    return out.reshape(n, n)
+
+
 def _parse_matrix(data, path: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SchemaError("expected a non-empty list of rows", path)
+    fast = _parse_matrix_array(data)
+    if fast is not None:
+        return fast
     n = len(data)
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(data):
@@ -390,14 +423,11 @@ class _Analysis:
 
     @cached_property
     def pseudometric(self) -> PseudoMetric:
-        """Identity and parity are exactly Hermitian, of known inertia."""
+        """Identity and parity are structured: no matrix is built."""
         choice = self.spec.payload.get("pseudometric", "parity")
         if not isinstance(choice, str):
             return as_pseudometric(choice)
-        n = self.h.shape[0]
-        if choice == "identity":
-            return PseudoMetric(np.eye(n, dtype=complex), (n, 0))
-        return PseudoMetric(parity_matrix(n), ((n + 1) // 2, n // 2))
+        return PseudoMetric.structured(choice, self.h.shape[0])
 
     @cached_property
     def pt_residual(self) -> float:
@@ -506,6 +536,11 @@ def _psi0_from_options(opts, dim: int) -> np.ndarray:
                      dtype=complex)
     if arr.size != dim:
         raise SchemaError(f"psi0 must have dimension {dim}", "psi0")
+    # the norm rows are ratios of traces, which a zero state makes 0/0
+    if not np.vdot(arr, arr).real >= np.finfo(float).tiny:
+        raise SchemaError(
+            "psi0 must be nonzero, with a squared norm that does not "
+            "underflow", "psi0")
     return arr
 
 
@@ -527,15 +562,15 @@ def _task_evolve(a: _Analysis, opts, tol):
     real, max_imag = is_real_spectrum(a.spectrum, tol)
     if real:
         metrics["theta"] = a.metric.theta
-    series = norm_traces(traj, metrics)
+    traces = norm_trace_columns(traj, metrics)
 
-    ident = np.array([v for _, name, v in series if name == "identity"])
+    ident = traces["identity"]
     rows = [
         _row("spectrum_real", bool(real)),
         _row("fnorm_ratio", float(ident.max() / ident.min())),
     ]
     if real:
-        theta_vals = np.array([v for _, name, v in series if name == "theta"])
+        theta_vals = traces["theta"]
         drift = float(np.abs(theta_vals - theta_vals[0]).max()
                       / abs(theta_vals[0]))
         rows.append(_row("theta_drift_rel", drift, drift <= 1e-9, 1e-9))
@@ -547,7 +582,7 @@ def _task_evolve(a: _Analysis, opts, tol):
         rate = float(np.log(v2 / v1) / (t2 - t1))
         rows.append(_row("fnorm_growth_rate", rate))
         rows.append(_row("max_imag", max_imag))
-    return rows, series
+    return rows, _series(traj.times, list(traces.items()))
 
 
 def _series(x: np.ndarray, named: list) -> list[tuple]:

@@ -3,6 +3,9 @@
 All values live in a fixed working basis (the standard coordinate basis),
 which pins down the antilinear time reversal as plain entrywise
 conjugation.  Every function is pure and never mutates its arguments.
+Products with a Hamiltonian go through its three bands when it is
+tridiagonal (``adjoint_product``, ``right_product``), in O(N^2) instead of
+an N^3 matrix product.
 """
 
 from __future__ import annotations
@@ -97,3 +100,43 @@ def parity_matrix(n: int) -> np.ndarray:
     if int(n) != n or n < 1:
         raise DimensionMismatch("parity needs a positive integer dimension")
     return np.fliplr(np.eye(int(n), dtype=complex)).copy()
+
+
+def _tridiagonal_bands(a: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(lower, diag, upper) of a square matrix whose nonzero entries all lie
+    on its three central diagonals, lower[k] = A[k+1, k]; None otherwise."""
+    bands = (np.diagonal(a, -1), np.diagonal(a), np.diagonal(a, 1))
+    if np.count_nonzero(a) != sum(np.count_nonzero(b) for b in bands):
+        return None
+    return bands
+
+
+def _tridiagonal_times(bands, x: np.ndarray) -> np.ndarray:
+    """T X for the tridiagonal T with (lower, diag, upper) ``bands``."""
+    lower, diag, upper = bands
+    out = diag[:, None] * x
+    out[1:] += lower[:, None] * x[:-1]
+    out[:-1] += upper[:, None] * x[1:]
+    return out
+
+
+def adjoint_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H^dagger X for square matrices; through the bands of a tridiagonal
+    H, otherwise the dense product."""
+    bands = _tridiagonal_bands(h)
+    if bands is None:
+        return h.conj().T @ x
+    lower, diag, upper = bands
+    return _tridiagonal_times((upper.conj(), diag.conj(), lower.conj()), x)
+
+
+def right_product(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """X H for square matrices; through the bands of a tridiagonal H,
+    otherwise the dense product."""
+    bands = _tridiagonal_bands(h)
+    if bands is None:
+        return x @ h
+    lower, diag, upper = bands
+    # X H = (H^T X^T)^T, and H^T has the bands of H swapped
+    return _tridiagonal_times((upper, diag, lower), x.T).T

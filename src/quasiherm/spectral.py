@@ -15,8 +15,8 @@ from .errors import (BrokenPhase, DegenerateSpectrum, DimensionMismatch,
                      NonConvergence, SelfOrthogonal)
 from .operators import as_operator
 
-# Above this condition number of the right-eigenvector matrix, the left
-# system is taken from the adjoint decomposition instead of inversion;
+# Above this 1-norm condition number of the right-eigenvector matrix, the
+# left system is taken from the adjoint decomposition instead of inversion;
 # inversion loses accuracy near exceptional points.
 LEFT_FROM_ADJOINT_COND = 1e8
 
@@ -96,6 +96,20 @@ def biorthonormalize(right, left) -> tuple[np.ndarray, np.ndarray]:
     return r, l
 
 
+def _left_from_inverse(right: np.ndarray) -> np.ndarray | None:
+    """Left vectors as the rows of V^-1, or None when the 1-norm condition
+    number ||V||_1 ||V^-1||_1 exceeds LEFT_FROM_ADJOINT_COND."""
+    try:
+        inv = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.linalg.norm(right, 1) * np.linalg.norm(inv, 1)
+    if not cond <= LEFT_FROM_ADJOINT_COND:  # also catches a nan condition
+        return None
+    return inv.conj().T
+
+
 def _left_from_adjoint(m: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Left vectors as eigenvectors of A^dagger, matched to conj(lambda)."""
     wl, ul = np.linalg.eig(m.conj().T)
@@ -142,9 +156,8 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
         raise DegenerateSpectrum(
             f"minimal eigenvalue gap {min_gap:.3e} below floor {floor:.3e}")
 
-    if np.linalg.cond(right) <= LEFT_FROM_ADJOINT_COND:
-        left = np.linalg.inv(right).conj().T
-    else:
+    left = _left_from_inverse(right)
+    if left is None:
         left = _left_from_adjoint(m, vals)
     right, left = biorthonormalize(right, left)
     return SpectralData(vals, right, left, min_gap)

@@ -433,3 +433,17 @@ def test_cli_surface_and_task_defaults(model_file, capsys, command):
         assert rows["branch"] == 1
     if task == "family-check":
         assert not any("_level" in name for name in rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vector", [[[0, 0], [0, 0]], [[1e-200, 0], [0, 0]]],
+                         ids=["zero", "underflowing"])
+def test_zero_psi0_is_a_schema_row(model_file, tmp_path, capsys, vector):
+    # a state whose squared norm is 0 would make every norm ratio 0/0
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(json.dumps(vector))
+    code, doc = run_json(capsys, ["evolve", "--model", model_file(MODEL_2X2),
+                                  "--psi0", str(psi_path)])
+    assert code == 1
+    assert [r["name"] for r in doc["rows"]] == ["SchemaError"]
+    assert "psi0: psi0 must be nonzero" in doc["rows"][0]["value"]

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from quasiherm import (NonFiniteResult, NonHermitianMetric, Trajectory,
-                       eigendecompose, hermitize, norm_traces, propagate,
-                       propagate_spectrum, qh_residual, spectral_metric,
-                       standard_charge)
+                       eigendecompose, hermitize, norm_trace_columns,
+                       norm_traces, propagate, propagate_spectrum, qh_residual,
+                       spectral_metric, standard_charge)
 
 
 def closed_form_fnorm(times):
@@ -152,3 +154,117 @@ def test_norm_traces_overflow_is_a_typed_error(recwarn):
     with pytest.raises(NonFiniteResult, match="'I'"):
         norm_traces(traj, {"I": np.eye(2)})
     assert len(recwarn) == 0
+
+
+def per_step_traces(traj, metrics):
+    """The per-step definition of norm_traces: one mat-vec per time and
+    metric, time-major, checked as it goes."""
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, psi in zip(traj.times, traj.states):
+            for name, m in metrics.items():
+                val = complex(psi.conj() @ (m @ psi))
+                if not np.isfinite(val):
+                    raise NonFiniteResult(
+                        f"trace under {name!r} is not finite at t = {t:.9g}")
+                if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+                    raise NonHermitianMetric(
+                        f"trace under {name!r} acquired imaginary part "
+                        f"{val.imag:.3e}; metric is not Hermitian enough")
+                rows.append((float(t), name, val.real))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_traces_match_the_per_step_loop(seed):
+    from conftest import random_diagonalizable
+    rng = np.random.default_rng(40 + seed)
+    dim = 3 + 2 * seed
+    h, _, _ = random_diagonalizable(rng, dim, cond_v=10.0)
+    cand = spectral_metric(eigendecompose(h))
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    traj = propagate(h, psi0, np.linspace(0.0, 5.0, 37))
+    metrics = {"identity": np.eye(dim, dtype=complex), "theta": cand.theta}
+    rows = norm_traces(traj, metrics)
+    expected = per_step_traces(traj, metrics)
+    assert [r[:2] for r in rows] == [r[:2] for r in expected]
+    # each trace is one inner product of length dim: a few ulps of
+    # sum |psi_i| |(M psi)_i|
+    eps = np.finfo(float).eps
+    for (t, name, val), (_, _, ref) in zip(rows, expected):
+        psi = traj.states[list(traj.times).index(t)]
+        scale = np.abs(psi) @ (np.abs(metrics[name]) @ np.abs(psi))
+        assert abs(val - ref) <= 4 * dim * eps * scale
+    columns = norm_trace_columns(traj, metrics)
+    assert list(columns) == ["identity", "theta"]
+    assert columns["theta"].tolist() == [v for _, n, v in rows if n == "theta"]
+
+
+M_SMALL = np.diag([1e-200, 1.0, 1.0, 0.0]).astype(complex)
+M_COUPLED = np.array([[1, 2j, 0, 0], [-2j, 3, 1, 0], [0, 1, -1, 0],
+                      [0, 0, 0, 0]], dtype=complex)
+
+
+def overflow_trajectory() -> Trajectory:
+    """At t = 1 the identity and M_COUPLED overflow while M_SMALL does
+    not; at t = 2 every metric overflows."""
+    return Trajectory(np.arange(3.0), np.array(
+        [[1.0, 0.5, 0.0, 0.0], [1e155, 1e-10, 0.0, 0.0],
+         [1e300, 1e300, 0.0, 0.0]], dtype=complex))
+
+
+def raises_imaginary(traces, traj, metrics) -> bool:
+    try:
+        traces(traj, metrics)
+    except NonHermitianMetric:
+        return True
+    except NonFiniteResult:
+        return False
+    return False
+
+
+def imaginary_trajectory(rng) -> tuple[Trajectory, np.ndarray]:
+    """A Hermitian M, zero in the last row and column, and three states:
+    at t = 1 the trace under M is pure roundoff, its imaginary part as
+    large as its real part, and the identity overflows through the last
+    component; at t = 2 every metric overflows.  Roundoff can also cancel
+    exactly, in either computation, so draws repeat until both the
+    per-step and the batched trace keep the imaginary part."""
+    for _ in range(200):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = a + a.conj().T
+        psi = 1e8 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        shift = (psi.conj() @ a @ psi).real / (psi.conj() @ psi).real
+        m = np.zeros((4, 4), dtype=complex)
+        m[:3, :3] = a - shift * np.eye(3)
+        traj = Trajectory(np.arange(3.0), np.array(
+            [[1.0, 0.5, 0.0, 0.0], [*psi, 1e155], [1e300, 1e300, 0.0, 0.0]],
+            dtype=complex))
+        if all(raises_imaginary(traces, traj, {"cancel": m})
+               for traces in (per_step_traces, norm_traces)):
+            return traj, m
+    raise AssertionError("no draw kept an imaginary trace in both")
+
+
+@pytest.mark.parametrize("case,error,name", [
+    ("overflow-second", NonFiniteResult, "plain"),
+    ("both-overflow", NonFiniteResult, "plain"),
+    ("imaginary-second", NonHermitianMetric, "cancel"),
+    ("imaginary-before-overflow", NonHermitianMetric, "cancel"),
+])
+def test_batched_traces_raise_the_first_offender(case, error, name):
+    if case.startswith("imaginary"):
+        traj, m_cancel = imaginary_trajectory(np.random.default_rng(5))
+    else:
+        traj, m_cancel = overflow_trajectory(), M_COUPLED
+    metrics = {
+        "overflow-second": {"small": M_SMALL, "plain": np.eye(4)},
+        "both-overflow": {"plain": np.eye(4), "cancel": m_cancel},
+        "imaginary-second": {"small": M_SMALL, "cancel": m_cancel},
+        "imaginary-before-overflow": {"cancel": m_cancel, "plain": np.eye(4)},
+    }[case]
+    with pytest.raises(error, match=f"^trace under {name!r}") as expected:
+        per_step_traces(traj, metrics)
+    with pytest.raises(error, match="^" + re.escape(str(expected.value))
+                       + "$"):
+        norm_traces(traj, metrics)

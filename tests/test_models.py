@@ -321,10 +321,13 @@ def test_factorize_gates_before_the_eigensolve(monkeypatch):
 def test_operator_report_certifies_each_matrix_once(monkeypatch):
     # the default Theta and the charge's Theta: factorize and table read
     # the charge's certificate, and the inertia of the parity P is its
-    # closed form; P is inverted once, and the one solve is against Theta
-    # in the table's H-space conjugation
+    # closed form; P is a structured reversal, never built nor inverted,
+    # the left-vector route needs no SVD, and the one solve is against
+    # Theta in the table's H-space conjugation
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     solves = count_calls(monkeypatch, np.linalg, "solve")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    conds = count_calls(monkeypatch, np.linalg, "cond")
     inverted = []
     original_inv = np.linalg.inv
 
@@ -334,15 +337,22 @@ def test_operator_report_certifies_each_matrix_once(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("the report recomposed the triple")
+
+    def built(*args):
+        raise AssertionError("the report built the parity matrix")
     monkeypatch.setattr(np.linalg, "inv", inv)
     monkeypatch.setattr(factorization, "make_triple", forbidden)
     monkeypatch.setattr(models, "make_triple", forbidden, raising=False)
+    monkeypatch.setattr(factorization, "parity_matrix", built)
     report = run_battery(parse_model(MODEL_LATTICE))
     assert report.all_passed
     assert len(calls) == 2
     assert len(solves) == 1
+    assert svds == [] and conds == []
     parity = parity_matrix(MODEL_LATTICE["n"])
-    assert sum(np.array_equal(m, parity) for m in inverted) == 1
+    assert sum(np.array_equal(m, parity) for m in inverted) == 0
+    # the one inverse is that of the right eigenvectors
+    assert len(inverted) == 1
 
 
 def matrix_data(m: np.ndarray) -> list:
@@ -410,3 +420,44 @@ def test_lattice_matches_literal_construction(doc):
         h[0, 0] = 1j * gamma
         h[n - 1, n - 1] = -1j * gamma
     assert parse_model(doc).payload["matrix"].tobytes() == h.tobytes()
+
+
+def scalar_parse(data) -> np.ndarray:
+    """The entry-by-entry definition of a matrix document."""
+    n = len(data)
+    out = np.zeros((n, n), dtype=complex)
+    for i, row in enumerate(data):
+        for j, entry in enumerate(row):
+            out[i, j] = models._as_complex_entry(entry, f"data[{i}][{j}]")
+    return out
+
+
+@pytest.mark.parametrize("data", [
+    [[1]],
+    [[0, 1], [1, 0]],
+    [[-0.0, 2 ** 63 + 1], [10 ** 300, -3]],
+    [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]],
+    [[[-0.0, -0.0], [1e-310, 2 ** 70 + 1]], [[3, -0.0], [0.1, 7]]],
+    matrix_data(M_HPD),
+], ids=["1x1", "ints", "signed-zero-big-ints", "readme-pairs",
+        "pairs-subnormal", "hpd-4x4"])
+def test_array_wise_parse_equals_the_scalar_loop(data):
+    parsed = models._parse_matrix(data, "data")
+    assert parsed.tobytes() == scalar_parse(data).tobytes()
+    assert parsed.flags.c_contiguous
+
+
+@pytest.mark.parametrize("data,path", [
+    ([[True, 0], [0, 1]], "data[0][0]"),
+    ([[1, "2"], [0, 1]], "data[0][1]"),
+    ([[1, 0], [np.int64(3), 1]], "data[1][0]"),
+    ([[1, [0, 1]], [0, [1, 2, 3]]], "data[1][1]"),
+    ([[1, 0], [0, 10 ** 400]], "data[1][1]"),
+    ([[1, 0], [0, float("nan")]], "data[1][1]"),
+    ([[1, 0], [0]], "data[1]"),
+], ids=["bool", "string", "numpy-int", "triple", "huge-int", "nan",
+        "short-row"])
+def test_array_wise_parse_leaves_errors_to_the_scalar_loop(data, path):
+    with pytest.raises(SchemaError) as err:
+        models._parse_matrix(data, "data")
+    assert err.value.path == path

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from quasiherm import (DimensionMismatch, NonHermitianMetric, SingularMetric,
-                       adjoint, adjoint_wrt, inner, make_grid, first_difference,
-                       parity_matrix, time_reversal)
+                       adjoint, adjoint_product, adjoint_wrt, inner, make_grid,
+                       first_difference, parity_matrix, right_product,
+                       time_reversal)
+from quasiherm import operators
 from quasiherm.metrics import certify_metric
 
 
@@ -135,3 +137,50 @@ def test_parity_matrix():
     p7 = parity_matrix(7)
     assert np.array_equal(p7 @ p7, np.eye(7, dtype=complex))
     assert np.array_equal(p7, p7.conj().T)
+
+
+def random_tridiagonal(rng, n, zero_bands=()):
+    """Complex tridiagonal matrix; the bands named in ``zero_bands``
+    ("lower", "diag", "upper") are left at zero."""
+    def band(name, size):
+        if name in zero_bands:
+            return np.zeros(size, dtype=complex)
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+    h = np.diag(band("diag", n))
+    if n > 1:
+        h += np.diag(band("lower", n - 1), -1)
+        h += np.diag(band("upper", n - 1), 1)
+    return h
+
+
+BAND_CASES = [(n, zero) for n in (1, 2, 3, 7, 40)
+              for zero in ((), ("lower",), ("diag",), ("upper",),
+                           ("lower", "upper"), ("lower", "diag", "upper"))]
+
+
+@pytest.mark.parametrize("n,zero_bands", BAND_CASES)
+def test_banded_products_match_dense(n, zero_bands):
+    rng = np.random.default_rng(BAND_CASES.index((n, zero_bands)))
+    h = random_tridiagonal(rng, n, zero_bands)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    # each entry sums at most three products: a few ulps of |H| |X|
+    eps = np.finfo(float).eps
+    hd = h.conj().T
+    bound_left = 8 * eps * (np.abs(hd) @ np.abs(x))
+    bound_right = 8 * eps * (np.abs(x) @ np.abs(h))
+    assert np.all(np.abs(adjoint_product(h, x) - hd @ x) <= bound_left)
+    assert np.all(np.abs(right_product(x, h) - x @ h) <= bound_right)
+
+
+@pytest.mark.parametrize("n,corner", [(3, 0.5), (4, 1e-300), (9, 2.0j)])
+def test_non_tridiagonal_operator_takes_the_dense_product(monkeypatch, n,
+                                                          corner):
+    def banded(*args):
+        raise AssertionError("a non-tridiagonal operator went through bands")
+    monkeypatch.setattr(operators, "_tridiagonal_times", banded)
+    rng = np.random.default_rng(70 + n)
+    h = random_tridiagonal(rng, n)
+    h[0, n - 1] = corner  # one entry off the bands, however small
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert adjoint_product(h, x).tobytes() == (h.conj().T @ x).tobytes()
+    assert right_product(x, h).tobytes() == (x @ h).tobytes()
