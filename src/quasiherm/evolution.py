@@ -67,16 +67,21 @@ def _expand(s: SpectralData, v0: np.ndarray, ts: np.ndarray) -> Trajectory:
     return Trajectory(ts.copy(), states)
 
 
+def _is_identity(m: np.ndarray) -> bool:
+    """Whether the square matrix ``m`` is the identity, entry for entry."""
+    return np.count_nonzero(m) == len(m) and bool((m.diagonal() == 1).all())
+
+
 def norm_trace_columns(traj: Trajectory, metrics: Mapping[str, np.ndarray]
                        ) -> dict[str, np.ndarray]:
     """<psi(t)|M|psi(t)> at every time of the trajectory, per metric name.
 
     Each metric must be Hermitian; the traces are then real up to
     roundoff, which is verified before the imaginary parts are dropped.
-    Each metric costs one (T x N)(N x N) product.  The first offending
-    (time, metric) pair, in time-major order, raises: NonFiniteResult for
-    a trace that overflows, NonHermitianMetric for one with an imaginary
-    part.
+    Each metric costs one (T x N)(N x N) product; the identity none.  The
+    first offending (time, metric) pair, in time-major order, raises:
+    NonFiniteResult for a trace that overflows, NonHermitianMetric for
+    one with an imaginary part.
     """
     checked = {}
     for name, m in metrics.items():
@@ -84,9 +89,10 @@ def norm_trace_columns(traj: Trajectory, metrics: Mapping[str, np.ndarray]
         if checked[name].shape[0] != traj.dim:
             raise NonHermitianMetric(
                 f"metric {name!r} has wrong dimension for the trajectory")
+    bra = traj.states.conj()
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = {name: np.einsum("ti,ti->t", traj.states.conj(),
-                                  traj.states @ m.T)
+        traces = {name: np.einsum("ti,ti->t", bra, traj.states
+                                  if _is_identity(m) else traj.states @ m.T)
                   for name, m in checked.items()}
         finite = {name: np.isfinite(v) for name, v in traces.items()}
         real = {name: np.abs(v.imag)

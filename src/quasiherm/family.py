@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGrid, DimensionMismatch, ParityViolation, SigmaVanishes
+from .errors import (BadGrid, DimensionMismatch, NonFiniteResult,
+                     ParityViolation, SigmaVanishes)
 
 PARITY_ATOL = 1e-12
 
@@ -241,9 +242,13 @@ def _product_diagonals(a, b) -> list[np.ndarray]:
 
 def forward_family(a: ChargeAnsatz) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise potential components fixed by the ansatz:
-    S = sigma^2 - alpha^2 + omega (even), Lambda = 2 sigma alpha (odd)."""
-    s_even = a.sigma ** 2 - a.alpha ** 2 + a.omega
-    lam_odd = 2.0 * a.sigma * a.alpha
+    S = sigma^2 - alpha^2 + omega (even), Lambda = 2 sigma alpha (odd);
+    NonFiniteResult when either overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_even = a.sigma ** 2 - a.alpha ** 2 + a.omega
+        lam_odd = 2.0 * a.sigma * a.alpha
+    if not (np.isfinite(s_even).all() and np.isfinite(lam_odd).all()):
+        raise NonFiniteResult("S or Lambda of the ansatz is not finite")
     return s_even, lam_odd
 
 
@@ -306,7 +311,8 @@ def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
     common sign of sigma and alpha; both branches map forward to the same
     potential.  Points with |sigma| below SIGMA_FLOOR are tolerated
     only where Lambda vanishes too (alpha is set to 0 there); otherwise
-    SigmaVanishes reports the offending indices.
+    SigmaVanishes reports the offending indices.  NonFiniteResult is
+    raised when the root overflows.
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
@@ -314,9 +320,13 @@ def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
     lam_arr = np.asarray(lam_odd, dtype=float)
     if s_arr.shape != (grid.npoints,) or lam_arr.shape != (grid.npoints,):
         raise DimensionMismatch("potential components must match the grid")
-    shifted = s_arr - omega
     # radicand >= shifted^2, so the root below is always real nonnegative
-    sigma_sq = 0.5 * (shifted + np.sqrt(shifted * shifted + lam_arr * lam_arr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = s_arr - omega
+        sigma_sq = 0.5 * (shifted
+                          + np.sqrt(shifted * shifted + lam_arr * lam_arr))
+    if not np.isfinite(sigma_sq).all():
+        raise NonFiniteResult("sigma^2 of the inverse map is not finite")
     sigma = branch * np.sqrt(sigma_sq)
     small = np.abs(sigma) < SIGMA_FLOOR
     lam_scale = max(1.0, float(np.abs(lam_arr).max()))

@@ -139,7 +139,7 @@ class Report:
     digest: str
     version: str
     rows: list[ReportRow]
-    series: list[tuple] | None = None
+    series: tuple[np.ndarray, list[tuple[str, np.ndarray]]] | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -159,13 +159,16 @@ class Report:
         return canonical_json(doc) + "\n"
 
     def to_csv(self) -> str:
-        lines = []
         if self.series is not None:
-            lines.append("t_or_x,series,value")
-            for t, name, value in self.series:
-                lines.append(f"{format_float(t)},{name},{format_float(value)}")
+            # point-major: every series at x_j, then every series at x_j+1
+            x, named = self.series
+            lines = ["t_or_x,series,value"]
+            for xj, *vals in zip(x.tolist(), *(c.tolist() for _, c in named)):
+                xs = format_float(xj)
+                lines += [f"{xs},{name},{format_float(v)}"
+                          for (name, _), v in zip(named, vals)]
         else:
-            lines.append("name,value,pass,tol")
+            lines = ["name,value,pass,tol"]
             for r in self.rows:
                 passed = "" if r.passed is None else str(bool(r.passed)).lower()
                 tol = "" if r.tol is None else format_float(r.tol)
@@ -274,7 +277,14 @@ def _parse_grid(doc, path: str, max_points: float = math.inf) -> Grid:
         raise SchemaError("N must be an odd integer >= 5", f"{path}.N")
     if npts > max_points:
         raise SchemaError(f"N must be at most {max_points}", f"{path}.N")
-    return make_grid(length, npts)
+    grid = make_grid(length, npts)
+    # the second-difference stencil scales by 1/h^2
+    h2 = grid.spacing * grid.spacing
+    if not (0.0 < h2 < math.inf and math.isfinite(1.0 / h2)):
+        raise SchemaError(
+            f"1/h^2 for spacing h = {grid.spacing!r} is not a finite "
+            "nonzero number", f"{path}.L")
+    return grid
 
 
 def _sample_expression(text, grid: Grid, path: str) -> np.ndarray:
@@ -454,10 +464,10 @@ def _row(name, value, passed=None, tol=None) -> ReportRow:
                      None if passed is None else bool(passed), tol)
 
 
-def _task_spectrum(a: _Analysis, opts, tol):
+def _task_spectrum(a: _Analysis):
     h = a.h
     s = a.spectrum
-    real, max_imag = is_real_spectrum(s, tol)
+    real, max_imag = is_real_spectrum(s, a.tol)
     _, recon_rel = frobenius_residual(h - s.reconstruction(),
                                       np.linalg.norm(h))
     pairing_dev = np.linalg.norm(s.pairing() - np.eye(s.dim))
@@ -473,11 +483,11 @@ def _task_spectrum(a: _Analysis, opts, tol):
     return rows, None
 
 
-def _task_metric(a: _Analysis, opts, tol):
+def _task_metric(a: _Analysis):
     cand = a.metric
     qh_abs, qh_rel = qh_residual(a.h, cand.theta)
     rows = [
-        _row("qh_residual_rel", qh_rel, qh_rel <= tol, tol),
+        _row("qh_residual_rel", qh_rel, qh_rel <= a.tol, a.tol),
         _row("qh_residual_abs", qh_abs),
         _row("theta_min_eig", cand.min_eig),
         _row("theta_max_eig", cand.max_eig),
@@ -489,7 +499,7 @@ def _task_metric(a: _Analysis, opts, tol):
     return rows, None
 
 
-def _task_factorize(a: _Analysis, opts, tol):
+def _task_factorize(a: _Analysis):
     h = a.h
     pm = a.pseudometric
     pt_rel = a.pt_residual
@@ -498,9 +508,9 @@ def _task_factorize(a: _Analysis, opts, tol):
     _, c2_dev = frobenius_residual(charge @ charge - np.eye(h.shape[0]),
                                    np.linalg.norm(charge) ** 2)
     rows = [
-        _row("pt_residual_rel", pt_rel, pt_rel <= tol, tol),
-        _row("charge_involution_rel", c2_dev, c2_dev <= tol, tol),
-        _row("qh_residual_rel", qh_rel, qh_rel <= tol, tol),
+        _row("pt_residual_rel", pt_rel, pt_rel <= a.tol, a.tol),
+        _row("charge_involution_rel", c2_dev, c2_dev <= a.tol, a.tol),
+        _row("qh_residual_rel", qh_rel, qh_rel <= a.tol, a.tol),
         _row("qh_residual_abs", qh_abs),
         _row("theta_positive", bool(cand.positive), bool(cand.positive)),
         _row("theta_eigenvalues", cand.eigenvalues),
@@ -512,20 +522,23 @@ def _task_factorize(a: _Analysis, opts, tol):
     return rows, None
 
 
-def _task_table(a: _Analysis, opts, tol):
+def _task_table(a: _Analysis):
     triple = a.triple
     rows = [_row("mode", triple.mode)]
-    for trow in verify_table(triple, a.h, rtol=tol):
-        value = trow.rel_residual if trow.rel_residual is not None \
-            else trow.abs_residual
-        row_tol = tol if trow.passed is not None and trow.rel_residual is not None \
-            else None
+    for trow in verify_table(triple, a.h, rtol=a.tol):
+        rel = trow.rel_residual
+        value = trow.abs_residual if rel is None else rel
+        row_tol = None if trow.passed is None or rel is None else a.tol
         rows.append(_row(trow.name, value, trow.passed, row_tol))
     return rows, None
 
 
 def _psi0_from_options(opts, dim: int) -> np.ndarray:
     psi0 = opts.get("psi0", 0)
+    if isinstance(psi0, bool) or not isinstance(psi0, (int, list)):
+        raise SchemaError(
+            f"expected a basis index or a list of entries, got {psi0!r}",
+            "psi0")
     if isinstance(psi0, int):
         if not 0 <= psi0 < dim:
             raise SchemaError(f"psi0 index out of range for dim {dim}", "psi0")
@@ -544,22 +557,22 @@ def _psi0_from_options(opts, dim: int) -> np.ndarray:
     return arr
 
 
-def _task_evolve(a: _Analysis, opts, tol):
+def _task_evolve(a: _Analysis):
     h = a.h
-    t_max = float(opts.get("t_max", 20.0))
-    steps = int(opts.get("steps", 200))
+    t_max = float(a.opts.get("t_max", 20.0))
+    steps = int(a.opts.get("steps", 200))
     if t_max <= 0 or steps < 2:
         raise SchemaError("need t_max > 0 and steps >= 2", "evolve")
     if steps * h.shape[0] > MAX_EVOLVE_ENTRIES:
         raise SchemaError(
             f"need steps * dim <= {MAX_EVOLVE_ENTRIES}, got {steps} * "
             f"{h.shape[0]}", "evolve")
-    psi0 = _psi0_from_options(opts, h.shape[0])
+    psi0 = _psi0_from_options(a.opts, h.shape[0])
     times = np.linspace(0.0, t_max, steps)
     traj = propagate_spectrum(a.spectrum, psi0, times)
 
     metrics = {"identity": np.eye(h.shape[0], dtype=complex)}
-    real, max_imag = is_real_spectrum(a.spectrum, tol)
+    real, max_imag = is_real_spectrum(a.spectrum, a.tol)
     if real:
         metrics["theta"] = a.metric.theta
     traces = norm_trace_columns(traj, metrics)
@@ -577,19 +590,10 @@ def _task_evolve(a: _Analysis, opts, tol):
     else:
         # asymptotic doubling rate of the squared norm, 2*max|Im lambda|
         t1, t2 = traj.times[steps // 2], traj.times[-1]
-        v1 = ident[steps // 2]
-        v2 = ident[-1]
-        rate = float(np.log(v2 / v1) / (t2 - t1))
+        rate = float(np.log(ident[-1] / ident[steps // 2]) / (t2 - t1))
         rows.append(_row("fnorm_growth_rate", rate))
         rows.append(_row("max_imag", max_imag))
-    return rows, _series(traj.times, list(traces.items()))
-
-
-def _series(x: np.ndarray, named: list) -> list[tuple]:
-    """Point-major (x, name, value) series rows of ``(name, samples)``."""
-    columns = [(name, samples.tolist()) for name, samples in named]
-    return [(xj, name, col[j]) for j, xj in enumerate(x.tolist())
-            for name, col in columns]
+    return rows, (traj.times, list(traces.items()))
 
 
 def _family_parts(spec: ModelSpec) -> tuple[Grid, ChargeAnsatz]:
@@ -598,7 +602,7 @@ def _family_parts(spec: ModelSpec) -> tuple[Grid, ChargeAnsatz]:
     return spec.payload["grid"], spec.payload["ansatz"]
 
 
-def _task_family_forward(a: _Analysis, opts, tol):
+def _task_family_forward(a: _Analysis):
     grid, ansatz = _family_parts(a.spec)
     s_even, lam_odd = forward_family(ansatz)
     split = compatible_split(ansatz, grid)
@@ -612,16 +616,16 @@ def _task_family_forward(a: _Analysis, opts, tol):
         _row("real_odd_sup", float(np.abs(split.real_odd).max())),
         _row("imag_even_sup", float(np.abs(split.imag_even).max())),
     ]
-    return rows, _series(grid.points, [
+    return rows, (grid.points, [
         ("sigma", ansatz.sigma), ("alpha", ansatz.alpha),
         ("S", s_even), ("Lambda", lam_odd),
         ("real_odd", split.real_odd), ("imag_even", split.imag_even)])
 
 
-def _task_family_inverse(a: _Analysis, opts, tol):
+def _task_family_inverse(a: _Analysis):
     spec = a.spec
     grid, ansatz = _family_parts(spec)
-    branch = int(opts.get("branch", +1))
+    branch = int(a.opts.get("branch", +1))
     if "s_even" in spec.payload:
         s_even = spec.payload["s_even"]
         lam_odd = spec.payload["lam_odd"]
@@ -634,6 +638,10 @@ def _task_family_inverse(a: _Analysis, opts, tol):
     rows = [_row("omega_sign_convention", "S_minus_omega")]
     if roundtrip:
         mask = np.abs(ansatz.sigma) > 1e-6
+        if not mask.any():
+            raise SigmaVanishes(
+                "sigma vanishes at every point; alpha is not recoverable",
+                indices=np.arange(grid.npoints))
         sig_err = float(np.abs(branch * recovered.sigma
                                - ansatz.sigma)[mask].max())
         alp_err = float(np.abs(branch * recovered.alpha
@@ -644,14 +652,14 @@ def _task_family_inverse(a: _Analysis, opts, tol):
                          alp_err <= 1e-12, 1e-12))
     rows.append(_row("omega", ansatz.omega))
     rows.append(_row("branch", branch))
-    return rows, _series(grid.points, [("sigma_recovered", recovered.sigma),
-                                       ("alpha_recovered", recovered.alpha)])
+    return rows, (grid.points, [("sigma_recovered", recovered.sigma),
+                                ("alpha_recovered", recovered.alpha)])
 
 
-def _task_family_check(a: _Analysis, opts, tol):
+def _task_family_check(a: _Analysis):
     spec = a.spec
     grid, ansatz = _family_parts(spec)
-    levels = int(opts.get("refine", 0))
+    levels = int(a.opts.get("refine", 0))
     # min() keeps 2**levels small; any level above 64 is over the cap
     if levels < 0 or ((grid.npoints - 1) * 2 ** min(levels, 64) + 1
                       > MAX_REFINED_POINTS):
@@ -703,8 +711,8 @@ def _task_family_check(a: _Analysis, opts, tol):
                 rows.append(_row(f"ode_ratio_Lambda_level{k}", prev[1] / fr2))
             prev = (fr1, fr2)
 
-    return rows, _series(cm.x, [("d1_abs", np.abs(cm.d1)),
-                                ("d0_abs", np.abs(cm.d0))])
+    return rows, (cm.x, [("d1_abs", np.abs(cm.d1)),
+                         ("d0_abs", np.abs(cm.d0))])
 
 
 # the tasks of a battery on an operator model and on a family model, in
@@ -726,10 +734,10 @@ def _error_value(exc: QuasihermError):
     return str(exc)
 
 
-def _run_task(a: _Analysis, task: str) -> tuple[list, list | None]:
+def _run_task(a: _Analysis, task: str) -> tuple[list, tuple | None]:
     """Rows and series of one task; a domain error becomes one failed row."""
     try:
-        return _TASKS[task](a, a.opts, a.tol)
+        return _TASKS[task](a)
     except QuasihermError as exc:
         return [_row(exc.code, _error_value(exc), False)], None
 

@@ -447,3 +447,83 @@ def test_zero_psi0_is_a_schema_row(model_file, tmp_path, capsys, vector):
     assert code == 1
     assert [r["name"] for r in doc["rows"]] == ["SchemaError"]
     assert "psi0: psi0 must be nonzero" in doc["rows"][0]["value"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("content", ["1.5", "null", "true"])
+def test_scalar_psi0_file_is_a_schema_row(model_file, tmp_path, capsys,
+                                          content):
+    # only an integer index or a list of entries names a state; true is not
+    # the index 1
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(content)
+    code, doc = run_json(capsys, ["evolve", "--model", model_file(MODEL_2X2),
+                                  "--psi0", str(psi_path)])
+    assert code == 1
+    assert [r["name"] for r in doc["rows"]] == ["SchemaError"]
+    assert "psi0: expected a basis index or a list" in doc["rows"][0]["value"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,name", [
+    (["family", "inverse"], "SigmaVanishes"),
+    (["report"], "family-inverse.SigmaVanishes"),
+])
+def test_vanishing_sigma_roundtrip_is_a_failed_row(model_file, capsys, argv,
+                                                   name):
+    # S = -x^2 and Lambda = 0 give sigma = 0 everywhere: alpha is lost
+    model = {"kind": "family", "grid": {"L": 1, "N": 5}, "sigma": "0",
+             "alpha": "x"}
+    code, doc = run_json(capsys, argv + ["--model", model_file(model)])
+    assert code == 1
+    failed = [r for r in doc["rows"] if r["pass"] is False]
+    assert [r["name"] for r in failed] == [name]
+    assert failed[0]["value"] == [0, 1, 2, 3, 4]
+
+
+FAMILY_TASK_ARGV = [["family", "forward"], ["family", "inverse"],
+                    ["family", "check"], ["report"]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", FAMILY_TASK_ARGV, ids=" ".join)
+@pytest.mark.parametrize("model", [
+    {"kind": "family", "grid": {"L": 1, "N": 5}, "sigma": "1e200",
+     "alpha": "x"},
+    {"kind": "family", "grid": {"L": 1e155, "N": 1001}, "sigma": "1",
+     "alpha": "x"},
+], ids=["sigma-1e200", "alpha-1e155"])
+def test_overflowing_family_potential_is_a_failed_row(model_file, capsys,
+                                                      argv, model):
+    # S = sigma^2 - alpha^2 + omega overflows a double
+    code, doc = run_json(capsys, argv + ["--model", model_file(model)])
+    assert code == 1
+    failed = [r for r in doc["rows"] if r["pass"] is False]
+    assert failed and all(r["name"].endswith("NonFiniteResult")
+                          for r in failed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_inverse_root_is_a_failed_row(model_file, capsys):
+    # S = 1e200 is finite, (S - omega)^2 in the inverse map is not
+    model = {"kind": "family", "grid": {"L": 1, "N": 5}, "sigma": "1e100",
+             "alpha": "x"}
+    code, doc = run_json(capsys, ["family", "inverse", "--model",
+                                  model_file(model)])
+    assert code == 1
+    assert [r["name"] for r in doc["rows"]] == ["NonFiniteResult"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["schroedinger", "family"])
+@pytest.mark.parametrize("length", [1e-300, 1e-160, 1e160, 1e300])
+def test_grid_without_finite_inverse_square_spacing_exit_two(
+        model_file, capsys, kind, length):
+    # h = L / 2 here, and the second difference scales by 1/h^2
+    model = {"kind": kind, "grid": {"L": length, "N": 5}}
+    if kind == "family":
+        model.update(sigma="1", alpha="x")
+    assert main(["report", "--model", model_file(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid.L: 1/h^2" in captured.err

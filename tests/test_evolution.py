@@ -268,3 +268,26 @@ def test_batched_traces_raise_the_first_offender(case, error, name):
     with pytest.raises(error, match="^" + re.escape(str(expected.value))
                        + "$"):
         norm_traces(traj, metrics)
+
+
+def test_identity_trace_equals_the_product_bit_for_bit():
+    rng = np.random.default_rng(7)
+    states = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
+    traj = Trajectory(np.arange(50.0), states)
+    product = np.einsum("ti,ti->t", states.conj(), states @ np.eye(6).T).real
+    traces = norm_trace_columns(traj, {"I": np.eye(6, dtype=complex)})
+    assert traces["I"].tobytes() == product.tobytes()
+
+
+@pytest.mark.parametrize("metric", [
+    np.diag([1.0, 1.0, 1.5]),
+    np.eye(3) + np.diag([0.25, 0.25], 1) + np.diag([0.25, 0.25], -1),
+], ids=["diagonal", "tridiagonal"])
+def test_near_identity_metric_takes_the_product(metric):
+    rng = np.random.default_rng(8)
+    states = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+    traj = Trajectory(np.arange(20.0), states)
+    product = np.einsum("ti,ti->t", states.conj(), states @ metric.T).real
+    traces = norm_trace_columns(traj, {"M": metric})
+    assert traces["M"].tobytes() == product.tobytes()
+    assert not np.array_equal(traces["M"], np.sum(np.abs(states) ** 2, 1))

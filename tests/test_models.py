@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,3 +462,59 @@ def test_array_wise_parse_leaves_errors_to_the_scalar_loop(data, path):
     with pytest.raises(SchemaError) as err:
         models._parse_matrix(data, "data")
     assert err.value.path == path
+
+
+SERIES_TASKS = {
+    "evolve": (MODEL_2X2, ["identity", "theta"]),
+    "family-forward": (MODEL_FAMILY, ["sigma", "alpha", "S", "Lambda",
+                                      "real_odd", "imag_even"]),
+    "family-inverse": (MODEL_FAMILY, ["sigma_recovered", "alpha_recovered"]),
+    "family-check": (MODEL_FAMILY, ["d1_abs", "d0_abs"]),
+}
+
+
+@pytest.mark.parametrize("task", SERIES_TASKS)
+def test_series_are_the_task_arrays(task):
+    doc, names = SERIES_TASKS[task]
+    report = run_scenario(parse_model(doc), task)
+    x, named = report.series
+    assert isinstance(x, np.ndarray) and x.ndim == 1
+    assert [name for name, _ in named] == names
+    for _, column in named:
+        assert isinstance(column, np.ndarray) and column.shape == x.shape
+        assert column.dtype == float
+
+
+def point_major_csv(x, named):
+    """The point-major series rows, (x, name, value) for every series at
+    each x in turn, rendered one row per line."""
+    columns = [(name, samples.tolist()) for name, samples in named]
+    rows = [(xj, name, col[j]) for j, xj in enumerate(x.tolist())
+            for name, col in columns]
+    return "".join(f"{models.format_float(t)},{name},"
+                   f"{models.format_float(v)}\n" for t, name, v in rows)
+
+
+@pytest.mark.parametrize("task", SERIES_TASKS)
+def test_series_csv_is_point_major(task):
+    doc, _ = SERIES_TASKS[task]
+    report = run_scenario(parse_model(doc), task)
+    assert report.to_csv() == ("t_or_x,series,value\n"
+                               + point_major_csv(*report.series))
+
+
+def test_json_evolve_keeps_only_its_arrays():
+    spec = parse_model(MODEL_2X2)
+    steps = 2 ** 18
+    trajectory_bytes = steps * 2 * 16  # complex states of the 2x2 model
+    tracemalloc.start()
+    try:
+        report = run_scenario(spec, "evolve", {"steps": steps})
+        report.to_json()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    # the times and the two trace columns, no per-sample Python objects
+    assert kept < 2 * trajectory_bytes
+    assert peak < 6 * trajectory_bytes
