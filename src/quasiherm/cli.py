@@ -7,6 +7,7 @@ Exit codes: 0 when every report row passes, 1 when any row fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -112,12 +113,12 @@ def _psi0_option(raw: str):
 
 
 def _emit(report: Report, out: str | None, fmt: str) -> None:
-    text = report.to_json() if fmt == "json" else report.to_csv()
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if out is None else
+          open(out, "w", encoding="utf-8", newline="")) as fh:
+        if fmt == "json":
+            fh.write(report.to_json())
+        else:
+            report.write_csv(fh)
 
 
 def main(argv=None) -> int:

@@ -258,12 +258,14 @@ def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
     Besides the pointwise S and Lambda, the first-order coefficient of the
     composition residual forces real_odd = -sigma' and imag_even = -alpha'
     whenever the ansatz is not constant; derivatives are taken with
-    second-order central differences (one-sided at the ends, which
-    preserves the exact parity of the samples).
+    second-order central differences, one-sided at the ends.  The two
+    one-sided end stencils are not mirror images in floating point, so the
+    derivatives are projected onto their parity (sigma' odd, alpha' even);
+    the interior differences already have it exactly and do not change.
     """
     s_even, lam_odd = forward_family(a)
-    ds = np.gradient(a.sigma, grid.spacing, edge_order=2)
-    da = np.gradient(a.alpha, grid.spacing, edge_order=2)
+    ds = odd_part(np.gradient(a.sigma, grid.spacing, edge_order=2))
+    da = even_part(np.gradient(a.alpha, grid.spacing, edge_order=2))
     return make_split(grid, s_even, -ds, -da, lam_odd)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -52,6 +53,10 @@ MAX_EVOLVE_ENTRIES = 2 ** 22
 # checked before any level is sampled: each level samples the model
 # expressions and runs the banded checks on a few dozen grid-sized arrays
 MAX_REFINED_POINTS = 2 ** 20 + 1
+
+# points of a report series rendered per write of Report.write_csv, which
+# bounds the CSV text held at once (a few MB per series at this size)
+CSV_CHUNK_POINTS = 2 ** 16
 
 MODEL_KINDS = ("matrix", "lattice", "schroedinger", "family")
 
@@ -159,24 +164,36 @@ class Report:
         return canonical_json(doc) + "\n"
 
     def to_csv(self) -> str:
-        if self.series is not None:
-            # point-major: every series at x_j, then every series at x_j+1
-            x, named = self.series
-            lines = ["t_or_x,series,value"]
-            for xj, *vals in zip(x.tolist(), *(c.tolist() for _, c in named)):
-                xs = format_float(xj)
-                lines += [f"{xs},{name},{format_float(v)}"
-                          for (name, _), v in zip(named, vals)]
-        else:
-            lines = ["name,value,pass,tol"]
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
+
+    def write_csv(self, out) -> None:
+        """Write the CSV text to the text stream ``out``; a series is
+        written CSV_CHUNK_POINTS points at a time."""
+        if self.series is None:
+            lines = ["name,value,pass,tol\n"]
             for r in self.rows:
                 passed = "" if r.passed is None else str(bool(r.passed)).lower()
                 tol = "" if r.tol is None else format_float(r.tol)
                 value = canonical_json(r.value)
                 if "," in value or '"' in value:
                     value = '"' + value.replace('"', '""') + '"'
-                lines.append(f"{r.name},{value},{passed},{tol}")
-        return "\n".join(lines) + "\n"
+                lines.append(f"{r.name},{value},{passed},{tol}\n")
+            out.write("".join(lines))
+            return
+        # point-major: every series at x_j, then every series at x_j+1
+        x, named = self.series
+        out.write("t_or_x,series,value\n")
+        for start in range(0, x.size, CSV_CHUNK_POINTS):
+            chunk = slice(start, start + CSV_CHUNK_POINTS)
+            lines = []
+            for xj, *vals in zip(x[chunk].tolist(),
+                                 *(c[chunk].tolist() for _, c in named)):
+                xs = format_float(xj)
+                lines += [f"{xs},{name},{format_float(v)}\n"
+                          for (name, _), v in zip(named, vals)]
+            out.write("".join(lines))
 
 
 def _need(doc: dict, key: str, path: str):
@@ -278,12 +295,15 @@ def _parse_grid(doc, path: str, max_points: float = math.inf) -> Grid:
     if npts > max_points:
         raise SchemaError(f"N must be at most {max_points}", f"{path}.N")
     grid = make_grid(length, npts)
-    # the second-difference stencil scales by 1/h^2
+    # the second-difference stencil scales by 1/h^2; the residual norms of
+    # an operator built on it need its squared Frobenius norm, (6N - 2)/h^4,
+    # to be finite
     h2 = grid.spacing * grid.spacing
-    if not (0.0 < h2 < math.inf and math.isfinite(1.0 / h2)):
+    if not (0.0 < h2 < math.inf and math.isfinite((6 * npts - 2) / h2 / h2)):
         raise SchemaError(
-            f"1/h^2 for spacing h = {grid.spacing!r} is not a finite "
-            "nonzero number", f"{path}.L")
+            f"1/h^2 for spacing h = {grid.spacing!r} is zero or too large: "
+            "(6N - 2)/h^4, the squared Frobenius norm of the second "
+            "difference, is not finite", f"{path}.L")
     return grid
 
 

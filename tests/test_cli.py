@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quasiherm import models
 from quasiherm.cli import build_parser, main
 from quasiherm.models import (MAX_DENSE_DIM, MAX_EVOLVE_ENTRIES,
                               MAX_REFINED_POINTS, parse_model, run_battery,
@@ -527,3 +528,56 @@ def test_grid_without_finite_inverse_square_spacing_exit_two(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "grid.L: 1/h^2" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["schroedinger", "family"])
+def test_grid_whose_stencil_norm_overflows_exit_two(model_file, capsys, kind):
+    # 1/h^2 = 4e300 is finite, but H products and ||H||_F^2 are not
+    model = {"kind": kind, "grid": {"L": 1e-150, "N": 5}}
+    if kind == "family":
+        model.update(sigma="1", alpha="x")
+    assert main(["report", "--model", model_file(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid.L: 1/h^2" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_at_the_stencil_norm_bound_reports_finite_rows(model_file,
+                                                            capsys):
+    # h = 5.2e-77: (6N - 2)/h^4 = 1.6e308, just below the largest double
+    model = {"kind": "schroedinger", "grid": {"L": 5.2e-75, "N": 201}}
+    code, doc = run_json(capsys, ["report", "--model", model_file(model)])
+    assert code == 0
+    numbers = [r["value"] for r in doc["rows"]
+               if isinstance(r["value"], (int, float))]
+    assert numbers and all(np.isfinite(numbers))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["family", "forward"], ["family", "check"]],
+                         ids=" ".join)
+def test_constant_large_sigma_keeps_exact_parity(model_file, capsys, argv):
+    # sigma' = 0; the one-sided end stencils once left |sigma| eps / h of
+    # roundoff that was not odd
+    model = {"kind": "family", "grid": {"L": 1, "N": 5}, "sigma": "1e100",
+             "alpha": "x"}
+    code, doc = run_json(capsys, argv + ["--model", model_file(model)])
+    assert code == 0
+    values = [r["value"] for r in doc["rows"]]
+    assert all(np.isfinite(v) for v in values if isinstance(v, float))
+
+
+def test_csv_written_in_chunks_has_the_same_bytes(model_file, tmp_path,
+                                                  monkeypatch):
+    path = model_file(MODEL_2X2)
+    argv = ["evolve", "--model", path, "--format", "csv", "--steps", "50"]
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    assert main(argv + ["--out", str(whole)]) == 0
+    monkeypatch.setattr(models, "CSV_CHUNK_POINTS", 7)
+    assert main(argv + ["--out", str(chunked)]) == 0
+    assert chunked.read_bytes() == whole.read_bytes()
+    expected = run_scenario(parse_model(MODEL_2X2), "evolve",
+                            {"steps": 50}).to_csv()
+    assert whole.read_bytes() == expected.encode()

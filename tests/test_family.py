@@ -538,3 +538,20 @@ def test_real_even_potential_gives_real_symmetric_matrix():
     h = discretize_hamiltonian(g, g.points ** 2)
     assert np.abs(h.imag).max() == 0.0
     assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("n", [5, 11, 201])
+def test_compatible_split_derivatives_have_exact_parity(n):
+    # sigma' of an even sample is odd and alpha' of an odd one is even, bit
+    # for bit; only the one-sided end values differ from np.gradient
+    rng = np.random.default_rng(n)
+    g = make_grid(1.3, n)
+    a = make_ansatz(g, even_part(1.0 + rng.random(n)),
+                    odd_part(rng.normal(size=n)), 0.2)
+    ps = compatible_split(a, g)
+    assert np.array_equal(ps.real_odd, -ps.real_odd[::-1])
+    assert np.array_equal(ps.imag_even, ps.imag_even[::-1])
+    assert np.array_equal(ps.real_odd[1:-1],
+                          -np.gradient(a.sigma, g.spacing, edge_order=2)[1:-1])
+    assert np.array_equal(ps.imag_even[1:-1],
+                          -np.gradient(a.alpha, g.spacing, edge_order=2)[1:-1])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from quasiherm import (DegenerateSpectrum, SelfOrthogonal, biorthonormalize,
-                       eigendecompose, is_real_spectrum)
+                       discretize_hamiltonian, eigendecompose, is_real_spectrum,
+                       make_grid)
+from quasiherm import spectral
 
 from conftest import random_diagonalizable
 
@@ -128,3 +130,188 @@ def test_ill_conditioned_right_system_uses_adjoint_route():
     assert np.abs(np.sort(s.eigenvalues.real) - np.array([-1.0, 1.0])).max() <= 1e-6
     diag = np.einsum("ij,ij->j", s.left_vectors.conj(), s.right_vectors)
     assert np.abs(diag - 1.0).max() <= 1e-12
+
+
+# --- real arithmetic for real and PT-symmetric matrices -------------------
+
+def record_eig(monkeypatch):
+    """Dtypes of the arrays np.linalg.eig is called on."""
+    dtypes = []
+    original = np.linalg.eig
+
+    def recorded(m):
+        dtypes.append(np.asarray(m).dtype)
+        return original(m)
+    monkeypatch.setattr(np.linalg, "eig", recorded)
+    return dtypes
+
+
+def pt_hamiltonian(rng, dim, g):
+    """H = A + i g B, A real symmetric centrosymmetric and B real symmetric
+    anti-centrosymmetric, so that J conj(H) J = H for the flip J."""
+    a = rng.normal(size=(dim, dim))
+    a = a + a.T
+    a = a + a[::-1, ::-1]
+    b = rng.normal(size=(dim, dim))
+    b = b + b.T
+    b = b - b[::-1, ::-1]
+    return a + 1j * g * b
+
+
+def from_real_form(b):
+    """S B S^dagger, S = (1 + iJ)/sqrt(2): PT-symmetric for any real B."""
+    n = b.shape[0]
+    s = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
+    return s @ b @ s.conj().T
+
+
+def lattice(n, gamma):
+    """Open chain with alternating gain and loss; PT-symmetric for even n."""
+    return (np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+            + np.diag(1j * gamma * (-1.0) ** np.arange(n)))
+
+
+@pytest.mark.parametrize("case", ["real", "pt-2x2", "pt-lattice",
+                                  "pt-random"])
+def test_real_and_pt_symmetric_matrices_take_one_real_eig(monkeypatch, case,
+                                                          model_h):
+    h = {"real": np.array([[2.0, 1.0, 0.0], [0.5, -1.0, 3.0],
+                           [0.0, 1.0, 0.5]]),
+         "pt-2x2": model_h,
+         "pt-lattice": lattice(8, 0.3),
+         "pt-random": pt_hamiltonian(np.random.default_rng(1), 9, 0.05)}[case]
+    dtypes = record_eig(monkeypatch)
+    s = eigendecompose(h)
+    assert dtypes == [np.dtype(float)]
+    assert s.eigenvalues.dtype == complex
+    assert s.right_vectors.dtype == complex
+    assert np.abs(s.pairing() - np.eye(s.dim)).max() <= 1e-12
+    err = np.linalg.norm(h - s.reconstruction())
+    assert err <= 1e-13 * s.dim * np.linalg.norm(h)
+
+
+def test_real_matrix_keeps_real_eigenvectors():
+    # real and centrosymmetric, hence PT-symmetric too: the real route comes
+    # first, so the pairings stay real (the PT route would give S w)
+    h = np.diag([4.0, 1.0, 0.0, 1.0, 4.0]) - np.eye(5, k=1) - np.eye(5, k=-1)
+    assert np.array_equal(h[::-1, ::-1], h.conj())
+    s = eigendecompose(h)
+    assert not s.eigenvalues.imag.any()
+    assert not s.right_vectors.imag.any()
+    assert not s.left_vectors.imag.any()
+
+
+def test_unbroken_pt_matrix_inverts_in_real_arithmetic(monkeypatch):
+    inverted = []
+    original = np.linalg.inv
+
+    def recorded(m):
+        inverted.append(np.asarray(m).dtype)
+        return original(m)
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    eigendecompose(lattice(8, 0.3))
+    assert inverted == [np.dtype(float)]
+
+
+def test_real_inverse_keeps_three_digits_under_the_pairing_tolerance():
+    # README harmonic model: the real inverse alone pairs to 1.2e-13 in
+    # Frobenius norm, 2.9 digits under the spectrum row's 1e-10
+    grid = make_grid(8.0, 401)
+    s = eigendecompose(discretize_hamiltonian(grid, grid.points ** 2),
+                       gap_floor=0.0)
+    assert np.linalg.norm(s.pairing() - np.eye(s.dim)) <= 1e-13
+
+
+def test_one_ulp_off_pt_symmetry_takes_the_complex_route(monkeypatch, model_h):
+    h = model_h.copy()
+    h[0, 1] = np.nextafter(h[0, 1].real, 2.0)
+    dtypes = record_eig(monkeypatch)
+    s = eigendecompose(h)
+    assert dtypes == [np.dtype(complex)]
+    ref = np.sort(np.linalg.eigvals(h).real)
+    assert np.abs(s.eigenvalues.real - ref).max() <= 1e-14
+
+
+def test_explicit_pseudometric_model_takes_the_complex_route(monkeypatch):
+    # H = P^-1 M with P = diag(1, 2, -1.5, 3) and M Hermitian positive
+    # definite: P-pseudo-Hermitian, not PT-symmetric
+    p = np.diag([1.0, 2.0, -1.5, 3.0])
+    m = np.array([[4.0, 1.0, 0.5j, 0.0],
+                  [1.0, 3.0, 0.25, -0.5j],
+                  [-0.5j, 0.25, 5.0, 1.0],
+                  [0.0, 0.5j, 1.0, 2.0]])
+    h = np.linalg.solve(p, m)
+    dtypes = record_eig(monkeypatch)
+    eigendecompose(h)
+    assert dtypes == [np.dtype(complex)]
+
+
+def eigenvalue_conditions(h):
+    """numpy's eigenvalues of the complex matrix with their condition
+    numbers ||phi_n|| ||psi_n|| / |<phi_n|psi_n>|, left vectors from V^-1."""
+    vals, v = np.linalg.eig(h.astype(complex))
+    left = np.linalg.inv(v).conj().T
+    kappa = (np.linalg.norm(left, axis=0) * np.linalg.norm(v, axis=0)
+             / np.abs(np.einsum("ij,ij->j", left.conj(), v)))
+    return vals, kappa
+
+
+def assert_matches_complex_eig(h, s, rtol):
+    ref, kappa = eigenvalue_conditions(h)
+    radius = np.abs(ref).max()
+    for lam in s.eigenvalues:
+        k = int(np.argmin(np.abs(ref - lam)))
+        assert abs(ref[k] - lam) <= rtol * radius * kappa[k]
+
+
+@pytest.mark.parametrize("case", ["2x2", "lattice", "random"])
+def test_broken_phase_pt_matrix_gives_exact_conjugate_pairs(monkeypatch, case,
+                                                            broken_h):
+    h = {"2x2": broken_h, "lattice": lattice(10, 1.5),
+         "random": pt_hamiltonian(np.random.default_rng(2), 8, 2.0)}[case]
+    dtypes = record_eig(monkeypatch)
+    s = eigendecompose(h)
+    assert dtypes == [np.dtype(float)]
+    vals = s.eigenvalues
+    assert np.abs(vals.imag).max() > 1e-3  # the phase is broken
+    # the real similar matrix has exactly conjugate eigenvalue pairs
+    assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+    assert_matches_complex_eig(h, s, 64 * np.finfo(float).eps)
+
+
+def test_adjoint_route_runs_in_real_arithmetic(monkeypatch):
+    # B has eigenvalues +-1 and right eigenvectors of condition ~ 1e9; its
+    # PT-symmetric similar matrix takes the adjoint route for the left system
+    h = from_real_form(np.array([[1.0, 1e9], [0.0, -1.0]]))
+    assert np.array_equal(h[::-1, ::-1], h.conj())
+    dtypes = record_eig(monkeypatch)
+    routes = []
+    original = spectral._left_from_adjoint
+
+    def recorded(m, vals):
+        routes.append("adjoint")
+        return original(m, vals)
+    monkeypatch.setattr(spectral, "_left_from_adjoint", recorded)
+    s = eigendecompose(h)
+    assert routes == ["adjoint"]
+    assert dtypes == [np.dtype(float), np.dtype(float)]
+    assert np.abs(s.eigenvalues - np.array([-1.0, 1.0])).max() <= 1e-6
+    diag = np.einsum("ij,ij->j", s.left_vectors.conj(), s.right_vectors)
+    assert np.abs(diag - 1.0).max() <= 1e-12
+
+
+def test_pt_route_matches_complex_eig_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      dim=st.integers(2, 12),
+                      g=st.floats(0.0, 2.0))
+    def check(seed, dim, g):
+        h = pt_hamiltonian(np.random.default_rng(seed), dim, g)
+        s = eigendecompose(h, gap_floor=0.0)
+        assert_matches_complex_eig(h, s, 1e-8)
+        assert np.abs(s.pairing() - np.eye(dim)).max() <= 1e-12
+
+    check()
