@@ -74,7 +74,7 @@ class PseudoMetric:
         if self.kind == "parity":
             return parity_matrix(self.dim)
         if self.kind == "identity":
-            return np.eye(self.dim, dtype=complex)
+            return np.eye(self.dim)
         return self.entries
 
     @cached_property

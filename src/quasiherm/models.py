@@ -33,7 +33,8 @@ from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      tridiagonal)
 from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
                       spectral_metric)
-from .spectral import SpectralData, eigendecompose, is_real_spectrum
+from .spectral import (SpectralData, eigendecompose, is_real_spectrum,
+                       matrix_from_real_form, real_form, state_to_real_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -430,6 +431,12 @@ class _Analysis:
     quantity is built on first use and kept only if the build succeeds, so
     a task that needs nothing raises nothing, and a domain error is raised
     afresh, with the same text, by every task that needs the quantity.
+
+    Under a "parity" or "identity" P, a real or PT-symmetric H is analyzed
+    in its real form (``spectral.real_form``): H itself when it is real,
+    else B = S^dagger H S (``rotated``).  S is unitary and S^dagger P S = P,
+    so every residual, eigenvalue and verdict is that of H; only the
+    matrix rows (``model_matrix``) and psi0 cross between the frames.
     """
 
     def __init__(self, spec: ModelSpec, opts: dict, tol: float):
@@ -438,14 +445,35 @@ class _Analysis:
         self.tol = tol
 
     @cached_property
-    def h(self) -> np.ndarray:
+    def _frame(self) -> tuple[np.ndarray, bool]:
+        """The operator the tasks analyze, and whether it is rotated."""
         payload = self.spec.payload
         if "matrix" in payload:
-            return payload["matrix"]
-        if self.spec.kind == "schroedinger":
-            return discretize_hamiltonian(payload["grid"], payload["potential"])
-        raise SchemaError(
-            f"task needs an operator model, got kind {self.spec.kind!r}")
+            h = payload["matrix"]
+        elif self.spec.kind == "schroedinger":
+            h = discretize_hamiltonian(payload["grid"], payload["potential"])
+        else:
+            raise SchemaError(
+                f"task needs an operator model, got kind {self.spec.kind!r}")
+        if isinstance(payload.get("pseudometric", "parity"), str):
+            return real_form(h) or (h, False)
+        return h, False
+
+    @property
+    def h(self) -> np.ndarray:
+        """H, or its real form B in the frame of the analysis."""
+        return self._frame[0]
+
+    @property
+    def rotated(self) -> bool:
+        return self._frame[1]
+
+    def model_matrix(self, x: np.ndarray) -> np.ndarray:
+        """A matrix of the analysis as a complex matrix in the frame of the
+        model's H: S X S^dagger when rotated, O(N^2)."""
+        if self.rotated:
+            return matrix_from_real_form(x)
+        return x.astype(complex, copy=False)
 
     @cached_property
     def spectrum(self) -> SpectralData:
@@ -515,7 +543,7 @@ def _task_metric(a: _Analysis):
         _row("theta_condition", cand.condition),
     ]
     if cand.theta.shape[0] <= MATRIX_ROW_DIM_CAP:
-        rows.append(_row("theta", cand.theta))
+        rows.append(_row("theta", a.model_matrix(cand.theta)))
     return rows, None
 
 
@@ -537,8 +565,8 @@ def _task_factorize(a: _Analysis):
         _row("p_signature", [pm.signature[0], pm.signature[1]]),
     ]
     if h.shape[0] <= MATRIX_ROW_DIM_CAP:
-        rows.append(_row("charge", charge))
-        rows.append(_row("theta", cand.theta))
+        rows.append(_row("charge", a.model_matrix(charge)))
+        rows.append(_row("theta", a.model_matrix(cand.theta)))
     return rows, None
 
 
@@ -588,10 +616,12 @@ def _task_evolve(a: _Analysis):
             f"need steps * dim <= {MAX_EVOLVE_ENTRIES}, got {steps} * "
             f"{h.shape[0]}", "evolve")
     psi0 = _psi0_from_options(a.opts, h.shape[0])
+    if a.rotated:
+        psi0 = state_to_real_form(psi0)  # the norm traces do not change
     times = np.linspace(0.0, t_max, steps)
     traj = propagate_spectrum(a.spectrum, psi0, times)
 
-    metrics = {"identity": np.eye(h.shape[0], dtype=complex)}
+    metrics = {"identity": np.eye(h.shape[0])}
     real, max_imag = is_real_spectrum(a.spectrum, a.tol)
     if real:
         metrics["theta"] = a.metric.theta

@@ -1,4 +1,4 @@
-"""Dense complex operator algebra and metric-weighted Hermitian conjugations.
+"""Dense operator algebra and metric-weighted Hermitian conjugations.
 
 All values live in a fixed working basis (the standard coordinate basis),
 which pins down the antilinear time reversal as plain entrywise
@@ -24,8 +24,9 @@ METRIC_CONDITION_CAP = 1e12
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix (always a fresh copy)."""
-    m = np.array(a, dtype=complex)
+    """Coerce to a finite square float or complex matrix, as the input is
+    real or complex (always a fresh copy)."""
+    m = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -99,7 +100,7 @@ def parity_matrix(n: int) -> np.ndarray:
     """Index-reversal permutation matrix: Hermitian, real, involutory."""
     if int(n) != n or n < 1:
         raise DimensionMismatch("parity needs a positive integer dimension")
-    return np.fliplr(np.eye(int(n), dtype=complex)).copy()
+    return np.fliplr(np.eye(int(n))).copy()
 
 
 def _tridiagonal_bands(a: np.ndarray

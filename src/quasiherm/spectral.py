@@ -1,9 +1,10 @@
-"""Biorthogonal eigensystems for dense complex matrices.
+"""Biorthogonal eigensystems for dense matrices.
 
 The right system diagonalizes A, the left system diagonalizes A^dagger
 (with conjugated eigenvalues), and the two are rescaled to the pairing
 <phi_m|psi_n> = delta_mn so that sum_n |psi_n><phi_n| = 1.  Real and
-PT-symmetric matrices are solved in real arithmetic (``_eig``).
+PT-symmetric matrices are solved in real arithmetic (``real_form``), and
+a real matrix with a real spectrum keeps real eigenvectors.
 """
 
 from __future__ import annotations
@@ -54,18 +55,24 @@ class SpectralData:
         return self.left_vectors.conj().T @ self.right_vectors
 
     def reconstruction(self) -> np.ndarray:
-        """sum_n lambda_n |psi_n><phi_n|; reproduces the decomposed matrix."""
-        return (self.right_vectors * self.eigenvalues) @ self.left_vectors.conj().T
+        """sum_n lambda_n |psi_n><phi_n|; reproduces the decomposed matrix,
+        in real arithmetic when the eigensystem is real."""
+        vals = self.eigenvalues
+        if not vals.imag.any():
+            vals = vals.real
+        return (self.right_vectors * vals) @ self.left_vectors.conj().T
 
 
 def _as_columns(vectors) -> np.ndarray:
+    """The vectors as the columns of a float or complex array, as the input
+    is real or complex; an array of that dtype is not copied."""
     if isinstance(vectors, (list, tuple)):
-        cols = np.column_stack([np.asarray(v, dtype=complex).ravel()
-                                for v in vectors])
+        cols = np.column_stack([np.ravel(v) for v in vectors])
     else:
-        cols = np.array(vectors, dtype=complex)
+        cols = np.asarray(vectors)
         if cols.ndim == 1:
             cols = cols[:, None]
+    cols = cols.astype(complex if np.iscomplexobj(cols) else float, copy=False)
     if cols.ndim != 2:
         raise DimensionMismatch("expected vectors as columns")
     return cols
@@ -100,31 +107,48 @@ def biorthonormalize(right, left) -> tuple[np.ndarray, np.ndarray]:
     return r, l
 
 
+def real_form(m: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """A real matrix unitarily similar to the square m, and whether m was
+    rotated to get it; None when this test finds none.
+
+    A real m (no imaginary part) is its own real form.  A PT-symmetric m,
+    J conj(m) J = m with J the flip, is similar to the real
+    B = S^dagger m S = Re m - Im(mJ - Jm)/2 under the unitary
+    S = (1 + iJ)/sqrt(2).  S commutes with J, so S^dagger J S = J: B is
+    pseudo-Hermitian under the flip and the identity exactly when m is.
+    """
+    if not np.iscomplexobj(m) or not m.imag.any():
+        return np.ascontiguousarray(m.real), False
+    if np.array_equal(m[::-1, ::-1], m.conj()):
+        return m.real + 0.5 * (m.imag[::-1] - m.imag[:, ::-1]), True
+    return None
+
+
 def _from_real_form(w: np.ndarray) -> np.ndarray:
     """S w with S = (1 + iJ)/sqrt(2), J the flip; unitary, so column norms
     are kept."""
     return (w + 1j * w[::-1]) / _SQRT2
 
 
+def state_to_real_form(v: np.ndarray) -> np.ndarray:
+    """S^dagger v, the state v of m in the frame of its real form B."""
+    return (v - 1j * v[::-1]) / _SQRT2
+
+
+def matrix_from_real_form(x: np.ndarray) -> np.ndarray:
+    """S X S^dagger, the matrix X of the frame of B in the frame of m."""
+    return _from_real_form(_from_real_form(x).conj().T).conj().T
+
+
 def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Eigenvalues (complex) and eigenvectors W of m, in real arithmetic
-    where the matrix allows it.
+    where ``real_form`` finds a real B similar to m.
 
-    A real m is solved as it is.  A PT-symmetric m, J conj(m) J = m, is
-    unitarily similar to the real B = S^dagger m S = Re m - Im(mJ - Jm)/2,
-    which is solved instead; then the eigenvectors of m are S W and the
-    returned flag is True.  Any other m takes the complex solver.
+    When m was rotated to B = S^dagger m S, the eigenvectors of m are S W
+    and the returned flag is True.  Any other m takes the complex solver.
     """
-    if not m.imag.any():
-        vals, w = np.linalg.eig(m.real)
-        rotated = False
-    elif np.array_equal(m[::-1, ::-1], m.conj()):
-        b = m.real + 0.5 * (m.imag[::-1] - m.imag[:, ::-1])
-        vals, w = np.linalg.eig(b)
-        rotated = True
-    else:
-        vals, w = np.linalg.eig(m)
-        rotated = False
+    b, rotated = real_form(m) or (m, False)
+    vals, w = np.linalg.eig(b)
     return vals.astype(complex, copy=False), w, rotated
 
 

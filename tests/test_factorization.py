@@ -294,7 +294,7 @@ def test_structured_pseudometric_products_equal_dense_ones(kind, n):
     # reversal and copy are the dense products bit for bit; no structured
     # product builds or inverts a matrix
     rng = np.random.default_rng(n)
-    dense = parity_matrix(n) if kind == "parity" else np.eye(n, dtype=complex)
+    dense = parity_matrix(n) if kind == "parity" else np.eye(n)
     pm = PseudoMetric.structured(kind, n)
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     v = x[:, -1].copy()
