@@ -456,7 +456,7 @@ class _Analysis:
             raise SchemaError(
                 f"task needs an operator model, got kind {self.spec.kind!r}")
         if isinstance(payload.get("pseudometric", "parity"), str):
-            return real_form(h) or (h, False)
+            return real_form(h)
         return h, False
 
     @property

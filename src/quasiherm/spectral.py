@@ -107,9 +107,9 @@ def biorthonormalize(right, left) -> tuple[np.ndarray, np.ndarray]:
     return r, l
 
 
-def real_form(m: np.ndarray) -> tuple[np.ndarray, bool] | None:
+def real_form(m: np.ndarray) -> tuple[np.ndarray, bool]:
     """A real matrix unitarily similar to the square m, and whether m was
-    rotated to get it; None when this test finds none.
+    rotated to get it; (m, False) when this test finds none.
 
     A real m (no imaginary part) is its own real form.  A PT-symmetric m,
     J conj(m) J = m with J the flip, is similar to the real
@@ -121,7 +121,7 @@ def real_form(m: np.ndarray) -> tuple[np.ndarray, bool] | None:
         return np.ascontiguousarray(m.real), False
     if np.array_equal(m[::-1, ::-1], m.conj()):
         return m.real + 0.5 * (m.imag[::-1] - m.imag[:, ::-1]), True
-    return None
+    return m, False
 
 
 def _from_real_form(w: np.ndarray) -> np.ndarray:
@@ -147,7 +147,7 @@ def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     When m was rotated to B = S^dagger m S, the eigenvectors of m are S W
     and the returned flag is True.  Any other m takes the complex solver.
     """
-    b, rotated = real_form(m) or (m, False)
+    b, rotated = real_form(m)
     vals, w = np.linalg.eig(b)
     return vals.astype(complex, copy=False), w, rotated
 
