@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (BadGrid, BrokenPhase, DegenerateSpectrum,
                      DimensionMismatch, EvalError, ExceptionalPoint,
-                     NonConvergence, NonFiniteResult, NonHermitianMetric,
+                     InaccurateEigensystem, NonConvergence, NonFiniteResult,
+                     NonHermitianMetric,
                      NonPositiveWeight, NotPTSymmetric, NotPositive,
                      ParityViolation, ParseError, QuasihermError, SchemaError,
                      SelfOrthogonal, SigmaVanishes, SingularMetric,

@@ -69,6 +69,11 @@ class NotPTSymmetric(QuasihermError):
     pseudometric within tolerance."""
 
 
+class InaccurateEigensystem(QuasihermError):
+    """The eigensystem fails its own reconstruction or pairing check, so a
+    quantity expanded in it carries no reliable digits."""
+
+
 class NonFiniteResult(QuasihermError):
     """A computed state or trace overflowed to a non-finite value."""
 

@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .errors import (BrokenPhase, QuasihermError, ParityViolation, SchemaError,
-                     SigmaVanishes)
+from .errors import (BrokenPhase, InaccurateEigensystem, QuasihermError,
+                     ParityViolation, SchemaError, SigmaVanishes)
 from .evolution import norm_trace_columns, propagate_spectrum
 from .expressions import parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
@@ -37,6 +37,12 @@ from .spectral import (SpectralData, eigendecompose, is_real_spectrum,
                        matrix_from_real_form, real_form, state_to_real_form)
 
 DEFAULT_TOL = 1e-10
+
+# tolerances of the eigensystem's own checks: the relative Frobenius norm of
+# H - sum_n lambda_n |psi_n><phi_n| and the Frobenius deviation of the
+# pairing <phi_m|psi_n> from the identity
+RECONSTRUCTION_TOL = 1e-9
+PAIRING_TOL = 1e-10
 
 # matrices are embedded in reports only up to this dimension
 MATRIX_ROW_DIM_CAP = 12
@@ -76,11 +82,30 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _float_row(items: list | tuple) -> str | None:
+    """``canonical_json`` of a list of floats or of [re, im] float pairs (a
+    matrix row), with one %-format call; None for any other list, or when a
+    leaf is not finite."""
+    if all(type(v) is float for v in items):
+        leaves, fmt = items, "%.17g"
+    elif all(type(v) is list and len(v) == 2 and type(v[0]) is float
+             and type(v[1]) is float for v in items):
+        leaves, fmt = [x for v in items for x in v], "[%.17g,%.17g]"
+    else:
+        return None
+    text = "[" + ",".join([fmt] * len(items)) % tuple(leaves) + "]"
+    # a finite %.17g has no "n"; inf and nan go to format_float
+    return None if "n" in text else text
+
+
 def canonical_json(obj, sort_keys: bool = False) -> str:
     """Minimal deterministic JSON writer with fixed float rendering."""
     if type(obj) is float:  # the most common leaf, then containers, first
         return format_float(obj)
     if isinstance(obj, (list, tuple)):
+        row = _float_row(obj)
+        if row is not None:
+            return row
         items = [canonical_json(v, sort_keys) for v in obj]
         return "[" + ",".join(items) + "]"
     if obj is None:
@@ -480,6 +505,15 @@ class _Analysis:
         return eigendecompose(self.h, _gap_floor(self.spec, self.opts))
 
     @cached_property
+    def spectrum_checks(self) -> tuple[float, float]:
+        """The reconstruction and pairing deviations of the eigensystem,
+        two N^3 products taken once per analysis."""
+        s = self.spectrum
+        _, recon_rel = frobenius_residual(self.h - s.reconstruction(),
+                                          np.linalg.norm(self.h))
+        return recon_rel, float(np.linalg.norm(s.pairing() - np.eye(s.dim)))
+
+    @cached_property
     def pseudometric(self) -> PseudoMetric:
         """Identity and parity are structured: no matrix is built."""
         choice = self.spec.payload.get("pseudometric", "parity")
@@ -513,20 +547,19 @@ def _row(name, value, passed=None, tol=None) -> ReportRow:
 
 
 def _task_spectrum(a: _Analysis):
-    h = a.h
     s = a.spectrum
     real, max_imag = is_real_spectrum(s, a.tol)
-    _, recon_rel = frobenius_residual(h - s.reconstruction(),
-                                      np.linalg.norm(h))
-    pairing_dev = np.linalg.norm(s.pairing() - np.eye(s.dim))
+    recon_rel, pairing_dev = a.spectrum_checks
     rows = [
         _row("dim", s.dim),
         _row("eigenvalues", s.eigenvalues),
         _row("spectrum_real", bool(real)),
         _row("max_imag", max_imag),
         _row("min_gap", s.min_gap),
-        _row("reconstruction_rel", recon_rel, recon_rel <= 1e-9, 1e-9),
-        _row("biorthonormality_dev", pairing_dev, pairing_dev <= 1e-10, 1e-10),
+        _row("reconstruction_rel", recon_rel,
+             recon_rel <= RECONSTRUCTION_TOL, RECONSTRUCTION_TOL),
+        _row("biorthonormality_dev", pairing_dev,
+             pairing_dev <= PAIRING_TOL, PAIRING_TOL),
     ]
     return rows, None
 
@@ -618,6 +651,13 @@ def _task_evolve(a: _Analysis):
     psi0 = _psi0_from_options(a.opts, h.shape[0])
     if a.rotated:
         psi0 = state_to_real_form(psi0)  # the norm traces do not change
+    recon_rel, pairing_dev = a.spectrum_checks
+    if not (recon_rel <= RECONSTRUCTION_TOL and pairing_dev <= PAIRING_TOL):
+        raise InaccurateEigensystem(
+            f"the eigensystem fails its own checks (reconstruction_rel "
+            f"{recon_rel:.3e}, tol {RECONSTRUCTION_TOL:g}; "
+            f"biorthonormality_dev {pairing_dev:.3e}, tol {PAIRING_TOL:g}); "
+            "an expansion in it has no reliable digits")
     times = np.linspace(0.0, t_max, steps)
     traj = propagate_spectrum(a.spectrum, psi0, times)
 

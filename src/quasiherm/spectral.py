@@ -4,7 +4,9 @@ The right system diagonalizes A, the left system diagonalizes A^dagger
 (with conjugated eigenvalues), and the two are rescaled to the pairing
 <phi_m|psi_n> = delta_mn so that sum_n |psi_n><phi_n| = 1.  Real and
 PT-symmetric matrices are solved in real arithmetic (``real_form``), and
-a real matrix with a real spectrum keeps real eigenvectors.
+a real matrix with a real spectrum keeps real eigenvectors.  A Hermitian
+real form is solved by ``eigh``, by parity sector when it commutes with
+the flip, and its left vectors are its right vectors.
 """
 
 from __future__ import annotations
@@ -140,16 +142,36 @@ def matrix_from_real_form(x: np.ndarray) -> np.ndarray:
     return _from_real_form(_from_real_form(x).conj().T).conj().T
 
 
-def _eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Eigenvalues (complex) and eigenvectors W of m, in real arithmetic
-    where ``real_form`` finds a real B similar to m.
+def _hermitian_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real eigenvalues and orthonormal eigenvectors of a Hermitian b.
 
-    When m was rotated to B = S^dagger m S, the eigenvectors of m are S W
-    and the returned flag is True.  Any other m takes the complex solver.
+    When J b J = b, J the flip, the even vectors (x, J x) and the odd
+    vectors (x, -J x) are solved apart, from the blocks b11 + (b J)11 and
+    b11 - (b J)11 on the top half; for an odd N the even block also holds
+    the middle site, coupled by sqrt(2).  Each vector is unfolded with
+    exact parity, v[::-1] = +-v.
     """
-    b, rotated = real_form(m)
-    vals, w = np.linalg.eig(b)
-    return vals.astype(complex, copy=False), w, rotated
+    if not np.array_equal(b[::-1, ::-1], b):
+        return np.linalg.eigh(b)
+    n = b.shape[0]
+    half = n // 2
+    top = b[:half, :half]
+    flip = b[:half, ::-1][:, :half]
+    even = top + flip
+    if n % 2:
+        even = np.block([[even, _SQRT2 * b[:half, half:half + 1]],
+                         [_SQRT2 * b[half:half + 1, :half],
+                          b[half:half + 1, half:half + 1]]])
+    vals_even, x_even = np.linalg.eigh(even)
+    vals_odd, x_odd = np.linalg.eigh(top - flip)
+    ne = vals_even.size
+    w = np.zeros((n, n), dtype=x_even.dtype)
+    w[:half, :ne] = x_even[:half] / _SQRT2
+    w[half:n - half, :ne] = x_even[half:]
+    w[:half, ne:] = x_odd / _SQRT2
+    w[n - half:, :ne] = w[:half, :ne][::-1]
+    w[n - half:, ne:] = -w[:half, ne:][::-1]
+    return np.concatenate((vals_even, vals_odd)), w
 
 
 def _left_from_inverse(right: np.ndarray, w: np.ndarray,
@@ -179,9 +201,24 @@ def _left_from_inverse(right: np.ndarray, w: np.ndarray,
     return left
 
 
+def _left_from_flip(b: np.ndarray, w: np.ndarray,
+                    rotated: bool) -> np.ndarray | None:
+    """Left vectors J conj(W), mapped by S when ``rotated``, when
+    b^T = J b J exactly, J the flip (as for the real form of any
+    parity-pseudo-Hermitian H); None for any other b.
+
+    From b w = lambda w follows b^dagger J conj(w) = conj(lambda) J conj(w),
+    column by column, so no eigenvalue matching is needed."""
+    if not np.array_equal(b.T, b[::-1, ::-1]):
+        return None
+    left = w[::-1].conj()
+    return _from_real_form(left) if rotated else left
+
+
 def _left_from_adjoint(m: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Left vectors as eigenvectors of A^dagger, matched to conj(lambda)."""
-    wl, ul, rotated = _eig(m.conj().T)
+    b, rotated = real_form(m.conj().T)
+    wl, ul = np.linalg.eig(b)
     if rotated:
         ul = _from_real_form(ul)
     target = vals.conj()
@@ -202,15 +239,23 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     ``gap_floor=None`` selects the default 1e-8 * spectral radius; a
     minimal eigenvalue separation below the floor raises
     DegenerateSpectrum.  Pass 0 to disable the check.
+
+    The matrix is solved in its ``real_form`` b.  A Hermitian b goes to
+    ``eigh`` (by parity sector when b commutes with the flip) and its left
+    vectors are its right vectors; any other b goes to ``eig``.  When b was
+    rotated, the eigenvectors come back as S W.
     """
     m = as_operator(a)
     if gap_floor is not None and gap_floor < 0:
         raise ValueError("gap_floor must be nonnegative")
+    b, rotated = real_form(m)
+    hermitian = np.array_equal(b, b.conj().T)
     try:
-        vals, w, rotated = _eig(m)
+        vals, w = _hermitian_eig(b) if hermitian else np.linalg.eig(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
+    vals = vals.astype(complex, copy=False)
     order = np.lexsort((np.arange(vals.size), vals.imag, vals.real))
     vals = vals[order]
     w = w[:, order]
@@ -227,8 +272,12 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     if min_gap < floor:
         raise DegenerateSpectrum(
             f"minimal eigenvalue gap {min_gap:.3e} below floor {floor:.3e}")
+    if hermitian:
+        return SpectralData(vals, right, right, min_gap)
 
     left = _left_from_inverse(right, w, rotated)
+    if left is None:
+        left = _left_from_flip(b, w, rotated)
     del w
     if left is None:
         left = _left_from_adjoint(m, vals)

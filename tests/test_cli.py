@@ -179,9 +179,9 @@ def test_overflowing_expression_exit_two(model_file, capsys, recwarn, doc):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_overflowing_evolve_is_a_failed_row(model_file, capsys, recwarn, fmt):
-    # a broken phase with max |Im lambda| ~ 38.5 overflows exp(-i lambda t)
-    doc = {"kind": "schroedinger", "grid": {"L": 8, "N": 201},
-           "V_real": "0", "V_imag": "0.1*x^3"}
+    # a broken phase with max |Im lambda| ~ 40 overflows exp(-i lambda t),
+    # and its eigensystem passes its own checks
+    doc = {"kind": "lattice", "n": 6, "gamma": 40, "pattern": "alternating"}
     code = main(["evolve", "--model", model_file(doc), "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1
@@ -189,6 +189,24 @@ def test_overflowing_evolve_is_a_failed_row(model_file, capsys, recwarn, fmt):
     assert "nan" not in captured.out and "inf" not in captured.out
     assert captured.err == ""
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--steps", "7", "--t-max", "3"]])
+def test_evolve_on_an_inaccurate_eigensystem_is_a_failed_row(model_file,
+                                                             capsys, argv):
+    # cond(V) ~ 1e9: the spectrum task fails reconstruction_rel, so no norm
+    # row of the expansion is reported (it gave fnorm_ratio 5.19e74, exit 0)
+    doc = {"kind": "schroedinger", "grid": {"L": 8, "N": 201},
+           "V_real": "0", "V_imag": "0.1*x^3"}
+    path = model_file(doc)
+    code = main(["evolve", "--model", path] + argv)
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert code == 1
+    assert [r["name"] for r in rows] == ["InaccurateEigensystem"]
+    assert main(["spectrum", "--model", path]) == 1
+    failed = [r["name"] for r in json.loads(capsys.readouterr().out)["rows"]
+              if r["pass"] is False]
+    assert failed == ["reconstruction_rel", "biorthonormality_dev"]
 
 
 def test_main_reuses_one_parser(model_file, capsys, monkeypatch):
@@ -330,6 +348,18 @@ def test_oversize_dense_model_exit_two(model_file, capsys, doc, path):
     assert f"{path}: " in capsys.readouterr().err
     # a dense matrix at the cap alone would take 16 * 2048^2 bytes = 67 MB
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("npoints", [201, 301, 401, 801])
+def test_readme_harmonic_report_passes(model_file, capsys, npoints):
+    # H is real symmetric and commutes with the flip; its wall doublets are
+    # solved by parity sector, so the charge is P and every row passes
+    doc = {"kind": "schroedinger", "grid": {"L": 8, "N": npoints},
+           "V_real": "x^2", "V_imag": "0"}
+    code = main(["report", "--model", model_file(doc)])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["name"] for r in rows if r["pass"] is False] == []
+    assert code == 0
 
 
 def test_dense_model_at_the_cap_is_accepted():

@@ -194,6 +194,30 @@ def test_float_rendering_17_digits():
     assert format_float(0.5) == "0.5"
 
 
+def render_leaf_by_leaf(obj):
+    """The general path of canonical_json: one format_float per leaf."""
+    from quasiherm.models import format_float
+    if isinstance(obj, list):
+        return "[" + ",".join(render_leaf_by_leaf(v) for v in obj) + "]"
+    return format_float(obj) if type(obj) is float else str(obj)
+
+
+@pytest.mark.parametrize("case", ["floats", "pairs", "non-finite", "mixed"])
+def test_float_rows_render_as_leaf_by_leaf(case):
+    # the one-format row path gives the bytes of one format_float per leaf
+    from quasiherm.models import canonical_json
+    rng = np.random.default_rng(5)
+    leaves = (rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)).tolist()
+    leaves += [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-5]
+    pairs = [leaves[k:k + 2] for k in range(0, len(leaves) - 1, 2)]
+    row = {"floats": leaves,
+           "pairs": pairs,
+           "non-finite": pairs[:3] + [[1.0, float("inf")], [float("nan"), 2.0]],
+           "mixed": [1, 2.5, [0.5, 3]]}[case]
+    for obj in (row, [row, row], []):
+        assert canonical_json(obj) == render_leaf_by_leaf(obj)
+
+
 def test_family_inverse_sigma_vanishes_row():
     spec = parse_model({"kind": "family", "grid": {"L": 1, "N": 11},
                         "sigma": "0", "alpha": "0",
@@ -257,9 +281,9 @@ def test_battery_solves_the_eigenproblem_once(monkeypatch, doc):
     ({"kind": "lattice", "n": 5, "gamma": 0.5, "pattern": "endpoints"}, set()),
     ({"kind": "lattice", "n": 6, "gamma": 1.5, "pattern": "alternating"},
      {"metric.BrokenPhase", "factorize.BrokenPhase", "table.BrokenPhase"}),
-    # README harmonic potential on a coarser grid: wall doublets still
-    # make the standard charge fail (degenerate clusters, not yet handled)
-    (MODEL_HARMONIC, {"factorize.ExceptionalPoint", "table.ExceptionalPoint"}),
+    # README harmonic potential on a coarser grid: its wall doublets are
+    # solved by parity sector, so each vector has exact parity
+    (MODEL_HARMONIC, set()),
     ({"kind": "lattice", "n": 4, "gamma": 0.0, "pseudometric": "identity"},
      set()),
     (dict(MODEL_2X2, pseudometric="identity"),
@@ -280,6 +304,16 @@ def test_battery_rows_equal_fresh_scenarios(doc, failing):
     assert {r.name for r in battery.rows if r.passed is False} == failing
 
 
+def test_battery_checks_the_eigensystem_once(monkeypatch):
+    # spectrum and evolve read the same reconstruction and pairing checks
+    from quasiherm import spectral
+    recon = count_calls(monkeypatch, spectral.SpectralData, "reconstruction")
+    pairing = count_calls(monkeypatch, spectral.SpectralData, "pairing")
+    report = run_battery(parse_model(MODEL_LATTICE))
+    assert report.all_passed
+    assert len(recon) == 1 and len(pairing) == 1
+
+
 def test_spectrum_scenario_builds_nothing_else(monkeypatch):
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     report = run_scenario(parse_model(MODEL_LATTICE), "spectrum")
@@ -289,15 +323,19 @@ def test_spectrum_scenario_builds_nothing_else(monkeypatch):
 
 def test_errors_are_raised_again_not_cached(monkeypatch):
     # every task needing the eigensystem reports the failure, and each
-    # one retries the eigensolve, since only successes are memoized
-    calls = count_calls(monkeypatch, np.linalg, "eig")
+    # one retries the eigensolve, since only successes are memoized; the
+    # identity is symmetric and commutes with the flip, so each retry is
+    # two sector eigh calls
+    eig_calls = count_calls(monkeypatch, np.linalg, "eig")
+    eigh_calls = count_calls(monkeypatch, np.linalg, "eigh")
     doc = {"kind": "matrix", "data": [[1, 0], [0, 1]]}
     report = run_battery(parse_model(doc))
     names = [r.name for r in report.rows]
     assert names == ["spectrum.DegenerateSpectrum", "metric.DegenerateSpectrum",
                      "factorize.DegenerateSpectrum", "table.DegenerateSpectrum",
                      "evolve.DegenerateSpectrum"]
-    assert len(calls) == 5
+    assert eig_calls == []
+    assert len(eigh_calls) == 10
 
 
 def test_factorize_gates_before_the_eigensolve(monkeypatch):

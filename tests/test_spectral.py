@@ -3,7 +3,7 @@ import pytest
 
 from quasiherm import (DegenerateSpectrum, SelfOrthogonal, biorthonormalize,
                        discretize_hamiltonian, eigendecompose, is_real_spectrum,
-                       make_grid)
+                       make_grid, parse_model)
 from quasiherm import spectral
 
 from conftest import random_diagonalizable
@@ -122,11 +122,15 @@ def test_self_orthogonal_raises():
         biorthonormalize(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def test_ill_conditioned_right_system_uses_adjoint_route():
+def test_ill_conditioned_right_system_uses_adjoint_route(monkeypatch):
     # strong non-normality: eigenvalues +-1 stay separated while the
-    # right eigenvectors become nearly parallel (cond ~ 1e9)
+    # right eigenvectors become nearly parallel (cond ~ 1e9); h^T != J h J,
+    # so the left vectors take a second eigensolve, of h^T
     h = np.array([[1.0, 1e9], [0.0, -1.0]])
+    assert not np.array_equal(h.T, h[::-1, ::-1])
+    dtypes = record_eig(monkeypatch)
     s = eigendecompose(h)
+    assert dtypes == [np.dtype(float), np.dtype(float)]
     assert np.abs(np.sort(s.eigenvalues.real) - np.array([-1.0, 1.0])).max() <= 1e-6
     diag = np.einsum("ij,ij->j", s.left_vectors.conj(), s.right_vectors)
     assert np.abs(diag - 1.0).max() <= 1e-12
@@ -218,11 +222,16 @@ def test_unbroken_pt_matrix_inverts_in_real_arithmetic(monkeypatch):
 
 
 def test_real_inverse_keeps_three_digits_under_the_pairing_tolerance():
-    # README harmonic model: the real inverse alone pairs to 1.2e-13 in
-    # Frobenius norm, 2.9 digits under the spectrum row's 1e-10
-    grid = make_grid(8.0, 401)
-    s = eigendecompose(discretize_hamiltonian(grid, grid.points ** 2),
-                       gap_floor=0.0)
+    # the README harmonic potential with a weak PT-symmetric gain and loss,
+    # V = x^2 + 0.1 i x (the Hermitian model itself takes eigh): its real
+    # form is not symmetric, and the real inverse with its Newton step
+    # pairs to 4.8e-14 in Frobenius norm, 3 digits under the spectrum
+    # row's 1e-10
+    grid = make_grid(8.0, 201)
+    h = discretize_hamiltonian(grid, grid.points ** 2 + 0.1j * grid.points)
+    b, rotated = spectral.real_form(h)
+    assert rotated and not np.array_equal(b, b.T)
+    s = eigendecompose(h, gap_floor=0.0)
     assert np.linalg.norm(s.pairing() - np.eye(s.dim)) <= 1e-13
 
 
@@ -319,3 +328,137 @@ def test_pt_route_matches_complex_eig_property():
         assert np.abs(s.pairing() - np.eye(dim)).max() <= 1e-12
 
     check()
+
+
+# --- exact structure of the real form: eigh by parity sector, J conj(W) ----
+
+EPS = np.finfo(float).eps
+
+
+def record(monkeypatch, name):
+    """Count the calls of np.linalg.<name>."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def symmetric_centro(rng, dim):
+    """A real symmetric matrix that commutes with the flip J."""
+    a = rng.normal(size=(dim, dim))
+    a = a + a.T
+    return a + a[::-1, ::-1]
+
+
+def hermitian_pt(rng, dim, g):
+    """A + i g K with A real symmetric, J A J = A, and K real antisymmetric,
+    J K J = -K: Hermitian and PT-symmetric, not real."""
+    k = rng.normal(size=(dim, dim))
+    k = k - k.T
+    k = k - k[::-1, ::-1]
+    return symmetric_centro(rng, dim) + 1j * g * k
+
+
+@pytest.mark.parametrize("case", ["odd", "even", "one", "harmonic",
+                                  "not-flip-symmetric", "hermitian-pt"])
+def test_hermitian_real_form_is_solved_by_eigh(monkeypatch, case):
+    rng = np.random.default_rng(7)
+    grid = make_grid(8.0, 301)
+    h = {"odd": symmetric_centro(rng, 9),
+         "even": symmetric_centro(rng, 10),
+         "one": np.array([[3.0]]),
+         "harmonic": discretize_hamiltonian(grid, grid.points ** 2),
+         "not-flip-symmetric": rng.normal(size=(7, 7)),
+         "hermitian-pt": hermitian_pt(rng, 8, 0.7)}[case]
+    if case == "not-flip-symmetric":
+        h = h + h.T
+        assert not np.array_equal(h[::-1, ::-1], h)
+    b, rotated = spectral.real_form(h)
+    assert np.array_equal(b, b.conj().T)
+    assert rotated == (case == "hermitian-pt")
+    flip_symmetric = np.array_equal(b[::-1, ::-1], b)
+    eigs, eighs = record(monkeypatch, "eig"), record(monkeypatch, "eigh")
+    invs = record(monkeypatch, "inv")
+    s = eigendecompose(h, gap_floor=0.0)
+    assert eigs == [] and invs == []
+    assert len(eighs) == (2 if flip_symmetric else 1)
+    # the oracle: eigvalsh of the unsplit matrix
+    n = s.dim
+    ref = np.linalg.eigvalsh(h)
+    assert not s.eigenvalues.imag.any()
+    assert (np.abs(s.eigenvalues.real - ref).max()
+            <= 4 * n * EPS * np.linalg.norm(h, 1))
+    v = s.right_vectors
+    assert s.left_vectors is v
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() <= n * EPS
+    assert v.dtype == (complex if rotated else float)
+    if flip_symmetric:
+        for k in range(n):
+            assert (np.array_equal(v[::-1, k], v[:, k])
+                    or np.array_equal(v[::-1, k], -v[:, k]))
+    err = np.linalg.norm(h - s.reconstruction())
+    assert err <= 4 * n * EPS * np.linalg.norm(h)
+
+
+def broken_schroedinger(npoints):
+    """The complex H of the model L = 8, V = 0.1 i x^3 on npoints points."""
+    spec = parse_model({"kind": "schroedinger",
+                        "grid": {"L": 8, "N": npoints},
+                        "V_real": "0", "V_imag": "0.1*x^3"})
+    return discretize_hamiltonian(spec.payload["grid"],
+                                  spec.payload["potential"])
+
+
+def checks(h, s):
+    recon = np.linalg.norm(h - s.reconstruction()) / np.linalg.norm(h)
+    return recon, np.linalg.norm(s.pairing() - np.eye(s.dim))
+
+
+@pytest.mark.parametrize("npoints", [101, 201, 301])
+def test_flip_left_vectors_match_the_adjoint_route(monkeypatch, npoints):
+    # cond(V) > 1e8, so the inverse route declines; the real form B of this
+    # parity-pseudo-Hermitian H has B^T = J B J, so its left vectors are
+    # J conj(W) and the adjoint eigensolve is not run
+    h = broken_schroedinger(npoints)
+    eigs = record(monkeypatch, "eig")
+    routes = []
+    original = spectral._left_from_flip
+
+    def recorded(b, w, rotated):
+        left = original(b, w, rotated)
+        routes.append(left is not None)
+        return left
+    monkeypatch.setattr(spectral, "_left_from_flip", recorded)
+    s = eigendecompose(h, gap_floor=0.0)
+    assert routes == [True] and len(eigs) == 1
+    monkeypatch.undo()
+    # the oracle: the adjoint route's left vectors for the same right ones
+    left = spectral._left_from_adjoint(h, s.eigenvalues)
+    adjoint = spectral.SpectralData(
+        s.eigenvalues, *biorthonormalize(s.right_vectors, left), s.min_gap)
+    for flip_err, adjoint_err in zip(checks(h, s), checks(h, adjoint)):
+        assert flip_err <= 4 * adjoint_err
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_flip_left_vectors_match_the_inverse(monkeypatch, kind):
+    # B = J M with M symmetric has B^T = J B J; forcing the fallback, the
+    # left vectors J conj(W) agree with the rows of V^-1
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(7, 7))
+    if kind == "complex":
+        m = m + 1j * rng.normal(size=(7, 7))
+    b = (m + m.T)[::-1]
+    assert np.array_equal(b.T, b[::-1, ::-1])
+    ref = eigendecompose(b)
+    monkeypatch.setattr(spectral, "LEFT_FROM_ADJOINT_COND", 0.0)
+    eigs = record(monkeypatch, "eig")
+    s = eigendecompose(b)
+    assert len(eigs) == 1
+    assert np.array_equal(s.eigenvalues, ref.eigenvalues)
+    assert np.abs(s.left_vectors - ref.left_vectors).max() <= 1e-12
+    assert np.abs(s.pairing() - np.eye(7)).max() <= 1e-13
