@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -192,43 +193,66 @@ _NUMPY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _NUMPY_FUNCTIONS = {"sqrt": np.sqrt, "abs": np.abs}
 
 
-def _pointwise(fn, *args: np.ndarray) -> np.ndarray:
-    try:
-        out = np.array([fn(*v) for v in zip(*(a.tolist() for a in args))])
-    except (ArithmeticError, ValueError) as exc:
-        raise _Rerun from exc
-    if out.dtype != float:  # a negative base to a fractional power
-        raise _Rerun
-    return out
+class Sampler:
+    """Points to sample expressions at, with a memo of subexpression samples.
 
+    Expressions sampled through one Sampler (``expr.sample(sampler)``)
+    evaluate each distinct subexpression, an AST subtree, once over the
+    points.  The memo holds only subtrees whose samples came out finite at
+    every point, so a shared entry never hides an error.
+    """
 
-def _eval_array(node, xs: np.ndarray) -> np.ndarray:
-    """Evaluate once per node over all samples; raises _Rerun as soon as
-    a node fails or is not finite everywhere."""
-    tag = node[0]
-    if tag == "num":
-        out = np.full(xs.shape, node[1])
-    elif tag == "var":
-        out = xs.copy()
-    elif tag == "neg":
-        out = -_eval_array(node[1], xs)
-    elif tag == "call":
-        arg = _eval_array(node[2], xs)
-        if node[1] in _NUMPY_FUNCTIONS:
-            out = _NUMPY_FUNCTIONS[node[1]](arg)
+    def __init__(self, xs):
+        self.points = np.asarray(xs, dtype=float).ravel()
+        # keyed by AST tuple; parsed literals are never -0.0 or nan, so
+        # equal keys are equal subtrees
+        self.memo: dict[tuple, np.ndarray] = {}
+
+    @property
+    def size(self) -> int:
+        """Number of points, as for an array."""
+        return self.points.size
+
+    def _pointwise(self, fn, *args) -> np.ndarray:
+        """fn on Python floats at every point; a "num" operand is passed as
+        a repeated scalar, any other as its samples."""
+        operands = [repeat(a[1]) if a[0] == "num" else self.eval(a).tolist()
+                    for a in args]
+        try:
+            # a negative base to a fractional power is complex: TypeError
+            return np.fromiter(map(fn, *operands), float, self.size)
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise _Rerun from exc
+
+    def eval(self, node) -> np.ndarray:
+        """Samples of node, computed once per node; the returned array must
+        not be modified.  Raises _Rerun as soon as a node fails or is not
+        finite everywhere."""
+        out = self.memo.get(node)
+        if out is not None:
+            return out
+        tag = node[0]
+        if tag == "num":
+            out = np.full(self.points.shape, node[1])
+        elif tag == "var":
+            out = self.points
+        elif tag == "neg":
+            out = -self.eval(node[1])
+        elif tag == "call":
+            if node[1] in _NUMPY_FUNCTIONS:
+                out = _NUMPY_FUNCTIONS[node[1]](self.eval(node[2]))
+            else:
+                out = self._pointwise(FUNCTIONS[node[1]], node[2])
         else:
-            out = _pointwise(FUNCTIONS[node[1]], arg)
-    else:
-        _, op, lhs, rhs = node
-        a = _eval_array(lhs, xs)
-        b = _eval_array(rhs, xs)
-        if op in _NUMPY_OPS:
-            out = _NUMPY_OPS[op](a, b)
-        else:
-            out = _pointwise(pow, a, b)
-    if not np.isfinite(out).all():
-        raise _Rerun
-    return out
+            _, op, lhs, rhs = node
+            if op in _NUMPY_OPS:
+                out = _NUMPY_OPS[op](self.eval(lhs), self.eval(rhs))
+            else:
+                out = self._pointwise(pow, lhs, rhs)
+        if not np.isfinite(out).all():
+            raise _Rerun
+        self.memo[node] = out
+        return out
 
 
 def _to_text(node) -> str:
@@ -261,17 +285,19 @@ class Expression:
     def sample(self, xs) -> np.ndarray:
         """Evaluate at every point, bit-identical to scalar calls.
 
-        Raises EvalError at the first point whose evaluation fails or
-        whose value is not finite.
+        xs is an array of points, or a Sampler whose memo the expressions
+        sampled through it share.  Returns a fresh array.  Raises EvalError
+        at the first point whose evaluation fails or whose value is not
+        finite.
         """
-        pts = np.asarray(xs, dtype=float).ravel()
+        sampler = xs if isinstance(xs, Sampler) else Sampler(xs)
         try:
             with np.errstate(all="ignore"):
-                return _eval_array(self.ast, pts)
+                return sampler.eval(self.ast).copy()
         except _Rerun:
             pass
         values = []
-        for x in pts.tolist():
+        for x in sampler.points.tolist():
             value = _eval(self.ast, x)
             if not math.isfinite(value):
                 raise EvalError(f"non-finite value {value!r}", x)

@@ -21,7 +21,7 @@ from . import __version__
 from .errors import (BrokenPhase, InaccurateEigensystem, QuasihermError,
                      ParityViolation, SchemaError, SigmaVanishes)
 from .evolution import norm_trace_columns, propagate_spectrum
-from .expressions import parse_expression
+from .expressions import Expression, Sampler, parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
                             charge_from_spectrum, pt_symmetry_residual,
                             require_pseudo_hermitian, verify_table)
@@ -333,23 +333,32 @@ def _parse_grid(doc, path: str, max_points: float = math.inf) -> Grid:
     return grid
 
 
-def _sample_expression(text, grid: Grid, path: str) -> np.ndarray:
+def _expression(document: dict, name: str,
+                default: str | None = None) -> Expression:
+    """The parsed expression of a model field, required without a default."""
+    text = (_need(document, name, "") if default is None
+            else document.get(name, default))
     if not isinstance(text, str):
-        raise SchemaError(f"expected an expression string, got {text!r}", path)
-    expr = parse_expression(text)
-    return expr.sample(grid.points)
+        raise SchemaError(f"expected an expression string, got {text!r}", name)
+    return parse_expression(text)
 
 
-def _sample_with_parity(text, grid: Grid, sign: int, path: str) -> np.ndarray:
-    raw = _sample_expression(text, grid, path)
+def _sample_with_parity(expr: Expression, sampler: Sampler, sign: int,
+                        path: str, raw_max: float = 0.0
+                        ) -> tuple[np.ndarray, float]:
+    """Even (sign +1) or odd (-1) part of the samples, whose points must be
+    closed under reflection, checked against what the projection drops;
+    returned with the largest |sample|.  raw_max is the largest |sample| at
+    points that passed this check before: it scales the check too."""
+    raw = expr.sample(sampler)
     proj = even_part(raw) if sign == 1 else odd_part(raw)
     lost = float(np.abs(raw - proj).max())
-    scale = max(1.0, float(np.abs(raw).max()))
-    if lost > MODEL_PARITY_RTOL * scale:
+    raw_max = max(raw_max, float(np.abs(raw).max()))
+    if lost > MODEL_PARITY_RTOL * max(1.0, raw_max):
         kind = "even" if sign == 1 else "odd"
         raise ParityViolation(
             f"{path}: function tagged {kind} has asymmetry {lost:.3e}")
-    return proj
+    return proj, raw_max
 
 
 def _build_lattice(doc: dict) -> np.ndarray:
@@ -395,25 +404,30 @@ def parse_model(document) -> ModelSpec:
         payload["matrix"] = _build_lattice(document)
     elif kind == "schroedinger":
         grid = _parse_grid(_need(document, "grid", ""), "grid", MAX_DENSE_DIM)
-        v_re = _sample_expression(document.get("V_real", "0"), grid, "V_real")
-        v_im = _sample_expression(document.get("V_imag", "0"), grid, "V_imag")
+        sampler = Sampler(grid.points)
+        v_re = _expression(document, "V_real", "0").sample(sampler)
+        v_im = _expression(document, "V_imag", "0").sample(sampler)
         payload["grid"] = grid
         payload["potential"] = v_re + 1j * v_im
     else:  # family
         grid = _parse_grid(_need(document, "grid", ""), "grid")
-        sigma = _sample_with_parity(_need(document, "sigma", ""), grid, +1,
-                                    "sigma")
-        alpha = _sample_with_parity(_need(document, "alpha", ""), grid, -1,
-                                    "alpha")
+        # sigma, alpha, S and Lambda share the samples of common subtrees
+        sampler = Sampler(grid.points)
+        sigma, sigma_max = _sample_with_parity(
+            _expression(document, "sigma"), sampler, +1, "sigma")
+        alpha, alpha_max = _sample_with_parity(
+            _expression(document, "alpha"), sampler, -1, "alpha")
         omega = _as_number(document.get("omega", 0.0), "omega")
         payload["grid"] = grid
         payload["ansatz"] = make_ansatz(grid, sigma, alpha, omega)
+        # family check --refine samples only the points each level adds,
+        # and the largest |sample| so far scales their parity check
+        payload["raw_max"] = (sigma_max, alpha_max)
         if "S" in document or "Lambda" in document:
-            s_even = _sample_with_parity(_need(document, "S", ""), grid, +1, "S")
-            lam_odd = _sample_with_parity(_need(document, "Lambda", ""), grid,
-                                          -1, "Lambda")
-            payload["s_even"] = s_even
-            payload["lam_odd"] = lam_odd
+            payload["s_even"] = _sample_with_parity(
+                _expression(document, "S"), sampler, +1, "S")[0]
+            payload["lam_odd"] = _sample_with_parity(
+                _expression(document, "Lambda"), sampler, -1, "Lambda")[0]
 
     if "pseudometric" in document:
         pchoice = document["pseudometric"]
@@ -781,15 +795,28 @@ def _task_family_check(a: _Analysis):
     ]
 
     if levels > 0:
-        # refinement re-samples the model expressions on h -> h/2 grids
+        # each h -> h/2 grid holds the previous one bit for bit at its even
+        # indices, so a level samples only its odd-index points.  They are
+        # closed under reflection, so their parity parts need no other
+        # point, and only they can fail the parity check: the old points
+        # passed it at a scale no larger.
+        tags = (("sigma", +1), ("alpha", -1))
+        exprs = [_expression(spec.document, name) for name, _ in tags]
+        samples = [ansatz.sigma, ansatz.alpha]
+        tops = list(spec.payload["raw_max"])
         prev = (r1, r2)
         n_pts = grid.npoints
         for k in range(1, levels + 1):
             n_pts = 2 * n_pts - 1
             fine = make_grid(grid.half_width, n_pts)
-            sig = _sample_with_parity(spec.document["sigma"], fine, +1, "sigma")
-            alp = _sample_with_parity(spec.document["alpha"], fine, -1, "alpha")
-            fine_ansatz = make_ansatz(fine, sig, alp, ansatz.omega)
+            sampler = Sampler(fine.points[1::2])
+            for i, (name, sign) in enumerate(tags):
+                new, tops[i] = _sample_with_parity(exprs[i], sampler, sign,
+                                                   name, tops[i])
+                fine_samples = np.empty(n_pts)
+                fine_samples[0::2], fine_samples[1::2] = samples[i], new
+                samples[i] = fine_samples
+            fine_ansatz = make_ansatz(fine, *samples, ansatz.omega)
             fs, fl = forward_family(fine_ansatz)
             fr1, fr2 = ode_pair_residual(fine_ansatz, fs, fl, fine)
             rows.append(_row(f"ode_residual_S_level{k}", fr1))

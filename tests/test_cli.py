@@ -412,6 +412,23 @@ def test_refinement_of_the_benchmark_family_runs(model_file, capsys):
     assert {"ode_ratio_S_level2", "ode_ratio_Lambda_level2"} <= names
 
 
+@pytest.mark.parametrize("sigma,error,value", [
+    ("1+1/(x^2-0.25)^2", "EvalError", "division by zero (at x = -0.5)"),
+    ("1+0.1*x*sin(3.141592653589793*x)^2", "ParityViolation",
+     "sigma: function tagged even has asymmetry 3.500e-01"),
+], ids=["eval-error", "parity-violation"])
+def test_sample_failing_only_on_a_refined_grid_is_a_failed_row(
+        model_file, capsys, sigma, error, value):
+    path = model_file(dict(MODEL_FAMILY, grid={"L": 4, "N": 9}, sigma=sigma))
+    code, _ = run_json(capsys, ["family", "check", "--model", path])
+    assert code == 0
+    code, out = run_json(capsys, ["family", "check", "--refine", "1",
+                                  "--model", path])
+    assert code == 1
+    assert [(r["name"], r["value"], r["pass"]) for r in out["rows"]] == [
+        (error, value, False)]
+
+
 COMMON_FLAGS = {"-h", "--help", "--model", "--tol", "--out", "--format",
                 "--gap-floor"}
 CLI_SURFACE = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quasiherm import EvalError, ParseError, parse_expression
+from quasiherm.expressions import FUNCTIONS, Sampler
 
 
 def test_polynomial():
@@ -126,15 +127,44 @@ def test_sample_returns_a_fresh_array():
     out = parse_expression("x").sample(xs)
     out[0] = 7.0
     assert xs[0] == -1.0
+    # equal texts through one memo: the second result is not the first
+    sampler = Sampler(xs)
+    first = parse_expression("exp(-x^2)").sample(sampler)
+    second = parse_expression("exp(-x^2)").sample(sampler)
+    assert not np.shares_memory(first, second)
+    first[:] = 7.0
+    assert second.tobytes() == parse_expression("exp(-x^2)").sample(
+        xs).tobytes()
+    assert parse_expression("x").sample(sampler)[0] == -1.0
 
 
-def _first_scalar_failure(expr, xs):
-    for x in xs:
+def _scalar_loop(expr, xs):
+    """The samples of scalar calls, or the EvalError the loop raises."""
+    values = []
+    for x in np.asarray(xs, dtype=float).tolist():
         try:
-            expr(x)
+            value = expr(x)
         except EvalError as exc:
             return exc
-    raise AssertionError("scalar evaluation never failed")
+        if not math.isfinite(value):
+            return EvalError(f"non-finite value {value!r}", x)
+        values.append(value)
+    return np.array(values)
+
+
+def assert_matches_scalar_loop(expr, xs, sampler=None):
+    """expr sampled at xs (through sampler, if given) equals the scalar
+    loop bit for bit, or raises its EvalError: same x, same message."""
+    expected = _scalar_loop(expr, xs)
+    if isinstance(expected, EvalError):
+        with pytest.raises(EvalError) as err:
+            expr.sample(xs if sampler is None else sampler)
+        assert repr(err.value.x) == repr(expected.x)
+        assert str(err.value) == str(expected)
+    else:
+        out = expr.sample(xs if sampler is None else sampler)
+        assert out.tobytes() == expected.tobytes()
+    return expected
 
 
 @pytest.mark.parametrize("text", [
@@ -152,11 +182,7 @@ def _first_scalar_failure(expr, xs):
 def test_sample_errors_match_scalar_loop(text):
     expr = parse_expression(text)
     xs = np.linspace(2, -2, 41)
-    expected = _first_scalar_failure(expr, xs)
-    with pytest.raises(EvalError) as err:
-        expr.sample(xs)
-    assert err.value.x == expected.x
-    assert str(err.value) == str(expected)
+    assert isinstance(assert_matches_scalar_loop(expr, xs), EvalError)
 
 
 @pytest.mark.parametrize("text,x_bad", [
@@ -172,8 +198,61 @@ def test_sample_rejects_non_finite_values(text, x_bad):
     assert "non-finite" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["x", "abs(x)", "tanh(x)"])
+def test_sample_rejects_non_finite_points_as_the_scalar_loop(text):
+    assert_matches_scalar_loop(parse_expression(text),
+                               [0.5, math.inf, -math.inf, math.nan])
+
+
 def test_sample_keeps_finite_values_after_overflow():
     # intermediate infinities that the scalar rules turn finite survive
     expr = parse_expression("exp(-1e200*1e200) + tanh(1e200*1e200*(1 + x^2))")
     xs = np.linspace(-1, 1, 11)
     assert expr.sample(xs).tobytes() == np.ones(11).tobytes()
+
+
+def test_shared_sampler_matches_scalar_calls_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # 1e400 parses to inf; 0 and 1e200 make divisions by zero and overflow
+    numbers = st.sampled_from(["0", "0.5", "1", "2", "3", "1.5", "0.25",
+                               "1e-3", "1e200", "1e400"])
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            children.map(lambda c: f"(-{c})"),
+            st.tuples(children, st.sampled_from("+-*/^"), children).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(children, numbers).map(lambda t: f"({t[0]})^{t[1]}"),
+        )
+
+    texts = st.recursive(st.one_of(st.just("x"), numbers), extend,
+                         max_leaves=8)
+
+    def built_from(pool):
+        """Texts whose subtrees come from pool, equal texts included."""
+        parts = st.sampled_from(pool)
+        return st.one_of(
+            parts,
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), parts).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(parts, st.sampled_from("+-*/^"), parts).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        )
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        pool = data.draw(st.lists(texts, min_size=1, max_size=3))
+        exprs = [parse_expression(t) for t in data.draw(
+            st.lists(built_from(pool), min_size=2, max_size=4))]
+        xs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1,
+                                max_size=12))
+        sampler = Sampler(xs)
+        for expr in exprs:
+            assert_matches_scalar_loop(expr, xs, sampler)
+
+    check()

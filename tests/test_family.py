@@ -180,6 +180,18 @@ def test_ansatz_parity_is_enforced():
         make_ansatz(g, np.ones(5), np.ones(5), 0.0)  # even alpha
 
 
+@pytest.mark.parametrize("half_width", [0.1, 1 / 3, 4, 5, 1e-3, 1e6])
+@pytest.mark.parametrize("npoints", [5, 9, 101, 801, 1201])
+def test_refined_grid_holds_the_coarse_grid_bit_for_bit(half_width, npoints):
+    # what family check --refine rests on to sample only the new points
+    coarse = make_grid(half_width, npoints).points
+    for k in (1, 2, 3):
+        fine = make_grid(half_width, 2 ** k * (npoints - 1) + 1).points
+        assert fine[::2 ** k].tobytes() == coarse.tobytes()
+        new = fine[1::2]
+        assert new.tobytes() == (-new[::-1]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # differentiated pair
 

@@ -1,14 +1,17 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import quasiherm.errors as errors_module
-from quasiherm import (ParityViolation, QuasihermError, SchemaError,
-                       as_pseudometric, factorization, models, parse_model,
-                       pt_symmetry_residual, parity_matrix, run_battery,
-                       run_scenario)
+from quasiherm import (ParityViolation, QuasihermError, ReportRow,
+                       SchemaError, as_pseudometric, even_part, factorization,
+                       forward_family, make_ansatz, make_grid, models,
+                       odd_part, ode_pair_residual, parse_expression,
+                       parse_model, pt_symmetry_residual, parity_matrix,
+                       run_battery, run_scenario)
 
 MODEL_2X2 = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]]}
 MODEL_BROKEN = {"kind": "matrix", "data": [[[0, 1.2], [1, 0]], [[1, 0], [0, -1.2]]]}
@@ -153,6 +156,53 @@ def test_family_scenarios_pass():
     assert rows["d2_sup"].value == 0.0
     assert rows["pg_hermiticity"].passed
     assert 3.5 <= rows["ode_ratio_S_level1"].value <= 4.5
+
+
+SIGMA_TEXT = "(1+0.35*exp(-x^2/1.7))"
+ALPHA_TEXT = "(0.9*x*exp(-x^2/0.8))"
+MODEL_FAMILY_EXPLICIT = {
+    "kind": "family", "grid": {"L": 4, "N": 201}, "sigma": SIGMA_TEXT,
+    "alpha": ALPHA_TEXT, "omega": 0.45,
+    "S": f"{SIGMA_TEXT}^2-{ALPHA_TEXT}^2+0.45",
+    "Lambda": f"2*{SIGMA_TEXT}*{ALPHA_TEXT}"}
+
+
+def scalar_ansatz(doc, npoints):
+    """doc's ansatz on its grid with npoints, from scalar calls per point."""
+    grid = make_grid(doc["grid"]["L"], npoints)
+    sigma, alpha = (np.array([parse_expression(doc[k])(x)
+                              for x in grid.points.tolist()])
+                    for k in ("sigma", "alpha"))
+    return grid, make_ansatz(grid, even_part(sigma), odd_part(alpha),
+                             doc["omega"])
+
+
+@pytest.mark.parametrize("doc", [MODEL_FAMILY, MODEL_FAMILY_EXPLICIT],
+                         ids=["readme", "explicit"])
+def test_refined_check_matches_scalar_samples_at_every_level(doc):
+    spec = parse_model(doc)
+    report = run_scenario(spec, "family-check", {"refine": 2})
+    grid, ansatz = scalar_ansatz(doc, doc["grid"]["N"])
+    base = run_scenario(
+        replace(spec, payload=dict(spec.payload, ansatz=ansatz)),
+        "family-check")
+    rows = list(base.rows)
+    prev = [rows_by_name(base)[f"ode_residual_{f}"].value
+            for f in ("S", "Lambda")]
+    floor = 100 * np.finfo(float).eps
+    npoints = grid.npoints
+    for k in (1, 2):
+        npoints = 2 * npoints - 1
+        fine, fine_ansatz = scalar_ansatz(doc, npoints)
+        res = ode_pair_residual(fine_ansatz, *forward_family(fine_ansatz),
+                                fine)
+        rows += [ReportRow(f"ode_residual_{f}_level{k}", float(r), None, None)
+                 for f, r in zip(("S", "Lambda"), res)]
+        rows += [ReportRow(f"ode_ratio_{f}_level{k}", p / r, None, None)
+                 for f, p, r in zip(("S", "Lambda"), prev, res)
+                 if p > floor and r > floor]
+        prev = res
+    assert report.to_json() == replace(report, rows=rows).to_json()
 
 
 def test_battery_report_prefixes_rows():
