@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NonFiniteResult, NonHermitianMetric
+from .errors import DimensionMismatch, NonFiniteResult, NonHermitianMetric
 from .operators import as_operator, as_state, require_metric
 from .spectral import SpectralData, eigendecompose
 
@@ -87,7 +87,7 @@ def norm_trace_columns(traj: Trajectory, metrics: Mapping[str, np.ndarray]
     for name, m in metrics.items():
         checked[name] = require_metric(m)
         if checked[name].shape[0] != traj.dim:
-            raise NonHermitianMetric(
+            raise DimensionMismatch(
                 f"metric {name!r} has wrong dimension for the trajectory")
     bra = traj.states.conj()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -184,7 +183,7 @@ def _p_residual(a: np.ndarray, pm: PseudoMetric) -> tuple[float, float]:
     """Absolute and relative Frobenius residual of A^dagger P - P A."""
     if a.shape != pm.shape:
         raise DimensionMismatch(
-            f"operator {a.shape} incompatible with metric {pm.shape}")
+            f"operator {a.shape} incompatible with pseudometric {pm.shape}")
     return frobenius_residual(pm.apply_right(a.conj().T) - pm.apply(a),
                               float(np.linalg.norm(a)) * pm.norm)
 
@@ -203,18 +202,10 @@ def charge_from_metric(theta, p) -> np.ndarray:
     return pm.inverse_apply(tt)
 
 
-def require_pseudo_hermitian(h: np.ndarray, pm: PseudoMetric,
-                             pt_rel: Callable[[], float], pt_rtol: float
-                             ) -> None:
-    """The checks that precede the eigensolve of the standard charge.
-
-    ``pt_rel`` returns the relative residual of H^dagger P = P H; it runs
-    only once the shapes of H and P are known to match.
-    """
-    if h.shape != pm.shape:
-        raise DimensionMismatch(
-            f"operator {h.shape} incompatible with pseudometric {pm.shape}")
-    rel = pt_rel()
+def require_pseudo_hermitian(rel: float, pt_rtol: float) -> None:
+    """The gate that precedes the eigensolve of the standard charge: the
+    relative residual ``rel`` of H^dagger P = P H (``pt_symmetry_residual``,
+    which checks the shapes) must be within ``pt_rtol``."""
     if rel > pt_rtol:
         raise NotPTSymmetric(
             f"H is not pseudo-Hermitian w.r.t. P (relative residual {rel:.3e})")
@@ -231,8 +222,7 @@ def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
     """
     hh = as_operator(h)
     pm = as_pseudometric(p)
-    require_pseudo_hermitian(hh, pm, lambda: pt_symmetry_residual(hh, pm)[1],
-                             DEFAULT_PT_RTOL)
+    require_pseudo_hermitian(_p_residual(hh, pm)[1], DEFAULT_PT_RTOL)
     return charge_from_spectrum(eigendecompose(hh, gap_floor), pm,
                                 reality_tol=reality_tol,
                                 pairing_floor=pairing_floor)

@@ -28,9 +28,8 @@ from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
 from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
                      coefficient_match, compatible_split, compose_pct_residual,
                      discretize_hamiltonian, even_part, forward_family,
-                     inverse_family, make_ansatz, make_grid, make_split,
-                     odd_part, ode_pair_residual, parity_deviation,
-                     tridiagonal)
+                     inverse_family, make_grid, odd_part, ode_pair_residual,
+                     parity_deviation, tridiagonal)
 from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
                       spectral_metric)
 from .spectral import (SpectralData, eigendecompose, is_real_spectrum,
@@ -343,22 +342,27 @@ def _expression(document: dict, name: str,
     return parse_expression(text)
 
 
-def _sample_with_parity(expr: Expression, sampler: Sampler, sign: int,
-                        path: str, raw_max: float = 0.0
-                        ) -> tuple[np.ndarray, float]:
-    """Even (sign +1) or odd (-1) part of the samples, whose points must be
-    closed under reflection, checked against what the projection drops;
-    returned with the largest |sample|.  raw_max is the largest |sample| at
-    points that passed this check before: it scales the check too."""
-    raw = expr.sample(sampler)
-    proj = even_part(raw) if sign == 1 else odd_part(raw)
-    lost = float(np.abs(raw - proj).max())
-    raw_max = max(raw_max, float(np.abs(raw).max()))
-    if lost > MODEL_PARITY_RTOL * max(1.0, raw_max):
-        kind = "even" if sign == 1 else "odd"
-        raise ParityViolation(
-            f"{path}: function tagged {kind} has asymmetry {lost:.3e}")
-    return proj, raw_max
+def _sample_parity_pair(document: dict, names: tuple[str, str],
+                        sampler: Sampler,
+                        raw_max: tuple[float, float] = (0.0, 0.0)
+                        ) -> tuple[list[np.ndarray], tuple[float, float]]:
+    """Even part of the samples of expression ``names[0]``, odd part of those
+    of ``names[1]`` (points closed under reflection), and the largest |sample|
+    of each so far, ``raw_max`` being that of points checked before; it scales
+    the check of each part against what its projection drops.  A part that
+    passes is exactly even or odd and finite, and needs no other check."""
+    parts, tops = [], []
+    for name, sign, top in zip(names, (+1, -1), raw_max):
+        raw = _expression(document, name).sample(sampler)
+        proj = even_part(raw) if sign == 1 else odd_part(raw)
+        lost = float(np.abs(raw - proj).max())
+        tops.append(max(top, float(np.abs(raw).max())))
+        if lost > MODEL_PARITY_RTOL * max(1.0, tops[-1]):
+            kind = "even" if sign == 1 else "odd"
+            raise ParityViolation(
+                f"{name}: function tagged {kind} has asymmetry {lost:.3e}")
+        parts.append(proj)
+    return parts, tuple(tops)
 
 
 def _build_lattice(doc: dict) -> np.ndarray:
@@ -411,30 +415,33 @@ def parse_model(document) -> ModelSpec:
         payload["potential"] = v_re + 1j * v_im
     else:  # family
         grid = _parse_grid(_need(document, "grid", ""), "grid")
-        # sigma, alpha, S and Lambda share the samples of common subtrees
-        sampler = Sampler(grid.points)
-        sigma, sigma_max = _sample_with_parity(
-            _expression(document, "sigma"), sampler, +1, "sigma")
-        alpha, alpha_max = _sample_with_parity(
-            _expression(document, "alpha"), sampler, -1, "alpha")
-        omega = _as_number(document.get("omega", 0.0), "omega")
-        payload["grid"] = grid
-        payload["ansatz"] = make_ansatz(grid, sigma, alpha, omega)
+        # sigma, alpha, S and Lambda share the samples of common subtrees;
         # family check --refine samples only the points each level adds,
         # and the largest |sample| so far scales their parity check
-        payload["raw_max"] = (sigma_max, alpha_max)
+        sampler = Sampler(grid.points)
+        (sigma, alpha), payload["raw_max"] = _sample_parity_pair(
+            document, ("sigma", "alpha"), sampler)
+        omega = _as_number(document.get("omega", 0.0), "omega")
+        payload["grid"] = grid
+        payload["ansatz"] = ChargeAnsatz(sigma, alpha, omega)
         if "S" in document or "Lambda" in document:
-            payload["s_even"] = _sample_with_parity(
-                _expression(document, "S"), sampler, +1, "S")[0]
-            payload["lam_odd"] = _sample_with_parity(
-                _expression(document, "Lambda"), sampler, -1, "Lambda")[0]
+            (payload["s_even"], payload["lam_odd"]), _ = _sample_parity_pair(
+                document, ("S", "Lambda"), sampler)
 
     if "pseudometric" in document:
         pchoice = document["pseudometric"]
         if pchoice in ("parity", "identity"):
             payload["pseudometric"] = pchoice
         elif isinstance(pchoice, list):
-            payload["pseudometric"] = _parse_matrix(pchoice, "pseudometric")
+            pm = _parse_matrix(pchoice, "pseudometric")
+            dim = (payload["matrix"].shape[0] if "matrix" in payload
+                   else payload["grid"].npoints)
+            if kind != "family" and pm.shape[0] != dim:
+                raise SchemaError(
+                    f"expected a {dim} x {dim} matrix for a model of "
+                    f"dimension {dim}, got {pm.shape[0]} x {pm.shape[0]}",
+                    "pseudometric")
+            payload["pseudometric"] = pm
         else:
             raise SchemaError(
                 "pseudometric must be 'parity', 'identity', or a matrix",
@@ -548,8 +555,7 @@ class _Analysis:
     def triple(self) -> SpaceTriple:
         """``standard_charge`` of H and P, gated before the eigensolve."""
         pm = self.pseudometric
-        require_pseudo_hermitian(self.h, pm, lambda: self.pt_residual,
-                                 self.tol)
+        require_pseudo_hermitian(self.pt_residual, self.tol)
         return SpaceTriple(pm, *charge_from_spectrum(self.spectrum, pm,
                                                      reality_tol=self.tol))
 
@@ -708,8 +714,8 @@ def _family_parts(spec: ModelSpec) -> tuple[Grid, ChargeAnsatz]:
 
 def _task_family_forward(a: _Analysis):
     grid, ansatz = _family_parts(a.spec)
-    s_even, lam_odd = forward_family(ansatz)
     split = compatible_split(ansatz, grid)
+    s_even, lam_odd = split.real_even, split.imag_odd
     s_parity = parity_deviation(s_even, +1)
     lam_parity = parity_deviation(lam_odd, -1)
     rows = [
@@ -772,13 +778,12 @@ def _task_family_check(a: _Analysis):
             f"the finest grid, got refine {levels}", "refine")
     full = compatible_split(ansatz, grid)
     zeros = np.zeros(grid.npoints)
-    s_even, lam_odd = forward_family(ansatz)
-    partial = make_split(grid, s_even, zeros, zeros, lam_odd)
+    partial = replace(full, real_odd=zeros, imag_even=zeros)
 
     cm = coefficient_match(ansatz, full, grid)
     pg = charge_pg_hermiticity(ansatz, grid)
     pc_scale = charge_norm(ansatz, grid)
-    r1, r2 = ode_pair_residual(ansatz, s_even, lam_odd, grid)
+    r1, r2 = ode_pair_residual(ansatz, full.real_even, full.imag_odd, grid)
     compose_full = compose_pct_residual(ansatz, full, grid)
     compose_partial = compose_pct_residual(ansatz, partial, grid)
 
@@ -800,23 +805,21 @@ def _task_family_check(a: _Analysis):
         # closed under reflection, so their parity parts need no other
         # point, and only they can fail the parity check: the old points
         # passed it at a scale no larger.
-        tags = (("sigma", +1), ("alpha", -1))
-        exprs = [_expression(spec.document, name) for name, _ in tags]
-        samples = [ansatz.sigma, ansatz.alpha]
-        tops = list(spec.payload["raw_max"])
+        samples = (ansatz.sigma, ansatz.alpha)
+        tops = spec.payload["raw_max"]
         prev = (r1, r2)
         n_pts = grid.npoints
         for k in range(1, levels + 1):
             n_pts = 2 * n_pts - 1
             fine = make_grid(grid.half_width, n_pts)
-            sampler = Sampler(fine.points[1::2])
-            for i, (name, sign) in enumerate(tags):
-                new, tops[i] = _sample_with_parity(exprs[i], sampler, sign,
-                                                   name, tops[i])
-                fine_samples = np.empty(n_pts)
-                fine_samples[0::2], fine_samples[1::2] = samples[i], new
-                samples[i] = fine_samples
-            fine_ansatz = make_ansatz(fine, *samples, ansatz.omega)
+            new, tops = _sample_parity_pair(
+                spec.document, ("sigma", "alpha"),
+                Sampler(fine.points[1::2]), tops)
+            fine_samples = np.empty((2, n_pts))
+            for row, old, add in zip(fine_samples, samples, new):
+                row[0::2], row[1::2] = old, add
+            samples = fine_samples
+            fine_ansatz = ChargeAnsatz(*samples, ansatz.omega)
             fs, fl = forward_family(fine_ansatz)
             fr1, fr2 = ode_pair_residual(fine_ansatz, fs, fl, fine)
             rows.append(_row(f"ode_residual_S_level{k}", fr1))

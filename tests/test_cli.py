@@ -64,6 +64,15 @@ def test_schema_error_exit_two(model_file, capsys):
     assert "data[1]" in err
 
 
+def test_pseudometric_of_the_wrong_size_exit_two(model_file, capsys):
+    path = model_file(dict(MODEL_2X2, pseudometric=np.eye(3).tolist()))
+    for task in (["factorize"], ["table"], ["report"]):
+        assert main(task + ["--model", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pseudometric: expected a 2 x 2 matrix" in captured.err
+
+
 def test_unreadable_model_exit_two(tmp_path, capsys):
     assert main(["spectrum", "--model", str(tmp_path / "missing.json")]) == 2
 

@@ -3,10 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from quasiherm import (NonFiniteResult, NonHermitianMetric, Trajectory,
-                       eigendecompose, hermitize, norm_trace_columns,
-                       norm_traces, propagate, propagate_spectrum, qh_residual,
-                       spectral_metric, standard_charge)
+from quasiherm import (DimensionMismatch, NonFiniteResult, NonHermitianMetric,
+                       Trajectory, eigendecompose, hermitize,
+                       norm_trace_columns, norm_traces, propagate,
+                       propagate_spectrum, qh_residual, spectral_metric,
+                       standard_charge)
 
 
 def closed_form_fnorm(times):
@@ -268,6 +269,14 @@ def test_batched_traces_raise_the_first_offender(case, error, name):
     with pytest.raises(error, match="^" + re.escape(str(expected.value))
                        + "$"):
         norm_traces(traj, metrics)
+
+
+def test_wrong_size_metric_is_a_dimension_mismatch():
+    traj = Trajectory(np.arange(3.0), np.ones((3, 2), dtype=complex))
+    message = "^metric 'm' has wrong dimension for the trajectory$"
+    for traces in (norm_trace_columns, norm_traces):
+        with pytest.raises(DimensionMismatch, match=message):
+            traces(traj, {"I": np.eye(2), "m": np.eye(3)})
 
 
 def test_identity_trace_equals_the_product_bit_for_bit():

@@ -95,6 +95,16 @@ def test_standard_charge_requires_pt_symmetry(parity2):
         standard_charge(np.diag([1.0, 2.0]), parity2)
 
 
+def test_standard_charge_reports_a_shape_fault_once(model_h, monkeypatch):
+    def eig(a):
+        raise AssertionError("the eigensolve ran before the shape check")
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with pytest.raises(DimensionMismatch) as err:
+        standard_charge(model_h, np.eye(3))
+    assert str(err.value) == (
+        "operator (2, 2) incompatible with pseudometric (3, 3)")
+
+
 def test_standard_charge_pairing_guard(model_h, parity2):
     with pytest.raises(ExceptionalPoint):
         standard_charge(model_h, parity2, pairing_floor=10.0)
@@ -252,6 +262,51 @@ def test_verify_table_on_random_pseudo_hermitian_models(seed):
         assert row.rel_residual <= 1e-10, row
     if dim % 2 == 0:
         assert signature(p) == (dim // 2, dim // 2)
+
+
+def test_gate_and_table_property(monkeypatch):
+    # H = J A with A Hermitian positive definite is J-pseudo-Hermitian and
+    # similar to A^(1/2) J A^(1/2), so its spectrum is real; it is simple
+    # for A with spread eigenvalues and random eigenvectors (A = I would
+    # give H = J).  A generic perturbation of H is not J-pseudo-Hermitian,
+    # and the PT gate must reject it before the eigensolve
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    eig_calls = []
+    original_eig = np.linalg.eig
+
+    def eig(a):
+        eig_calls.append(a.shape)
+        return original_eig(a)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24),
+                      log_cond=st.floats(1.0, 3.0))
+    def check(seed, n, log_cond):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n))
+                            + 1j * rng.normal(size=(n, n)))
+        a = (q * np.geomspace(1.0, 10.0 ** log_cond, n)) @ q.conj().T
+        h = parity_matrix(n) @ (0.5 * (a + a.conj().T))
+        p = PseudoMetric.structured("parity", n)
+        c, cand = standard_charge(h, p)
+        assert cand.positive and cand.min_eig > 0
+        assert (np.linalg.norm(c @ c - np.eye(n))
+                <= 1e-10 * np.linalg.norm(c) ** 2)
+        rows = verify_table(make_triple(p, c), h)
+        assert [r.name for r in rows[:6]] == list(RELATION_ROWS)
+        assert all(r.passed for r in rows[:6]), rows
+        assert rows[6].name == "Theta_positive" and rows[6].passed
+
+        e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        calls_before = len(eig_calls)
+        with pytest.raises(NotPTSymmetric):
+            standard_charge(h + 1e-6 * np.linalg.norm(h) / np.linalg.norm(e)
+                            * e, p)
+        assert len(eig_calls) == calls_before
+
+    check()
 
 
 def test_charge_from_spectrum_matches_dyad_sum():

@@ -8,7 +8,7 @@ from quasiherm import (BadGrid, ChargeAnsatz, ParityViolation, SigmaVanishes,
                        discretize_hamiltonian, even_part, first_difference,
                        forward_family, inverse_family, make_ansatz, make_grid,
                        make_split, odd_part, ode_pair_residual, parity_matrix,
-                       second_difference)
+                       parse_model, second_difference)
 from quasiherm.family import BOUNDARY_MARGIN
 
 
@@ -567,3 +567,39 @@ def test_compatible_split_derivatives_have_exact_parity(n):
                           -np.gradient(a.sigma, g.spacing, edge_order=2)[1:-1])
     assert np.array_equal(ps.imag_even[1:-1],
                           -np.gradient(a.alpha, g.spacing, edge_order=2)[1:-1])
+
+
+def seeded_bump_texts(seed):
+    """sigma and alpha texts of a Gaussian-bump ansatz with seeded shape."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.2, 0.7), rng.uniform(0.4, 1.2)
+    s, t = rng.uniform(1.0, 3.0), rng.uniform(0.5, 2.0)
+    return f"1+{a!r}*exp(-x^2/{s!r})", f"{b!r}*x*exp(-x^2/{t!r})"
+
+
+@pytest.mark.parametrize("texts", [("1+0.5*exp(-x^2)", "x*exp(-x^2)"),
+                                   seeded_bump_texts(3)],
+                         ids=["readme", "bump"])
+def test_derivative_companions_converge_to_symbolic_derivatives(texts):
+    # oracle: sympy differentiates the model texts; the companions
+    # real_odd = -sigma' and imag_even = -alpha' of compatible_split and
+    # the order-0 coefficient residual are second order in h, up to the
+    # one-sided ends, and the order-1 residual is roundoff
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    dsigma, dalpha = (sympy.lambdify(x, sympy.diff(sympy.sympify(t), x),
+                                     "numpy") for t in texts)
+    errors = []
+    for n in (201, 401, 801, 1601):
+        spec = parse_model({"kind": "family", "grid": {"L": 4, "N": n},
+                            "sigma": texts[0], "alpha": texts[1],
+                            "omega": 0.7})
+        g, a = spec.payload["grid"], spec.payload["ansatz"]
+        ps = compatible_split(a, g)
+        cm = coefficient_match(a, ps, g)
+        assert cm.sup(1) <= 1e-13
+        errors.append((np.abs(ps.real_odd + dsigma(g.points)).max(),
+                       np.abs(ps.imag_even + dalpha(g.points)).max(),
+                       cm.sup(0)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert all(c >= 3.9 * f for c, f in zip(coarse, fine)), errors

@@ -205,6 +205,18 @@ def test_refined_check_matches_scalar_samples_at_every_level(doc):
     assert report.to_json() == replace(report, rows=rows).to_json()
 
 
+def test_refined_parity_check_scales_with_the_coarse_samples():
+    # the spike at x = 0 lies on the coarse grid only; the asymmetry of
+    # sigma at the new points, up to 3.5e-6, is within 1e-10 of the largest
+    # sample so far, as on the fine grid as a whole, not of their own
+    doc = {"kind": "family", "grid": {"L": 4, "N": 9},
+           "sigma": "1+1e6*exp(-100*x^2)+1e-6*x", "alpha": "x"}
+    report = run_scenario(parse_model(doc), "family-check", {"refine": 1})
+    assert report.all_passed
+    assert "ode_residual_S_level1" in rows_by_name(report)
+    parse_model(dict(doc, grid={"L": 4, "N": 17}))
+
+
 def test_battery_report_prefixes_rows():
     spec = parse_model(MODEL_2X2)
     report = run_battery(spec)
@@ -389,22 +401,29 @@ def test_errors_are_raised_again_not_cached(monkeypatch):
 
 
 def test_factorize_gates_before_the_eigensolve(monkeypatch):
-    # the pseudometric checks precede the eigensolve, with the same
-    # messages as before the shared analysis
+    # the PT check precedes the eigensolve
     calls = count_calls(monkeypatch, np.linalg, "eig")
-    wrong_dim = dict(MODEL_2X2, pseudometric=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    spec = parse_model(wrong_dim)
-    factorize = run_scenario(spec, "factorize").rows
-    table = run_scenario(spec, "table").rows
-    assert [r.name for r in factorize] == ["DimensionMismatch"]
-    assert factorize[0].value == "operator (2, 2) incompatible with metric (3, 3)"
-    assert [r.name for r in table] == ["DimensionMismatch"]
-    assert table[0].value == (
-        "operator (2, 2) incompatible with pseudometric (3, 3)")
     not_pt = run_scenario(parse_model(dict(MODEL_2X2, pseudometric="identity")),
                           "factorize").rows
     assert [r.name for r in not_pt] == ["NotPTSymmetric"]
     assert calls == []
+
+
+@pytest.mark.parametrize("doc,dim", [
+    (MODEL_2X2, 2),
+    ({"kind": "lattice", "n": 4, "gamma": 0.3}, 4),
+    ({"kind": "schroedinger", "grid": {"L": 1, "N": 5}, "V_real": "x^2"}, 5),
+])
+def test_pseudometric_of_the_wrong_size_is_a_schema_error(doc, dim):
+    for k in (dim - 1, dim + 1):
+        with pytest.raises(SchemaError) as err:
+            parse_model(dict(doc, pseudometric=np.eye(k).tolist()))
+        assert err.value.path == "pseudometric"
+        assert str(err.value) == (
+            f"pseudometric: expected a {dim} x {dim} matrix for a model of "
+            f"dimension {dim}, got {k} x {k}")
+    spec = parse_model(dict(doc, pseudometric=np.eye(dim).tolist()))
+    assert spec.payload["pseudometric"].shape == (dim, dim)
 
 
 def test_operator_report_certifies_each_matrix_once(monkeypatch):
