@@ -80,13 +80,28 @@ def parity_deviation(f: np.ndarray, sign: int) -> float:
     return float(np.abs(f - sign * f[::-1]).max())
 
 
-def _check_parity(name: str, f: np.ndarray, sign: int) -> None:
-    scale = max(1.0, float(np.abs(f).max()))
-    dev = parity_deviation(f, sign)
-    if dev > PARITY_ATOL * scale:
-        kind = "even" if sign == 1 else "odd"
-        raise ParityViolation(
-            f"{name} is not {kind} on the grid (deviation {dev:.3e})")
+def _samples(grid: Grid, dtype=float, **named) -> list[np.ndarray]:
+    """The named sample arrays as ``dtype`` arrays, each checked to have the
+    grid's length (DimensionMismatch) and finite entries (ValueError).  An
+    array given as (array, sign) must also be even (+1) or odd (-1) to
+    PARITY_ATOL times max(1, its largest |entry|) (ParityViolation)."""
+    out = []
+    for name, value in named.items():
+        f, sign = value if isinstance(value, tuple) else (value, 0)
+        f = np.asarray(f, dtype=dtype)
+        if f.shape != (grid.npoints,):
+            raise DimensionMismatch(
+                f"{name} must have length {grid.npoints}, got shape {f.shape}")
+        if not np.isfinite(f).all():
+            raise ValueError(f"{name} samples must be finite")
+        if sign:
+            dev = parity_deviation(f, sign)
+            if dev > PARITY_ATOL * max(1.0, float(np.abs(f).max())):
+                kind = "even" if sign == 1 else "odd"
+                raise ParityViolation(
+                    f"{name} is not {kind} on the grid (deviation {dev:.3e})")
+        out.append(f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,15 +118,9 @@ class ChargeAnsatz:
 
 
 def make_ansatz(grid: Grid, sigma, alpha, omega: float = 0.0) -> ChargeAnsatz:
-    s = np.asarray(sigma, dtype=float)
-    a = np.asarray(alpha, dtype=float)
-    if s.shape != (grid.npoints,) or a.shape != (grid.npoints,):
-        raise DimensionMismatch(
-            f"ansatz samples must have length {grid.npoints}")
-    if not (np.isfinite(s).all() and np.isfinite(a).all() and np.isfinite(omega)):
-        raise ValueError("ansatz samples must be finite")
-    _check_parity("sigma", s, +1)
-    _check_parity("alpha", a, -1)
+    s, a = _samples(grid, sigma=(sigma, +1), alpha=(alpha, -1))
+    if not np.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     return ChargeAnsatz(s.copy(), a.copy(), float(omega))
 
 
@@ -132,21 +141,9 @@ class PotentialSplit:
 
 def make_split(grid: Grid, real_even, real_odd, imag_even, imag_odd
                ) -> PotentialSplit:
-    parts = {
-        "real_even": (np.asarray(real_even, dtype=float), +1),
-        "real_odd": (np.asarray(real_odd, dtype=float), -1),
-        "imag_even": (np.asarray(imag_even, dtype=float), +1),
-        "imag_odd": (np.asarray(imag_odd, dtype=float), -1),
-    }
-    for name, (f, sign) in parts.items():
-        if f.shape != (grid.npoints,):
-            raise DimensionMismatch(
-                f"{name} must have length {grid.npoints}")
-        if not np.isfinite(f).all():
-            raise ValueError(f"{name} samples must be finite")
-        _check_parity(name, f, sign)
-    return PotentialSplit(*(parts[k][0].copy() for k in
-                            ("real_even", "real_odd", "imag_even", "imag_odd")))
+    return PotentialSplit(*(f.copy() for f in _samples(
+        grid, real_even=(real_even, +1), real_odd=(real_odd, -1),
+        imag_even=(imag_even, +1), imag_odd=(imag_odd, -1))))
 
 
 def _d1_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,35 +184,26 @@ def second_difference(grid: Grid) -> np.ndarray:
 
 def _hamiltonian_bands(grid: Grid, potential) -> tuple:
     """(lower, diag, upper) of H = -D2 + diag(V)."""
-    v = np.asarray(potential, dtype=complex).ravel()
-    if v.shape != (grid.npoints,):
-        raise DimensionMismatch(
-            f"potential must have length {grid.npoints}, got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("potential samples must be finite")
+    (v,) = _samples(grid, complex, potential=potential)
     lower, diag, upper = _d2_bands(grid)
     return -lower, v - diag, -upper
 
 
 def _charge_bands(grid: Grid, sigma, alpha) -> tuple:
     """(lower, diag, upper) of C = D1 + diag(sigma + i alpha)."""
-    s = np.asarray(sigma, dtype=float).ravel()
-    a = np.asarray(alpha, dtype=float).ravel()
-    if s.shape != (grid.npoints,) or a.shape != (grid.npoints,):
-        raise DimensionMismatch(
-            f"charge samples must have length {grid.npoints}")
+    s, a = _samples(grid, sigma=sigma, alpha=alpha)
     lower, diag, upper = _d1_bands(grid)
     return lower, diag + (s + 1j * a), upper
 
 
 def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
     """H = -D2 + diag(V) with zero (Dirichlet) samples beyond the ends."""
-    return tridiagonal(*_hamiltonian_bands(grid, potential))
+    return tridiagonal(*_hamiltonian_bands(grid, np.ravel(potential)))
 
 
 def discretize_charge(grid: Grid, sigma, alpha) -> np.ndarray:
     """C = D1 + diag(sigma + i alpha) with Dirichlet ends."""
-    return tridiagonal(*_charge_bands(grid, sigma, alpha))
+    return tridiagonal(*_charge_bands(grid, np.ravel(sigma), np.ravel(alpha)))
 
 
 def _reflected_adjoint(bands) -> tuple:
@@ -263,6 +251,7 @@ def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
     derivatives are projected onto their parity (sigma' odd, alpha' even);
     the interior differences already have it exactly and do not change.
     """
+    _samples(grid, sigma=a.sigma, alpha=a.alpha)
     s_even, lam_odd = forward_family(a)
     ds = odd_part(np.gradient(a.sigma, grid.spacing, edge_order=2))
     da = even_part(np.gradient(a.alpha, grid.spacing, edge_order=2))
@@ -289,15 +278,13 @@ def ode_pair_residual(a: ChargeAnsatz, s_even, lam_odd, grid: Grid
     with central differences on interior points; O(h^2) for smooth data
     produced by forward_family.
     """
-    s_arr = np.asarray(s_even, dtype=float)
-    lam_arr = np.asarray(lam_odd, dtype=float)
-    if s_arr.shape != (grid.npoints,) or lam_arr.shape != (grid.npoints,):
-        raise DimensionMismatch("potential components must match the grid")
+    sigma, alpha, s_arr, lam_arr = _samples(
+        grid, sigma=a.sigma, alpha=a.alpha, s_even=s_even, lam_odd=lam_odd)
     h = grid.spacing
-    sig_i = a.sigma[1:-1]
-    alp_i = a.alpha[1:-1]
-    dsig = _central(a.sigma, h)
-    dalp = _central(a.alpha, h)
+    sig_i = sigma[1:-1]
+    alp_i = alpha[1:-1]
+    dsig = _central(sigma, h)
+    dalp = _central(alpha, h)
     r1 = np.abs(_central(s_arr, h) - (2 * dsig * sig_i - 2 * dalp * alp_i))
     r2 = np.abs(_central(lam_arr, h) - (2 * dsig * alp_i + 2 * dalp * sig_i))
     return float(r1.max()), float(r2.max())
@@ -318,10 +305,7 @@ def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
     """
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    s_arr = np.asarray(s_even, dtype=float)
-    lam_arr = np.asarray(lam_odd, dtype=float)
-    if s_arr.shape != (grid.npoints,) or lam_arr.shape != (grid.npoints,):
-        raise DimensionMismatch("potential components must match the grid")
+    s_arr, lam_arr = _samples(grid, s_even=s_even, lam_odd=lam_odd)
     # radicand >= shifted^2, so the root below is always real nonnegative
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = s_arr - omega
@@ -357,10 +341,7 @@ def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
     is taken over (P H^dagger P) C - C H, a pentadiagonal difference of
     two tridiagonal products.
     """
-    v = ps.potential()
-    if v.shape != (grid.npoints,) or a.sigma.shape != (grid.npoints,):
-        raise DimensionMismatch("ansatz and split must live on the grid")
-    hb = _hamiltonian_bands(grid, v)
+    hb = _hamiltonian_bands(grid, ps.potential())
     cb = _charge_bands(grid, a.sigma, a.alpha)
     lhs = _product_diagonals(_reflected_adjoint(hb), cb)
     rhs = _product_diagonals(cb, hb)
@@ -421,9 +402,8 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
     by ode_pair_residual; the even projections vanish exactly when
     real_odd = -sigma' and imag_even = -alpha'.
     """
-    v = ps.potential()
-    if v.shape != (grid.npoints,) or a.sigma.shape != (grid.npoints,):
-        raise DimensionMismatch("ansatz and split must live on the grid")
+    (v,) = _samples(grid, complex, potential=ps.potential())
+    _samples(grid, sigma=a.sigma, alpha=a.alpha)
     h = grid.spacing
     n = grid.npoints
     w = a.w

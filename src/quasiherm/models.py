@@ -25,8 +25,9 @@ from .expressions import Expression, Sampler, parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
                             charge_from_spectrum, pt_symmetry_residual,
                             require_pseudo_hermitian, verify_table)
-from .family import (ChargeAnsatz, Grid, charge_norm, charge_pg_hermiticity,
-                     coefficient_match, compatible_split, compose_pct_residual,
+from .family import (ChargeAnsatz, Grid, PotentialSplit, charge_norm,
+                     charge_pg_hermiticity, coefficient_match,
+                     compatible_split, compose_pct_residual,
                      discretize_hamiltonian, even_part, forward_family,
                      inverse_family, make_grid, odd_part, ode_pair_residual,
                      parity_deviation, tridiagonal)
@@ -430,13 +431,17 @@ def parse_model(document) -> ModelSpec:
 
     if "pseudometric" in document:
         pchoice = document["pseudometric"]
+        if kind == "family":
+            raise SchemaError(
+                "a family model takes no pseudometric: P is the index "
+                "reversal of its grid", "pseudometric")
         if pchoice in ("parity", "identity"):
             payload["pseudometric"] = pchoice
         elif isinstance(pchoice, list):
             pm = _parse_matrix(pchoice, "pseudometric")
             dim = (payload["matrix"].shape[0] if "matrix" in payload
                    else payload["grid"].npoints)
-            if kind != "family" and pm.shape[0] != dim:
+            if pm.shape[0] != dim:
                 raise SchemaError(
                     f"expected a {dim} x {dim} matrix for a model of "
                     f"dimension {dim}, got {pm.shape[0]} x {pm.shape[0]}",
@@ -471,7 +476,8 @@ def _gap_floor(spec: ModelSpec, opts: dict) -> float | None:
 
 class _Analysis:
     """The chain of one model under fixed options: H, its eigensystem, the
-    pseudometric P, the default metric Theta and the triple (P, C, P C).
+    pseudometric P, the default metric Theta and the triple (P, C, P C);
+    for a family model, the compatible split of its ansatz.
 
     Every task of a scenario or battery reads from one instance.  Each
     quantity is built on first use and kept only if the build succeeds, so
@@ -558,6 +564,11 @@ class _Analysis:
         require_pseudo_hermitian(self.pt_residual, self.tol)
         return SpaceTriple(pm, *charge_from_spectrum(self.spectrum, pm,
                                                      reality_tol=self.tol))
+
+    @cached_property
+    def split(self) -> PotentialSplit:
+        grid, ansatz = _family_parts(self.spec)
+        return compatible_split(ansatz, grid)
 
 
 def _row(name, value, passed=None, tol=None) -> ReportRow:
@@ -714,7 +725,7 @@ def _family_parts(spec: ModelSpec) -> tuple[Grid, ChargeAnsatz]:
 
 def _task_family_forward(a: _Analysis):
     grid, ansatz = _family_parts(a.spec)
-    split = compatible_split(ansatz, grid)
+    split = a.split
     s_even, lam_odd = split.real_even, split.imag_odd
     s_parity = parity_deviation(s_even, +1)
     lam_parity = parity_deviation(lam_odd, -1)
@@ -736,13 +747,13 @@ def _task_family_inverse(a: _Analysis):
     spec = a.spec
     grid, ansatz = _family_parts(spec)
     branch = int(a.opts.get("branch", +1))
-    if "s_even" in spec.payload:
-        s_even = spec.payload["s_even"]
-        lam_odd = spec.payload["lam_odd"]
-        roundtrip = False
+    if branch not in (+1, -1):
+        raise SchemaError(f"need branch +1 or -1, got {branch}", "branch")
+    roundtrip = "s_even" not in spec.payload
+    if roundtrip:
+        s_even, lam_odd = a.split.real_even, a.split.imag_odd
     else:
-        s_even, lam_odd = forward_family(ansatz)
-        roundtrip = True
+        s_even, lam_odd = spec.payload["s_even"], spec.payload["lam_odd"]
     recovered = inverse_family(s_even, lam_odd, ansatz.omega, grid,
                                branch=branch)
     rows = [_row("omega_sign_convention", "S_minus_omega")]
@@ -776,7 +787,7 @@ def _task_family_check(a: _Analysis):
         raise SchemaError(
             f"need refine >= 0 and at most {MAX_REFINED_POINTS} points on "
             f"the finest grid, got refine {levels}", "refine")
-    full = compatible_split(ansatz, grid)
+    full = a.split
     zeros = np.zeros(grid.npoints)
     partial = replace(full, real_odd=zeros, imag_even=zeros)
 

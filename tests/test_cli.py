@@ -73,6 +73,16 @@ def test_pseudometric_of_the_wrong_size_exit_two(model_file, capsys):
         assert "pseudometric: expected a 2 x 2 matrix" in captured.err
 
 
+def test_family_pseudometric_exit_two(model_file, capsys):
+    path = model_file(dict(MODEL_FAMILY, pseudometric="parity"))
+    for task in (["family", "forward"], ["family", "check"], ["report"]):
+        assert main(task + ["--model", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pseudometric: a family model takes no pseudometric" in (
+            captured.err)
+
+
 def test_unreadable_model_exit_two(tmp_path, capsys):
     assert main(["spectrum", "--model", str(tmp_path / "missing.json")]) == 2
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from quasiherm import (BadGrid, ChargeAnsatz, ParityViolation, SigmaVanishes,
+from quasiherm import (BadGrid, ChargeAnsatz, DimensionMismatch,
+                       ParityViolation, SigmaVanishes,
                        adjoint, charge_norm, charge_pg_hermiticity,
                        coefficient_match, compatible_split,
                        compose_pct_residual, discretize_charge,
@@ -134,6 +137,88 @@ def test_discretize_charge_structure():
     assert np.array_equal(adjoint(c), -c)  # skew-Hermitian
     c1 = discretize_charge(g, np.ones(11), zero)
     assert np.array_equal(c1, (d1 + np.eye(11)).astype(complex))
+
+
+def test_discretizers_flatten_their_input():
+    g = make_grid(1.0, 11)
+    a = smooth_ansatz(g)
+    column = a.sigma.reshape(-1, 1)
+    assert np.array_equal(discretize_hamiltonian(g, column),
+                          discretize_hamiltonian(g, a.sigma))
+    assert np.array_equal(discretize_charge(g, column, a.alpha[None, :]),
+                          discretize_charge(g, a.sigma, a.alpha))
+
+
+# ---------------------------------------------------------------------------
+# the sample contract: every array is checked against the grid by name
+
+G21, G11 = make_grid(2.0, 21), make_grid(2.0, 11)
+A21, A11 = smooth_ansatz(G21), smooth_ansatz(G11)
+S21, S11 = compatible_split(A21, G21), compatible_split(A11, G11)
+SHORT = np.ones(11)
+ONES = np.ones(21)
+
+WRONG_LENGTH = {
+    "make_ansatz-sigma": (lambda: make_ansatz(G21, SHORT, 0 * ONES), "sigma"),
+    "make_ansatz-alpha": (lambda: make_ansatz(G21, ONES, SHORT), "alpha"),
+    "make_split-imag_even": (
+        lambda: make_split(G21, ONES, 0 * ONES, SHORT, 0 * ONES),
+        "imag_even"),
+    "discretize_hamiltonian": (
+        lambda: discretize_hamiltonian(G21, SHORT), "potential"),
+    "discretize_charge": (
+        lambda: discretize_charge(G21, ONES, SHORT), "alpha"),
+    "compatible_split": (lambda: compatible_split(A11, G21), "sigma"),
+    "ode_pair_residual-ansatz": (
+        lambda: ode_pair_residual(A11, S21.real_even, S21.imag_odd, G21),
+        "sigma"),
+    "ode_pair_residual-lam_odd": (
+        lambda: ode_pair_residual(A21, S21.real_even, S11.imag_odd, G21),
+        "lam_odd"),
+    "inverse_family": (
+        lambda: inverse_family(S11.real_even, S21.imag_odd, 0.7, G21),
+        "s_even"),
+    "compose_pct_residual-split": (
+        lambda: compose_pct_residual(A21, S11, G21), "potential"),
+    "compose_pct_residual-ansatz": (
+        lambda: compose_pct_residual(A11, S21, G21), "sigma"),
+    "coefficient_match-alpha": (
+        lambda: coefficient_match(replace(A21, alpha=A11.alpha), S21, G21),
+        "alpha"),
+    "coefficient_match-split": (
+        lambda: coefficient_match(A21, S11, G21), "potential"),
+    "charge_pg_hermiticity": (
+        lambda: charge_pg_hermiticity(A11, G21), "sigma"),
+    "charge_norm": (lambda: charge_norm(A11, G21), "sigma"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_LENGTH)
+def test_wrong_length_sample_is_named(case):
+    call, name = WRONG_LENGTH[case]
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^{name} must have length 21, got shape"):
+        call()
+
+
+NAN = np.where(G21.points == 0.0, np.nan, 1.0)
+
+NON_FINITE = {
+    "make_ansatz": (lambda: make_ansatz(G21, NAN, 0 * ONES), "sigma"),
+    "make_split": (
+        lambda: make_split(G21, ONES, 0 * ONES, NAN, 0 * ONES), "imag_even"),
+    "discretize_hamiltonian": (
+        lambda: discretize_hamiltonian(G21, NAN), "potential"),
+    "discretize_charge": (
+        lambda: discretize_charge(G21, ONES, NAN), "alpha"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_sample_is_named(case):
+    call, name = NON_FINITE[case]
+    with pytest.raises(ValueError, match=rf"^{name} samples must be finite"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,14 @@ def test_family_inverse_sigma_vanishes_row():
     assert isinstance(row.value, list) and len(row.value) > 0
 
 
+@pytest.mark.parametrize("branch", [2, 0, -2])
+def test_out_of_range_branch_is_a_schema_row(branch):
+    report = run_scenario(parse_model(MODEL_FAMILY), "family-inverse",
+                          {"branch": branch})
+    assert [(r.name, r.passed) for r in report.rows] == [("SchemaError", False)]
+    assert report.rows[0].value == f"branch: need branch +1 or -1, got {branch}"
+
+
 def test_lattice_battery_passes_end_to_end():
     spec = parse_model({"kind": "lattice", "n": 5, "gamma": 0.5})
     report = run_battery(spec)
@@ -351,6 +359,11 @@ def test_battery_solves_the_eigenproblem_once(monkeypatch, doc):
     (dict(MODEL_2X2, pseudometric="identity"),
      {"factorize.NotPTSymmetric", "table.NotPTSymmetric"}),
     (MODEL_FAMILY, set()),
+    # S overflows, so the split that the three family tasks share fails
+    ({"kind": "family", "grid": {"L": 4, "N": 21},
+      "sigma": "1e200*(1+0*x^2)", "alpha": "x*exp(-x^2)"},
+     {"family-forward.NonFiniteResult", "family-inverse.NonFiniteResult",
+      "family-check.NonFiniteResult"}),
 ])
 def test_battery_rows_equal_fresh_scenarios(doc, failing):
     spec = parse_model(doc)
@@ -364,6 +377,18 @@ def test_battery_rows_equal_fresh_scenarios(doc, failing):
             fresh.append(type(r)(f"{task}.{r.name}", r.value, r.passed, r.tol))
     assert battery.rows == fresh
     assert {r.name for r in battery.rows if r.passed is False} == failing
+
+
+def test_family_battery_builds_the_split_once(monkeypatch):
+    from quasiherm import family
+    splits = count_calls(monkeypatch, models, "compatible_split")
+    forwards = count_calls(monkeypatch, models, "forward_family")
+    parity = count_calls(monkeypatch, family, "parity_deviation")
+    report = run_battery(parse_model(MODEL_FAMILY))
+    assert report.all_passed
+    assert len(splits) == 1 and forwards == []
+    # the four parts of the one split and the recovered sigma and alpha
+    assert len(parity) == 6
 
 
 def test_battery_checks_the_eigensystem_once(monkeypatch):
@@ -424,6 +449,17 @@ def test_pseudometric_of_the_wrong_size_is_a_schema_error(doc, dim):
             f"dimension {dim}, got {k} x {k}")
     spec = parse_model(dict(doc, pseudometric=np.eye(dim).tolist()))
     assert spec.payload["pseudometric"].shape == (dim, dim)
+
+
+@pytest.mark.parametrize("choice", ["parity", "identity", [[5]],
+                                    np.eye(21).tolist(), 3])
+def test_family_model_takes_no_pseudometric(choice):
+    doc = {"kind": "family", "grid": {"L": 4, "N": 21},
+           "sigma": "1+0.5*exp(-x^2)", "alpha": "x*exp(-x^2)"}
+    with pytest.raises(SchemaError) as err:
+        parse_model(dict(doc, pseudometric=choice))
+    assert err.value.path == "pseudometric"
+    assert "family model takes no pseudometric" in str(err.value)
 
 
 def test_operator_report_certifies_each_matrix_once(monkeypatch):
