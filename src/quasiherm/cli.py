@@ -11,6 +11,8 @@ import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 from .errors import (BadGrid, EvalError, ParityViolation, ParseError,
@@ -113,12 +115,20 @@ def _psi0_option(raw: str):
 
 
 def _emit(report: Report, out: str | None, fmt: str) -> None:
+    # in place, then cut to length: truncating to zero first costs more
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     with (contextlib.nullcontext(sys.stdout) if out is None else
-          open(out, "w", encoding="utf-8", newline="")) as fh:
-        if fmt == "json":
-            fh.write(report.to_json())
-        else:
-            report.write_csv(fh)
+          open(os.open(out, flags, 0o666), "w", encoding="utf-8",
+               newline="")) as fh:
+        try:
+            if fmt == "json":
+                fh.write(report.to_json())
+            else:
+                report.write_csv(fh)
+        finally:  # only a regular file is cut, never a device or a pipe
+            if out is not None and stat.S_ISREG(
+                    os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def main(argv=None) -> int:

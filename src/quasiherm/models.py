@@ -570,6 +570,15 @@ class _Analysis:
         grid, ansatz = _family_parts(self.spec)
         return compatible_split(ansatz, grid)
 
+    @property
+    def potential(self) -> tuple[np.ndarray, np.ndarray]:
+        """S and Lambda of the ansatz, as ``forward_family`` gives them: the
+        split holds the same arrays, so they are read from it once a task
+        has built it, and no derivative is taken for them alone."""
+        if "split" in self.__dict__:  # where cached_property keeps it
+            return self.split.real_even, self.split.imag_odd
+        return forward_family(_family_parts(self.spec)[1])
+
 
 def _row(name, value, passed=None, tol=None) -> ReportRow:
     """The one row constructor; ``passed`` is a Python bool or None."""
@@ -751,7 +760,7 @@ def _task_family_inverse(a: _Analysis):
         raise SchemaError(f"need branch +1 or -1, got {branch}", "branch")
     roundtrip = "s_even" not in spec.payload
     if roundtrip:
-        s_even, lam_odd = a.split.real_even, a.split.imag_odd
+        s_even, lam_odd = a.potential
     else:
         s_even, lam_odd = spec.payload["s_even"], spec.payload["lam_odd"]
     recovered = inverse_family(s_even, lam_odd, ansatz.omega, grid,

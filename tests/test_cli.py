@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -647,3 +649,83 @@ def test_csv_written_in_chunks_has_the_same_bytes(model_file, tmp_path,
     expected = run_scenario(parse_model(MODEL_2X2), "evolve",
                             {"steps": 50}).to_csv()
     assert whole.read_bytes() == expected.encode()
+
+
+# --out is written in place and cut to the report's length
+
+OUT_ARGV = [["report"], ["report", "--format", "csv"],
+            ["evolve", "--format", "csv", "--steps", "20"]]
+
+
+def stdout_bytes(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", OUT_ARGV, ids=" ".join)
+@pytest.mark.parametrize("old_size", [5, 4000])
+def test_out_over_an_existing_file_equals_stdout(model_file, tmp_path, capsys,
+                                                 argv, old_size):
+    argv = argv + ["--model", model_file(MODEL_2X2)]
+    code, expected = stdout_bytes(capsys, argv)
+    assert code == 0 and 5 < len(expected) < 4000
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * old_size)
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_out_over_the_model_file_leaves_the_report(tmp_path, capsys):
+    # the model, padded to be longer than its report, is read before the
+    # report is written over it
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODEL_2X2) + " " * 8000)
+    argv = ["report", "--model", str(path)]
+    code, expected = stdout_bytes(capsys, argv)
+    assert code == 0 and len(expected) < 8000
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull),
+                    reason="no null device")
+def test_out_to_the_null_device(model_file, capsys):
+    assert main(["report", "--model", model_file(MODEL_2X2),
+                 "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_new_out_file_has_the_mode_of_open(model_file, tmp_path):
+    with open(tmp_path / "reference", "w"):
+        pass
+    out = tmp_path / "out.json"
+    assert main(["report", "--model", model_file(MODEL_2X2),
+                 "--out", str(out)]) == 0
+    assert (stat.S_IMODE(out.stat().st_mode)
+            == stat.S_IMODE((tmp_path / "reference").stat().st_mode))
+
+
+def test_failed_write_leaves_what_it_wrote(model_file, tmp_path, capsys,
+                                           monkeypatch):
+    def write_csv(self, out):
+        out.write("name,value")
+        raise RuntimeError("disk on fire")
+    monkeypatch.setattr(models.Report, "write_csv", write_csv)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x" * 100)
+    assert main(["report", "--format", "csv", "--model",
+                 model_file(MODEL_2X2), "--out", str(out)]) == 3
+    assert "disk on fire" in capsys.readouterr().err
+    assert out.read_bytes() == b"name,value"
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_out_that_cannot_be_opened_exit_two(model_file, tmp_path, capsys,
+                                            target):
+    # the same message as opening the path with open(path, "w")
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as expected:
+        open(path, "w")
+    assert main(["report", "--model", model_file(MODEL_2X2),
+                 "--out", path]) == 2
+    assert capsys.readouterr().err == f"quasiherm: {expected.value}\n"

@@ -373,6 +373,46 @@ def test_inverse_sigma_vanishes():
     assert len(err.value.indices) > 0
 
 
+def test_inverse_inverts_forward_within_its_conditioning():
+    # property: on random grids, inverse_family(forward_family(a)) returns
+    # a positive even sigma and an odd alpha, and their negatives on the
+    # other branch.  Rounding S and Lambda costs eps * (sigma^2 + alpha^2 +
+    # |omega|) absolutely; sigma^2 = ((S - omega) + sqrt(...)) / 2 passes
+    # that on, cancelling where alpha > sigma, and d(sigma) = d(sigma^2) /
+    # (2 sigma).  So the pointwise condition number relative to sigma is
+    # kappa = (sigma^2 + alpha^2 + |omega|) / sigma^2, and a few roundings
+    # of kappa * eps bound both relative errors; a subnormal alpha also
+    # loses a few of the smallest subnormal steps absolutely
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    eps, step = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      half=st.integers(2, 200),
+                      half_width=st.floats(0.1, 50.0),
+                      sigma_min=st.floats(1e-3, 2.0),
+                      alpha_max=st.floats(0.0, 10.0),
+                      omega=st.floats(-20.0, 20.0))
+    def check(seed, half, half_width, sigma_min, alpha_max, omega):
+        rng = np.random.default_rng(seed)
+        g = make_grid(half_width, 2 * half + 1)
+        sigma = sigma_min + even_part(rng.exponential(size=g.npoints))
+        alpha = alpha_max * odd_part(rng.uniform(-1.0, 1.0, g.npoints))
+        a = make_ansatz(g, sigma, alpha, omega)
+        kappa = (sigma ** 2 + alpha ** 2 + abs(omega)) / sigma ** 2
+        s_even, lam_odd = forward_family(a)
+        rec = inverse_family(s_even, lam_odd, omega, g, branch=+1)
+        assert np.all(np.abs(rec.sigma - sigma) <= 8 * eps * kappa * sigma)
+        assert np.all(np.abs(rec.alpha - alpha)
+                      <= 8 * eps * kappa * np.abs(alpha) + 8 * step)
+        neg = inverse_family(s_even, lam_odd, omega, g, branch=-1)
+        assert np.array_equal(neg.sigma, -rec.sigma)
+        assert np.array_equal(neg.alpha, -rec.alpha)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # operator composition
 

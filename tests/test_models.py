@@ -391,6 +391,20 @@ def test_family_battery_builds_the_split_once(monkeypatch):
     assert len(parity) == 6
 
 
+def test_lone_roundtrip_builds_no_split(monkeypatch):
+    # S and Lambda come from forward_family: no derivative is taken, and
+    # only the recovered sigma and alpha are parity-checked; a battery
+    # reads them from its split, with the same rows
+    # (test_battery_rows_equal_fresh_scenarios)
+    from quasiherm import family
+    spec = parse_model(dict(MODEL_FAMILY, grid={"L": 4, "N": 101}))
+    gradients = count_calls(monkeypatch, np, "gradient")
+    parity = count_calls(monkeypatch, family, "parity_deviation")
+    report = run_scenario(spec, "family-inverse")
+    assert report.all_passed
+    assert gradients == [] and len(parity) == 2
+
+
 def test_battery_checks_the_eigensystem_once(monkeypatch):
     # spectrum and evolve read the same reconstruction and pairing checks
     from quasiherm import spectral
