@@ -49,7 +49,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--gap-floor", type=_nonnegative_float, default=None,
-                        help="degeneracy floor override for eigensolves")
+                        help="fixed degeneracy floor in place of the "
+                        "conditioning bound")
 
 
 # task options by name (--t-max sets "t_max"); a flag left out is not

@@ -28,7 +28,7 @@ class NonHermitianMetric(QuasihermError):
 
 
 class DegenerateSpectrum(QuasihermError):
-    """Minimal eigenvalue separation fell below the configured floor."""
+    """Two eigenvalues lie closer than the eigensystem can resolve."""
 
 
 class NonConvergence(QuasihermError):

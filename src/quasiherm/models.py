@@ -460,20 +460,6 @@ def parse_model(document) -> ModelSpec:
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def _gap_floor(spec: ModelSpec, opts: dict) -> float | None:
-    """Degeneracy floor for scenario eigendecompositions.
-
-    Discretized Schroedinger operators legitimately carry near-degenerate
-    doublets at the top of the finite-difference band (states localized at
-    the two walls), so the library default would reject every confining
-    potential on a fine grid; those artifact doublets are harmless for the
-    reported residuals.
-    """
-    if "gap_floor" in opts and opts["gap_floor"] is not None:
-        return float(opts["gap_floor"])
-    return 0.0 if spec.kind == "schroedinger" else None
-
-
 class _Analysis:
     """The chain of one model under fixed options: H, its eigensystem, the
     pseudometric P, the default metric Theta and the triple (P, C, P C);
@@ -529,7 +515,7 @@ class _Analysis:
 
     @cached_property
     def spectrum(self) -> SpectralData:
-        return eigendecompose(self.h, _gap_floor(self.spec, self.opts))
+        return eigendecompose(self.h, self.opts.get("gap_floor"))
 
     @cached_property
     def spectrum_checks(self) -> tuple[float, float]:

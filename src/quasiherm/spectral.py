@@ -20,19 +20,17 @@ from .errors import (BrokenPhase, DegenerateSpectrum, DimensionMismatch,
                      NonConvergence, SelfOrthogonal)
 from .operators import as_operator
 
-# Above this 1-norm condition number of the right-eigenvector matrix, the
-# left system is taken from the adjoint decomposition instead of inversion;
-# inversion loses accuracy near exceptional points.
-LEFT_FROM_ADJOINT_COND = 1e8
-
-# Default degeneracy floor as a fraction of the spectral radius.
-DEFAULT_GAP_FACTOR = 1e-8
+# Above this 1-norm condition number of the right-eigenvector matrix, a
+# real form with B^T = J B J takes the left vectors J conj(W) in place of
+# the rows of the inverse, which loses accuracy near exceptional points.
+LEFT_FROM_FLIP_COND = 1e8
 
 SELF_ORTHOGONALITY_RTOL = 1e-12
 
 DEFAULT_REALITY_TOL = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,10 @@ def matrix_from_real_form(x: np.ndarray) -> np.ndarray:
     return _from_real_form(_from_real_form(x).conj().T).conj().T
 
 
-def _hermitian_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real eigenvalues and orthonormal eigenvectors of a Hermitian b.
+def _hermitian_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray | None]:
+    """Real eigenvalues and orthonormal eigenvectors of a Hermitian b, and
+    whether each vector is odd (None when b is solved whole).
 
     When J b J = b, J the flip, the even vectors (x, J x) and the odd
     vectors (x, -J x) are solved apart, from the blocks b11 + (b J)11 and
@@ -152,7 +152,7 @@ def _hermitian_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact parity, v[::-1] = +-v.
     """
     if not np.array_equal(b[::-1, ::-1], b):
-        return np.linalg.eigh(b)
+        return (*np.linalg.eigh(b), None)
     n = b.shape[0]
     half = n // 2
     top = b[:half, :half]
@@ -171,19 +171,21 @@ def _hermitian_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w[:half, ne:] = x_odd / _SQRT2
     w[n - half:, :ne] = w[:half, :ne][::-1]
     w[n - half:, ne:] = -w[:half, ne:][::-1]
-    return np.concatenate((vals_even, vals_odd)), w
+    return np.concatenate((vals_even, vals_odd)), w, np.arange(n) >= ne
 
 
 def _left_from_inverse(right: np.ndarray, w: np.ndarray,
-                       rotated: bool) -> np.ndarray | None:
+                       rotated: bool) -> tuple[np.ndarray, float]:
     """Left vectors as the rows of V^-1, V = S W when ``rotated`` else W,
-    or None when the 1-norm condition number ||V||_1 ||V^-1||_1 exceeds
-    LEFT_FROM_ADJOINT_COND.  W^-1 is taken in W's own (real or complex)
-    arithmetic: the rows of V^-1 = W^-1 S^dagger are S (W^-1)^dagger."""
+    and the 1-norm condition number ||V||_1 ||V^-1||_1.  W^-1 is taken in
+    W's own (real or complex) arithmetic: the rows of V^-1 = W^-1 S^dagger
+    are S (W^-1)^dagger.  Linearly dependent eigenvectors, a singular W or
+    an inverse that overflows, raise DegenerateSpectrum."""
     try:
         inv = np.linalg.inv(w)
     except np.linalg.LinAlgError:
-        return None
+        raise DegenerateSpectrum(
+            "the eigenvectors are linearly dependent") from None
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.iscomplexobj(inv):
             # a real inverse pairs with W about 1.4 times worse than a
@@ -195,55 +197,42 @@ def _left_from_inverse(right: np.ndarray, w: np.ndarray,
         if rotated:
             left = _from_real_form(left)
         # ||V^-1||_1 = ||(V^-1)^dagger||_inf
-        cond = np.linalg.norm(right, 1) * np.linalg.norm(left, np.inf)
-    if not cond <= LEFT_FROM_ADJOINT_COND:  # also catches a nan condition
-        return None
-    return left
+        cond = float(np.linalg.norm(right, 1) * np.linalg.norm(left, np.inf))
+    if not math.isfinite(cond):
+        raise DegenerateSpectrum(
+            f"the eigenvectors are linearly dependent (cond_1 {cond})")
+    return left, cond
 
 
-def _left_from_flip(b: np.ndarray, w: np.ndarray,
-                    rotated: bool) -> np.ndarray | None:
-    """Left vectors J conj(W), mapped by S when ``rotated``, when
-    b^T = J b J exactly, J the flip (as for the real form of any
-    parity-pseudo-Hermitian H); None for any other b.
+def _left_from_flip(w: np.ndarray, rotated: bool) -> np.ndarray:
+    """Left vectors J conj(W), mapped by S when ``rotated``, of a b with
+    b^T = J b J, J the flip (as for the real form of any
+    parity-pseudo-Hermitian H).
 
     From b w = lambda w follows b^dagger J conj(w) = conj(lambda) J conj(w),
     column by column, so no eigenvalue matching is needed."""
-    if not np.array_equal(b.T, b[::-1, ::-1]):
-        return None
     left = w[::-1].conj()
     return _from_real_form(left) if rotated else left
-
-
-def _left_from_adjoint(m: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Left vectors as eigenvectors of A^dagger, matched to conj(lambda)."""
-    b, rotated = real_form(m.conj().T)
-    wl, ul = np.linalg.eig(b)
-    if rotated:
-        ul = _from_real_form(ul)
-    target = vals.conj()
-    cols = np.empty(vals.size, dtype=int)
-    free = np.ones(vals.size, dtype=bool)
-    for n in range(vals.size):
-        dist = np.abs(wl - target[n])
-        dist[~free] = np.inf
-        k = int(np.argmin(dist))
-        cols[n] = k
-        free[k] = False
-    return ul[:, cols]
 
 
 def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     """Biorthogonal eigendecomposition with a degeneracy guard.
 
-    ``gap_floor=None`` selects the default 1e-8 * spectral radius; a
-    minimal eigenvalue separation below the floor raises
-    DegenerateSpectrum.  Pass 0 to disable the check.
-
     The matrix is solved in its ``real_form`` b.  A Hermitian b goes to
     ``eigh`` (by parity sector when b commutes with the flip) and its left
-    vectors are its right vectors; any other b goes to ``eig``.  When b was
-    rotated, the eigenvectors come back as S W.
+    vectors are its right vectors.  Any other b goes to ``eig``, once, and
+    its left vectors are the rows of V^-1; when cond_1(V) exceeds
+    LEFT_FROM_FLIP_COND and b^T = J b J, they are J conj(W) instead.  When
+    b was rotated, the eigenvectors come back as S W.
+
+    The guard raises DegenerateSpectrum for a pair of eigenvalues closer
+    than (kappa_i + kappa_j) N eps ||b||_F, where kappa_n =
+    ||phi_n|| ||psi_n|| / |<phi_n|psi_n>| (1 for a Hermitian b): roundoff
+    can move the two that far, so the eigensystem does not resolve them.
+    Pairs that an exact symmetry keeps apart are exempt: vectors of
+    opposite parity sectors, and exactly conjugate eigenvalues of a real
+    b.  A ``gap_floor`` replaces the bound by a fixed floor; pass 0 to
+    disable the check.  ``min_gap`` is the smallest gap of all pairs.
     """
     m = as_operator(a)
     if gap_floor is not None and gap_floor < 0:
@@ -251,7 +240,8 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     b, rotated = real_form(m)
     hermitian = np.array_equal(b, b.conj().T)
     try:
-        vals, w = _hermitian_eig(b) if hermitian else np.linalg.eig(b)
+        vals, w, odd = (_hermitian_eig(b) if hermitian
+                        else (*np.linalg.eig(b), None))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
 
@@ -260,28 +250,40 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     vals = vals[order]
     w = w[:, order]
     right = _from_real_form(w) if rotated else w
-
-    if vals.size > 1:
-        dist = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(dist, np.inf)
-        min_gap = float(dist.min())
-    else:
-        min_gap = float("inf")
-    radius = float(np.abs(vals).max())
-    floor = DEFAULT_GAP_FACTOR * radius if gap_floor is None else float(gap_floor)
-    if min_gap < floor:
-        raise DegenerateSpectrum(
-            f"minimal eigenvalue gap {min_gap:.3e} below floor {floor:.3e}")
     if hermitian:
-        return SpectralData(vals, right, right, min_gap)
-
-    left = _left_from_inverse(right, w, rotated)
-    if left is None:
-        left = _left_from_flip(b, w, rotated)
+        left, kappa_max = right, 1.0
+    else:
+        left, cond = _left_from_inverse(right, w, rotated)
+        if cond > LEFT_FROM_FLIP_COND and np.array_equal(b.T, b[::-1, ::-1]):
+            left = _left_from_flip(w, rotated)
+        # kappa_n <= cond_2(V) <= N cond_1(V)
+        kappa_max = vals.size * cond
     del w
-    if left is None:
-        left = _left_from_adjoint(m, vals)
-    right, left = biorthonormalize(right, left)
+
+    dist = np.abs(vals[:, None] - vals[None, :])
+    np.fill_diagonal(dist, np.inf)
+    min_gap = float(dist.min())
+    unit = vals.size * _EPS * float(np.linalg.norm(b))
+    floor = 2 * kappa_max * unit if gap_floor is None else gap_floor
+    if min_gap < floor:
+        if gap_floor is None and not hermitian:
+            with np.errstate(divide="ignore"):
+                kappa = (np.linalg.norm(left, axis=0)
+                         * np.linalg.norm(right, axis=0)
+                         / np.abs(np.einsum("ij,ij->j", left.conj(), right)))
+            floor = (kappa[:, None] + kappa) * unit
+        close = dist < floor
+        if odd is not None:
+            close &= odd[order][:, None] == odd[order]
+        if not np.iscomplexobj(b):
+            close &= ~((vals[:, None] == vals.conj()) & (vals.imag != 0))
+        if close.any():
+            i, j = np.argwhere(close)[0]
+            raise DegenerateSpectrum(
+                f"eigenvalues {i} and {j}: gap {dist[i, j]:.3e} below floor "
+                f"{np.broadcast_to(floor, dist.shape)[i, j]:.3e}")
+    if not hermitian:
+        right, left = biorthonormalize(right, left)
     return SpectralData(vals, right, left, min_gap)
 
 

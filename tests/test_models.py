@@ -426,10 +426,11 @@ def test_errors_are_raised_again_not_cached(monkeypatch):
     # every task needing the eigensystem reports the failure, and each
     # one retries the eigensolve, since only successes are memoized; the
     # identity is symmetric and commutes with the flip, so each retry is
-    # two sector eigh calls
+    # two sector eigh calls, and two of its three vectors share the even
+    # sector, where no symmetry keeps them apart
     eig_calls = count_calls(monkeypatch, np.linalg, "eig")
     eigh_calls = count_calls(monkeypatch, np.linalg, "eigh")
-    doc = {"kind": "matrix", "data": [[1, 0], [0, 1]]}
+    doc = {"kind": "matrix", "data": np.eye(3).tolist()}
     report = run_battery(parse_model(doc))
     names = [r.name for r in report.rows]
     assert names == ["spectrum.DegenerateSpectrum", "metric.DegenerateSpectrum",

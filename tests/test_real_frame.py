@@ -61,7 +61,7 @@ def library_rows(spec, choice: str) -> tuple[dict, dict, float]:
     """The battery's rows computed by library calls on the complex H, the
     matrices of the H frame, and the condition number of its eigenvectors."""
     h = model_h(spec)
-    s = eigendecompose(h, models._gap_floor(spec, {}))
+    s = eigendecompose(h)
     n = s.dim
     pm = PseudoMetric.structured(choice, n)
     theta = spectral_metric(s)

@@ -3,8 +3,9 @@ import pytest
 
 from quasiherm import (DegenerateSpectrum, SelfOrthogonal, biorthonormalize,
                        discretize_hamiltonian, eigendecompose, is_real_spectrum,
-                       make_grid, parse_model)
-from quasiherm import spectral
+                       make_grid, parity_matrix, parse_model, run_battery,
+                       run_scenario, standard_charge)
+from quasiherm import errors, spectral
 
 from conftest import random_diagonalizable
 
@@ -107,14 +108,32 @@ def test_sorting_is_by_real_then_imag():
 
 
 def test_degenerate_spectrum_raises():
+    # two of the three even-sector vectors share an eigenvalue, and no
+    # symmetry keeps them apart
     with pytest.raises(DegenerateSpectrum):
-        eigendecompose(np.eye(2))
+        eigendecompose(np.eye(3))
 
 
 def test_gap_floor_zero_disables_check():
-    s = eigendecompose(np.eye(2), gap_floor=0.0)
+    # eye(3) raises under the default rule (above)
+    s = eigendecompose(np.eye(3), gap_floor=0.0)
     assert s.min_gap == 0.0
-    assert np.abs(s.pairing() - np.eye(2)).max() <= 1e-14
+    assert np.abs(s.pairing() - np.eye(3)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("h,floor,raises", [
+    (np.diag([1.0, 2.0]), 2.0, True),
+    (np.eye(3), 1e-300, True),
+    (np.eye(2), 1.0, False),  # opposite parity sectors
+    ("broken", 10.0, False),  # an exact conjugate pair of the real form
+])
+def test_fixed_gap_floor_keeps_the_exemptions(broken_h, h, floor, raises):
+    h = broken_h if isinstance(h, str) else h
+    if raises:
+        with pytest.raises(DegenerateSpectrum):
+            eigendecompose(h, gap_floor=floor)
+    else:
+        assert eigendecompose(h, gap_floor=floor).min_gap < floor
 
 
 def test_self_orthogonal_raises():
@@ -122,18 +141,19 @@ def test_self_orthogonal_raises():
         biorthonormalize(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def test_ill_conditioned_right_system_uses_adjoint_route(monkeypatch):
+def test_ill_conditioned_right_system_keeps_the_inverse(monkeypatch):
     # strong non-normality: eigenvalues +-1 stay separated while the
     # right eigenvectors become nearly parallel (cond ~ 1e9); h^T != J h J,
-    # so the left vectors take a second eigensolve, of h^T
+    # so the left vectors stay the rows of V^-1, from one eigensolve.  The
+    # default guard rejects this pair (test_unresolved_pair_is_degenerate),
+    # so it is switched off here
     h = np.array([[1.0, 1e9], [0.0, -1.0]])
     assert not np.array_equal(h.T, h[::-1, ::-1])
     dtypes = record_eig(monkeypatch)
-    s = eigendecompose(h)
-    assert dtypes == [np.dtype(float), np.dtype(float)]
+    s = eigendecompose(h, gap_floor=0.0)
+    assert dtypes == [np.dtype(float)]
     assert np.abs(np.sort(s.eigenvalues.real) - np.array([-1.0, 1.0])).max() <= 1e-6
-    diag = np.einsum("ij,ij->j", s.left_vectors.conj(), s.right_vectors)
-    assert np.abs(diag - 1.0).max() <= 1e-12
+    assert np.abs(s.pairing() - np.eye(2)).max() <= 1e-12
 
 
 # --- real arithmetic for real and PT-symmetric matrices -------------------
@@ -292,25 +312,23 @@ def test_broken_phase_pt_matrix_gives_exact_conjugate_pairs(monkeypatch, case,
     assert_matches_complex_eig(h, s, 64 * np.finfo(float).eps)
 
 
-def test_adjoint_route_runs_in_real_arithmetic(monkeypatch):
-    # B has eigenvalues +-1 and right eigenvectors of condition ~ 1e9; its
-    # PT-symmetric similar matrix takes the adjoint route for the left system
+def test_ill_conditioned_pt_matrix_keeps_the_inverse_in_real_arithmetic(
+        monkeypatch):
+    # B has eigenvalues +-1 and right eigenvectors of condition ~ 1e9, and
+    # B^T != J B J: its PT-symmetric similar matrix keeps the rows of the
+    # real W^-1 as its left system, from one real eigensolve
     h = from_real_form(np.array([[1.0, 1e9], [0.0, -1.0]]))
     assert np.array_equal(h[::-1, ::-1], h.conj())
     dtypes = record_eig(monkeypatch)
-    routes = []
-    original = spectral._left_from_adjoint
-
-    def recorded(m, vals):
-        routes.append("adjoint")
-        return original(m, vals)
-    monkeypatch.setattr(spectral, "_left_from_adjoint", recorded)
-    s = eigendecompose(h)
-    assert routes == ["adjoint"]
-    assert dtypes == [np.dtype(float), np.dtype(float)]
+    inverted = record(monkeypatch, "inv")
+    s = eigendecompose(h, gap_floor=0.0)
+    assert dtypes == [np.dtype(float)] and len(inverted) == 1
     assert np.abs(s.eigenvalues - np.array([-1.0, 1.0])).max() <= 1e-6
     diag = np.einsum("ij,ij->j", s.left_vectors.conj(), s.right_vectors)
     assert np.abs(diag - 1.0).max() <= 1e-12
+    # S mixes the entries of size 1e9 into every column: the products of
+    # the Gram matrix carry cond(V) eps of roundoff
+    assert np.abs(s.pairing() - np.eye(2)).max() <= 1e9 * EPS
 
 
 def test_pt_route_matches_complex_eig_property():
@@ -420,24 +438,31 @@ def checks(h, s):
 
 @pytest.mark.parametrize("npoints", [101, 201, 301])
 def test_flip_left_vectors_match_the_adjoint_route(monkeypatch, npoints):
-    # cond(V) > 1e8, so the inverse route declines; the real form B of this
-    # parity-pseudo-Hermitian H has B^T = J B J, so its left vectors are
-    # J conj(W) and the adjoint eigensolve is not run
+    # cond(V) > 1e8, and the real form B of this parity-pseudo-Hermitian H
+    # has B^T = J B J, so its left vectors are J conj(W) in place of the
+    # rows of V^-1, and no second eigensolve runs
     h = broken_schroedinger(npoints)
     eigs = record(monkeypatch, "eig")
     routes = []
     original = spectral._left_from_flip
 
-    def recorded(b, w, rotated):
-        left = original(b, w, rotated)
-        routes.append(left is not None)
-        return left
+    def recorded(w, rotated):
+        routes.append(True)
+        return original(w, rotated)
     monkeypatch.setattr(spectral, "_left_from_flip", recorded)
     s = eigendecompose(h, gap_floor=0.0)
     assert routes == [True] and len(eigs) == 1
     monkeypatch.undo()
-    # the oracle: the adjoint route's left vectors for the same right ones
-    left = spectral._left_from_adjoint(h, s.eigenvalues)
+    # the oracle: left vectors from a second eigensolve, of H^dagger, each
+    # matched to the nearest free conj(lambda)
+    vals_adj, left_adj = np.linalg.eig(h.conj().T)
+    free = np.ones(s.dim, dtype=bool)
+    cols = []
+    for lam in s.eigenvalues:
+        dist = np.where(free, np.abs(vals_adj - lam.conj()), np.inf)
+        cols.append(int(np.argmin(dist)))
+        free[cols[-1]] = False
+    left = left_adj[:, cols]
     adjoint = spectral.SpectralData(
         s.eigenvalues, *biorthonormalize(s.right_vectors, left), s.min_gap)
     for flip_err, adjoint_err in zip(checks(h, s), checks(h, adjoint)):
@@ -455,10 +480,165 @@ def test_flip_left_vectors_match_the_inverse(monkeypatch, kind):
     b = (m + m.T)[::-1]
     assert np.array_equal(b.T, b[::-1, ::-1])
     ref = eigendecompose(b)
-    monkeypatch.setattr(spectral, "LEFT_FROM_ADJOINT_COND", 0.0)
+    monkeypatch.setattr(spectral, "LEFT_FROM_FLIP_COND", 0.0)
     eigs = record(monkeypatch, "eig")
     s = eigendecompose(b)
     assert len(eigs) == 1
     assert np.array_equal(s.eigenvalues, ref.eigenvalues)
     assert np.abs(s.left_vectors - ref.left_vectors).max() <= 1e-12
     assert np.abs(s.pairing() - np.eye(7)).max() <= 1e-13
+
+
+# --- the degeneracy rule: conditioning, parity sectors, conjugate pairs ---
+
+def matrix_model(h, **extra):
+    return parse_model(dict(extra, kind="matrix", data=[
+        [[float(z.real), float(z.imag)] for z in row] for row in h]))
+
+
+def error_codes(rows):
+    """The codes of the error rows among report rows."""
+    names = {r.name.rsplit(".", 1)[-1] for r in rows}
+    return {name for name in names
+            if isinstance(getattr(errors, name, None), type)}
+
+
+def pseudo_unitary_similar(seed, d):
+    """H = S diag(d) S^-1 with S^dagger J S = diag(+-1), J the flip: H is
+    J-pseudo-Hermitian with the real spectrum d (Mostafazadeh's
+    pseudo-unitary basis), and complex, not PT-symmetric."""
+    rng = np.random.default_rng(seed)
+    n = d.size
+    signs, u = np.linalg.eigh(np.eye(n)[::-1])
+    signs = np.sign(signs)
+    x = np.eye(n, dtype=complex)
+    for sign in (-1.0, 1.0):
+        idx = np.nonzero(signs == sign)[0]
+        q, _ = np.linalg.qr(rng.normal(size=(idx.size, idx.size))
+                            + 1j * rng.normal(size=(idx.size, idx.size)))
+        x[np.ix_(idx, idx)] = q
+    # a boost between one odd and one even direction keeps diag(signs)
+    i, j = np.nonzero(signs < 0)[0][0], np.nonzero(signs > 0)[0][0]
+    t = rng.uniform(0.5, 1.5)
+    boost = np.eye(n)
+    boost[np.ix_([i, j], [i, j])] = [[np.cosh(t), np.sinh(t)],
+                                     [np.sinh(t), np.cosh(t)]]
+    s = u @ x @ boost
+    assert np.abs(s.conj().T @ s[::-1] - np.diag(signs)).max() <= 1e-12
+    return (s * d) @ (np.diag(signs) @ s.conj().T[:, ::-1])
+
+
+def near_degenerate_non_normal(gap, skew, seed=5):
+    """Q T Q^dagger for T = [[1, gap/skew], [0, 1 + gap]] and a random
+    unitary Q: eigenvalues 1 and 1 + gap, both of condition ~1/skew."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    t = np.array([[1.0, gap / skew], [0.0, 1.0 + gap]])
+    return q @ t @ q.conj().T, t
+
+
+def corner_shift(t):
+    """How far a backward error eps ||t||_F in the lower corner of the
+    upper-triangular 2 x 2 t moves its eigenvalues: they solve
+    (a - l)(d - l) = b e."""
+    e = EPS * np.linalg.norm(t)
+    (a, b), (_, d) = t
+    disc = np.sqrt(complex((a - d) ** 2 + 4 * b * e))
+    moved = np.array([(a + d - disc) / 2, (a + d + disc) / 2])
+    return np.abs(moved - np.sort([a, d])).max()
+
+
+@pytest.mark.parametrize("case", ["non-normal", "upper-1e9"])
+def test_unresolved_pair_is_degenerate(case):
+    # the pair is closer than (kappa_i + kappa_j) N eps ||H||_F, and the
+    # oracle agrees: a backward error of eps ||H||_F moves the eigenvalues
+    # by more than their gap
+    if case == "non-normal":
+        h, t = near_degenerate_non_normal(gap=1e-12, skew=1e-4)
+    else:
+        h = t = np.array([[1.0, 1e9], [0.0, -1.0]])
+    vals, v = np.linalg.eig(h)
+    left = np.linalg.inv(v).conj().T
+    kappa = (np.linalg.norm(left, axis=0) * np.linalg.norm(v, axis=0)
+             / np.abs(np.einsum("ij,ij->j", left.conj(), v)))
+    gap = abs(vals[0] - vals[1])
+    unit = 2 * EPS * np.linalg.norm(h)
+    # kappa matters: a normal pair at this gap would be resolved
+    assert 2 * unit < gap < kappa.sum() * unit
+    assert corner_shift(t) > abs(t[0, 0] - t[1, 1])
+    with pytest.raises(DegenerateSpectrum):
+        eigendecompose(h)
+
+
+def test_resolved_non_normal_pair_passes():
+    # the same family 1e4 times wider apart is resolved
+    h, _ = near_degenerate_non_normal(gap=1e-8, skew=1e-4)
+    s = eigendecompose(h)
+    assert s.min_gap == pytest.approx(1e-8, rel=1e-3)
+
+
+@pytest.mark.parametrize("case", ["jordan"] + [f"sds-{k}" for k in range(8)])
+def test_defective_and_repeated_spectra_never_pass(case):
+    # a Jordan block and H = S D S^-1 with a repeated D: the eigensystem
+    # cannot be resolved, so every task reports DegenerateSpectrum
+    if case == "jordan":
+        h = np.array([[1.0, 1.0], [0.0, 1.0]])
+    else:
+        seed = int(case.split("-")[1])
+        rng = np.random.default_rng(100 + seed)
+        d = np.round(rng.uniform(-2.0, 2.0, size=4 + seed), 1)
+        d[1 + seed % 3] = d[0]
+        h = pseudo_unitary_similar(seed, d)
+    with pytest.raises(DegenerateSpectrum):
+        eigendecompose(h)
+    for p in ("parity", "identity"):
+        report = run_battery(matrix_model(h, pseudometric=p))
+        assert not any(r.passed for r in report.rows)
+        assert "DegenerateSpectrum" in error_codes(report.rows)
+
+
+def test_identity_pair_of_opposite_parity_passes():
+    # eye(2) is solved by parity sector; its two vectors have opposite
+    # parity, so the exact gap 0 is kept and C = P
+    s = eigendecompose(np.eye(2))
+    assert s.min_gap == 0.0
+    charge, _ = standard_charge(np.eye(2), parity_matrix(2))
+    assert np.abs(charge - parity_matrix(2)).max() <= EPS
+    report = run_battery(matrix_model(np.eye(2)))
+    assert error_codes(report.rows) == set()
+    assert all(r.passed is not False for r in report.rows)
+
+
+def test_conjugate_pair_at_the_exceptional_point_stays_broken():
+    # gamma one ulp above the EP of the dimer: the conjugate pair
+    # +-i sqrt(gamma^2 - 1) ~ +-2.1e-8 i is closer than its conditioning
+    # bound, but B is real, so the pair is exactly conjugate and kept
+    gamma = np.nextafter(1.0, 2.0)
+    h = np.array([[1j * gamma, 1.0], [1.0, -1j * gamma]])
+    s = eigendecompose(h)
+    vals = s.eigenvalues
+    assert np.array_equal(vals, vals[::-1].conj())
+    assert 1e-8 < abs(vals[0].imag) < 1e-7
+    assert error_codes(run_battery(matrix_model(h)).rows) == {"BrokenPhase"}
+
+
+@pytest.mark.parametrize("v_imag,npoints", [("1e-8*x^3", 401),
+                                            ("1e-6*x", 301)])
+def test_weakly_broken_models_stay_broken(v_imag, npoints):
+    # each also has a real, unsplit wall doublet closer than 1e-8 times
+    # the spectral radius; its vectors are well conditioned, so it is kept
+    spec = parse_model({"kind": "schroedinger", "grid": {"L": 8, "N": npoints},
+                        "V_real": "x^2", "V_imag": v_imag})
+    assert error_codes(run_battery(spec).rows) == {"BrokenPhase"}
+
+
+def test_hermitian_asymmetric_double_well_passes_its_spectrum_task():
+    # not flip-symmetric, so one eigh and no sector exemption; the tunnel
+    # doublet (gap 7.9e-7) lies far above 2 N eps ||H||_F
+    spec = parse_model({"kind": "schroedinger", "grid": {"L": 6, "N": 301},
+                        "V_real": "x^4-8*x^2+1e-7*x"})
+    rows = run_scenario(spec, "spectrum").rows
+    assert error_codes(rows) == set()
+    gap = {r.name: r.value for r in rows}["min_gap"]
+    assert 7e-7 < gap < 9e-7
+    assert all(r.passed is not False for r in rows)
