@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteResult, NonHermitianMetric
-from .operators import as_operator, as_state, require_metric
+from .operators import as_operator, as_state, hermitian_part
 from .spectral import SpectralData, eigendecompose
 
 TRACE_IMAG_RTOL = 1e-10
@@ -58,7 +58,8 @@ def _expand(s: SpectralData, v0: np.ndarray, ts: np.ndarray) -> Trajectory:
     # a broken phase may overflow exp(-i lambda t); checked right below
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * np.outer(ts, s.eigenvalues))
-        states = (phases * amps) @ s.right_vectors.T
+        phases *= amps
+        states = phases @ s.right_vectors.T
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         t_bad = float(ts[np.argmin(finite)])
@@ -67,33 +68,40 @@ def _expand(s: SpectralData, v0: np.ndarray, ts: np.ndarray) -> Trajectory:
     return Trajectory(ts.copy(), states)
 
 
-def _is_identity(m: np.ndarray) -> bool:
-    """Whether the square matrix ``m`` is the identity, entry for entry."""
-    return np.count_nonzero(m) == len(m) and bool((m.diagonal() == 1).all())
+def _is_identity(m: np.ndarray | None) -> bool:
+    """Whether ``m`` is None or the identity matrix, entry for entry."""
+    return m is None or (np.count_nonzero(m) == len(m)
+                         and bool((m.diagonal() == 1).all()))
 
 
-def norm_trace_columns(traj: Trajectory, metrics: Mapping[str, np.ndarray]
+def norm_trace_columns(traj: Trajectory,
+                       metrics: Mapping[str, np.ndarray | None]
                        ) -> dict[str, np.ndarray]:
     """<psi(t)|M|psi(t)> at every time of the trajectory, per metric name.
 
     Each metric must be Hermitian; the traces are then real up to
     roundoff, which is verified before the imaginary parts are dropped.
-    Each metric costs one (T x N)(N x N) product; the identity none.  The
-    first offending (time, metric) pair, in time-major order, raises:
-    NonFiniteResult for a trace that overflows, NonHermitianMetric for
-    one with an imaginary part.
+    A metric given as None is the identity.  Each metric costs one
+    (T x N)(N x N) product; the identity none.  The first offending
+    (time, metric) pair, in time-major order, raises: NonFiniteResult for
+    a trace that overflows, NonHermitianMetric for one with an imaginary
+    part.
     """
     checked = {}
     for name, m in metrics.items():
-        checked[name] = require_metric(m)
-        if checked[name].shape[0] != traj.dim:
-            raise DimensionMismatch(
-                f"metric {name!r} has wrong dimension for the trajectory")
-    bra = traj.states.conj()
+        if m is not None:
+            m = hermitian_part(m)
+            if m.shape[0] != traj.dim:
+                raise DimensionMismatch(
+                    f"metric {name!r} has wrong dimension for the trajectory")
+        checked[name] = m
     with np.errstate(over="ignore", invalid="ignore"):
-        traces = {name: np.einsum("ti,ti->t", bra, traj.states
-                                  if _is_identity(m) else traj.states @ m.T)
-                  for name, m in checked.items()}
+        traces = {}
+        for name, m in checked.items():
+            # the product before the conjugate states, so that they are not
+            # held together with the product's cast of a real M
+            m_psi = traj.states if _is_identity(m) else traj.states @ m.T
+            traces[name] = np.einsum("ti,ti->t", traj.states.conj(), m_psi)
         finite = {name: np.isfinite(v) for name, v in traces.items()}
         real = {name: np.abs(v.imag)
                 <= TRACE_IMAG_RTOL * np.maximum(1.0, np.abs(v.real))
@@ -108,14 +116,15 @@ def norm_trace_columns(traj: Trajectory, metrics: Mapping[str, np.ndarray]
                 f"trace under {name!r} is not finite at t = {t:.9g}")
         # the roundoff reported is that of the one offending trace alone
         psi = traj.states[k]
-        imag = complex(psi.conj() @ (checked[name] @ psi)).imag
+        m = checked[name]
+        imag = complex(psi.conj() @ (psi if m is None else m @ psi)).imag
         raise NonHermitianMetric(
             f"trace under {name!r} acquired imaginary part {imag:.3e}; "
             f"metric is not Hermitian enough")
     return {name: v.real for name, v in traces.items()}
 
 
-def norm_traces(traj: Trajectory, metrics: Mapping[str, np.ndarray]
+def norm_traces(traj: Trajectory, metrics: Mapping[str, np.ndarray | None]
                 ) -> list[tuple[float, str, float]]:
     """Table of (time, metric name, <psi(t)|M|psi(t)>) rows, time-major;
     the values and errors of ``norm_trace_columns``."""

@@ -19,10 +19,12 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ExceptionalPoint, NonHermitianMetric,
                      NotPTSymmetric, SingularMetric, SingularPseudoMetric)
-from .metrics import (MetricCandidate, certify_metric, frobenius_residual,
-                      qh_residual, spectral_metric)
-from .operators import (adjoint_product, as_operator, as_state, parity_matrix,
-                        require_metric, right_product)
+from .metrics import (MetricCandidate, certify_metric, frobenius_deviation,
+                      frobenius_residual, intertwining_residual,
+                      spectral_metric)
+from .operators import (adjoint_product, as_operator, as_state, hermitian_part,
+                        parity_matrix, require_metric, right_product,
+                        unaliased)
 from .spectral import (DEFAULT_REALITY_TOL, SpectralData, eigendecompose,
                        require_real_spectrum)
 
@@ -40,10 +42,10 @@ class PseudoMetric:
     """Hermitian invertible P with its inertia (p, q).
 
     ``kind`` is "parity" (index reversal), "identity" or "dense".  The
-    first two hold no matrix: P X, X P and P^-1 X are a reversal or a copy,
-    equal bit for bit to the dense products, and their inertia is closed
-    form.  A "dense" P holds its validated ``entries`` and is inverted
-    once, on first use of ``inverse``.
+    first two hold no matrix: P X and X P are a reversal or a copy, P^-1 X
+    is a view of X, all equal bit for bit to the dense products, and their
+    inertia is closed form.  A "dense" P holds its validated ``entries``
+    and is inverted once, on first use of ``inverse``.
     """
 
     kind: str
@@ -107,16 +109,17 @@ class PseudoMetric:
         return x @ self.entries
 
     def inverse_apply(self, x: np.ndarray) -> np.ndarray:
-        """P^-1 X."""
+        """P^-1 X: a view of X for parity (its rows reversed) and identity
+        (X itself), so a caller that keeps it of an argument copies it."""
         if self.kind == "dense":
             return self.inverse @ x
-        return self.apply(x)
+        return x[::-1] if self.kind == "parity" else x
 
 
 def signature(p) -> tuple[int, int]:
     """Counts of positive and negative eigenvalues of a Hermitian invertible
     matrix; raises SingularPseudoMetric on a near-null eigenvalue."""
-    mm = require_metric(p)
+    mm = hermitian_part(p)
     w = np.linalg.eigvalsh(mm)
     scale = float(np.abs(w).max())
     if scale == 0.0 or np.any(np.abs(w) < PSEUDOMETRIC_NULL_RTOL * scale):
@@ -161,7 +164,7 @@ class SpaceTriple:
 def make_triple(p, c) -> SpaceTriple:
     """Compose Theta = P C and certify it as a Hermitian metric."""
     pm = as_pseudometric(p)
-    cc = as_operator(c)
+    cc = unaliased(as_operator(c), c)
     if cc.shape != pm.shape:
         raise DimensionMismatch(
             f"charge {cc.shape} incompatible with pseudometric {pm.shape}")
@@ -184,15 +187,17 @@ def _p_residual(a: np.ndarray, pm: PseudoMetric) -> tuple[float, float]:
     if a.shape != pm.shape:
         raise DimensionMismatch(
             f"operator {a.shape} incompatible with pseudometric {pm.shape}")
-    return frobenius_residual(pm.apply_right(a.conj().T) - pm.apply(a),
-                              float(np.linalg.norm(a)) * pm.norm)
+    # the norm first: of a view such as C = P^-1 Theta it takes a copy
+    denom = float(np.linalg.norm(a)) * pm.norm
+    return frobenius_deviation(pm.apply_right(a.conj().T), pm.apply(a), denom)
 
 
 def charge_from_metric(theta, p) -> np.ndarray:
     """Generalized charge C = P^-1 Theta for a given metric and pseudometric.
 
     Hermiticity of Theta and P makes C automatically quasi-Hermitian with
-    respect to P (C^dagger P = P C); nothing forces C^2 = 1 here.
+    respect to P (C^dagger P = P C); nothing forces C^2 = 1 here.  C is a
+    fresh array.
     """
     pm = as_pseudometric(p)
     tt = require_metric(theta)
@@ -238,7 +243,7 @@ def charge_from_spectrum(s: SpectralData, p, *,
     eigenvector pairings c_n = <phi_n|P^-1|phi_n> are real; the weights
     kappa_n = 1/|c_n| make Theta = sum kappa_n |phi_n><phi_n| positive
     definite while C = P^-1 Theta squares to the identity and commutes
-    with H.
+    with H.  For a structured P, C is a view of Theta (``inverse_apply``).
     """
     pm = as_pseudometric(p)
     if s.dim != pm.dim:
@@ -248,7 +253,11 @@ def charge_from_spectrum(s: SpectralData, p, *,
     require_real_spectrum(s, reality_tol)
 
     phi = s.left_vectors
-    c = np.einsum("ij,ij->j", phi.conj(), pm.inverse_apply(phi))
+    # einsum's summation order follows the operands' layout: the view of a
+    # structured P is copied to C order, the layout of a dense P's product,
+    # so that both give the same pairings bit for bit
+    c = np.einsum("ij,ij->j", phi.conj(),
+                  np.ascontiguousarray(pm.inverse_apply(phi)))
     # pseudo-Hermiticity forces the pairings real; residual is roundoff
     if np.any(np.abs(c.imag) > reality_tol * np.maximum(np.abs(c), 1e-300)):
         raise NotPTSymmetric(
@@ -293,11 +302,16 @@ def conjugation_in(t: SpaceTriple, space: str, a) -> np.ndarray:
         raise DimensionMismatch(
             f"operator {aa.shape} incompatible with triple of dim {t.dim}")
     if space == "F":
-        return aa.conj().T
+        return np.conj(aa).T
     if space == "R":
         return t.P.inverse_apply(t.P.apply_right(aa.conj().T))
+    return _theta_solve(t.Theta, adjoint_product(aa, t.Theta))
+
+
+def _theta_solve(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Theta^-1 X; raises SingularMetric for a singular Theta."""
     try:
-        return np.linalg.solve(t.Theta, adjoint_product(aa, t.Theta))
+        return np.linalg.solve(theta, x)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"Theta is numerically singular: {exc}") from exc
 
@@ -331,23 +345,29 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     nh = float(np.linalg.norm(hh))
     nc = float(np.linalg.norm(c))
 
-    h_sharp = conjugation_in(t, "H", hh)
-    h_ddag = conjugation_in(t, "R", hh)
-    c_ddag = conjugation_in(t, "R", c)
-    # H^dd C = P^-1 H^dagger (P C): O(N^2) for a structured P and banded H
+    # each relation's arrays are dropped before the next one is built; H^dagger
+    # Theta serves both H^sharp = Theta^-1 H^dagger Theta and H^dagger Theta
+    # = Theta H, and is overwritten by the second
+    hd_theta = adjoint_product(hh, t.Theta)
+    h_sharp_dev = frobenius_deviation(_theta_solve(t.Theta, hd_theta), hh, nh)
+    hd_theta_dev = intertwining_residual(hd_theta, hh, t.Theta)
+    del hd_theta
+    # H^dd C = P^-1 H^dagger (P C): O(N^2) for a structured P and banded H;
+    # the residual is taken in the buffer of C H, which is contiguous
     hdd_c = pm.inverse_apply(adjoint_product(hh, pm.apply(c)))
+    hdd_c_dev = frobenius_deviation(right_product(c, hh), hdd_c, nh * nc)
+    del hdd_c
     if pm.kind == "dense":
         p_dev = frobenius_residual(pm.entries - pm.entries.conj().T, pm.norm)
     else:
         p_dev = (0.0, 0.0)  # parity and identity are Hermitian by construction
 
     relations = [
-        ("H_sharp_eq_H", frobenius_residual(h_sharp - hh, nh)),
-        ("Hdd_C_eq_C_H", frobenius_residual(hdd_c - right_product(c, hh),
-                                            nh * nc)),
+        ("H_sharp_eq_H", h_sharp_dev),
+        ("Hdd_C_eq_C_H", hdd_c_dev),
         ("Cd_P_eq_P_C", _p_residual(c, pm)),
-        ("Hd_Theta_eq_Theta_H", qh_residual(hh, t.Theta)),
-        ("C_eq_Cdd", frobenius_residual(c_ddag - c, nc)),
+        ("Hd_Theta_eq_Theta_H", hd_theta_dev),
+        ("C_eq_Cdd", frobenius_deviation(conjugation_in(t, "R", c), c, nc)),
         ("P_eq_Pd", p_dev),
     ]
     rows = [TableRow(name, abs_res, rel, bool(rel <= rtol))
@@ -358,6 +378,6 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
                          t.metric.positive))
     rows.append(TableRow("P_signature_plus", float(p_count), None, None))
     rows.append(TableRow("P_signature_minus", float(q_count), None, None))
-    dev, dev_rel = frobenius_residual(h_ddag - hh, nh)
+    dev, dev_rel = frobenius_deviation(conjugation_in(t, "R", hh), hh, nh)
     rows.append(TableRow("H_vs_Hdd_deviation", dev, dev_rel, None))
     return rows

@@ -56,9 +56,16 @@ def qh_residual(h, theta) -> tuple[float, float]:
     if hh.shape != tt.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with metric {tt.shape}")
-    return frobenius_residual(adjoint_product(hh, tt) - right_product(tt, hh),
-                              float(np.linalg.norm(hh))
-                              * float(np.linalg.norm(tt)))
+    return intertwining_residual(adjoint_product(hh, tt), hh, tt)
+
+
+def intertwining_residual(hd_theta: np.ndarray, h: np.ndarray,
+                          theta: np.ndarray) -> tuple[float, float]:
+    """``qh_residual`` of H and Theta from the product H^dagger Theta,
+    which is overwritten by the residual H^dagger Theta - Theta H."""
+    return frobenius_deviation(hd_theta, right_product(theta, h),
+                               float(np.linalg.norm(h))
+                               * float(np.linalg.norm(theta)))
 
 
 def frobenius_residual(resid: np.ndarray, denom: float) -> tuple[float, float]:
@@ -68,6 +75,13 @@ def frobenius_residual(resid: np.ndarray, denom: float) -> tuple[float, float]:
     if denom == 0.0:
         return abs_res, 0.0 if abs_res == 0.0 else float("inf")
     return abs_res, abs_res / denom
+
+
+def frobenius_deviation(x: np.ndarray, y: np.ndarray, denom: float
+                        ) -> tuple[float, float]:
+    """``frobenius_residual`` of X - Y, computed in the buffer of X."""
+    x -= y
+    return frobenius_residual(x, denom)
 
 
 def observability_check(a, theta) -> tuple[float, float]:

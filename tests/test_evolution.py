@@ -5,9 +5,9 @@ import pytest
 
 from quasiherm import (DimensionMismatch, NonFiniteResult, NonHermitianMetric,
                        Trajectory, eigendecompose, hermitize,
-                       norm_trace_columns, norm_traces, propagate,
-                       propagate_spectrum, qh_residual, spectral_metric,
-                       standard_charge)
+                       norm_trace_columns, norm_traces, parse_model,
+                       propagate, propagate_spectrum, qh_residual,
+                       spectral_metric, standard_charge)
 
 
 def closed_form_fnorm(times):
@@ -300,3 +300,41 @@ def test_near_identity_metric_takes_the_product(metric):
     traces = norm_trace_columns(traj, {"M": metric})
     assert traces["M"].tobytes() == product.tobytes()
     assert not np.array_equal(traces["M"], np.sum(np.abs(states) ** 2, 1))
+
+
+def _pt_lattice(n, gamma):
+    doc = {"kind": "lattice", "n": n, "gamma": gamma, "pattern": "endpoints"}
+    return parse_model(doc).payload["matrix"]
+
+
+def _pt_dimer(gamma):
+    return np.array([[1j * gamma, 1.0], [1.0, -1j * gamma]])
+
+
+@pytest.mark.parametrize("h", [
+    _pt_lattice(8, 0.3), _pt_lattice(50, 0.2), _pt_dimer(0.5),
+    _pt_dimer(0.99), _pt_dimer(0.9999),
+], ids=["lattice-8", "lattice-50", "dimer-0.5", "dimer-0.99", "dimer-0.9999"])
+def test_eigenexpansion_matches_the_propagator(h):
+    # exp(-iHt) psi0 by Pade scaling and squaring, which shares no code
+    # path with the eigenexpansion and does not depend on cond(V); the
+    # expansion may lose cond(V) eps per unit of t ||H||
+    expm = pytest.importorskip("scipy.linalg").expm
+    n = len(h)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[0] = 1.0
+    times = np.linspace(0.0, 20.0, 41)
+    s = eigendecompose(h)
+    traj = propagate_spectrum(s, psi0, times)
+    theta = spectral_metric(s).theta
+    traces = norm_trace_columns(traj, {"identity": None, "theta": theta})
+    cond_v = np.linalg.cond(s.right_vectors)
+    norm_h = np.linalg.norm(h, 2)
+    for k, t in enumerate(times):
+        exact = expm(-1j * t * h) @ psi0
+        bound = 10 * np.sqrt(n) * cond_v * np.finfo(float).eps * (
+            1 + t * norm_h)
+        assert np.linalg.norm(traj.states[k] - exact) <= bound
+        for name, value in (("identity", np.vdot(exact, exact).real),
+                            ("theta", np.vdot(exact, theta @ exact).real)):
+            assert abs(traces[name][k] - value) <= bound * value, (name, t)

@@ -381,3 +381,20 @@ def test_structured_and_dense_pseudometrics_give_the_same_triple(model_h):
     assert structured[1].theta.tobytes() == explicit[1].theta.tobytes()
     assert pt_symmetry_residual(model_h, PseudoMetric.structured(
         "parity", 2)) == pt_symmetry_residual(model_h, parity_matrix(2))
+
+
+@pytest.mark.parametrize("kind", ["parity", "identity"])
+def test_structured_triple_is_the_dense_one_on_sector_eigenvectors(kind):
+    # a flip-symmetric Hermitian H is solved by parity sector, whose
+    # eigenvectors are not C-ordered; P^-1 phi of a structured P is a view
+    # of them, and the pairings, C and Theta still equal the dense ones bit
+    # for bit.  C of a structured P is a view of Theta.
+    n = 7
+    h = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    s = eigendecompose(h)
+    pm = PseudoMetric.structured(kind, n)
+    structured = charge_from_spectrum(s, pm)
+    explicit = charge_from_spectrum(s, pm.matrix)
+    assert structured[0].tobytes() == explicit[0].tobytes()
+    assert structured[1].theta.tobytes() == explicit[1].theta.tobytes()
+    assert np.shares_memory(structured[0], structured[1].theta)
