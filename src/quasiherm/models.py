@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def format_float(x: float) -> str:
     """17-significant-digit rendering; round-trip exact for doubles."""
     x = float(x)
     if not math.isfinite(x):
-        return json.dumps(str(x))
+        return encode_basestring_ascii(str(x))
     return format(x, ".17g")
 
 
@@ -122,13 +123,13 @@ def canonical_json(obj, sort_keys: bool = False) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, str):  # as json.dumps quotes a str
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         keys = sorted(obj) if sort_keys else list(obj)
         return "{" + ",".join(
-            json.dumps(str(k)) + ":" + canonical_json(obj[k], sort_keys)
-            for k in keys) + "}"
+            encode_basestring_ascii(str(k)) + ":"
+            + canonical_json(obj[k], sort_keys) for k in keys) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -143,10 +144,19 @@ def jsonable(value):
     if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            return value.tolist()
+        if value.dtype.kind == "c":
+            return np.stack((value.real, value.imag), -1).tolist()
         return jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     raise TypeError(f"cannot embed {type(value).__name__} in a report")
+
+
+# the fixed skeleton of Report.to_json, filled by one %-format call
+_JSON_HEAD = '{"scenario":%s,"digest":%s,"version":%s,"rows":['
+_JSON_ROW = '{"name":%s,"value":%s,"pass":%s,"tol":%s}'
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +193,13 @@ class Report:
         return all(r.passed is not False for r in self.rows)
 
     def to_json(self) -> str:
-        doc = {
-            "scenario": self.scenario,
-            "digest": self.digest,
-            "version": self.version,
-            "rows": [
-                {"name": r.name, "value": r.value, "pass": r.passed,
-                 "tol": r.tol}
-                for r in self.rows
-            ],
-        }
-        return canonical_json(doc) + "\n"
+        fields = [encode_basestring_ascii(text)
+                  for text in (self.scenario, self.digest, self.version)]
+        for r in self.rows:
+            fields += (encode_basestring_ascii(r.name), canonical_json(r.value),
+                       canonical_json(r.passed), canonical_json(r.tol))
+        return (_JSON_HEAD + ",".join([_JSON_ROW] * len(self.rows))
+                + "]}\n") % tuple(fields)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -202,7 +208,8 @@ class Report:
 
     def write_csv(self, out) -> None:
         """Write the CSV text to the text stream ``out``; a series is
-        written CSV_CHUNK_POINTS points at a time."""
+        written CSV_CHUNK_POINTS points at a time, each chunk with one
+        %-format call for its x column and one for its lines."""
         if self.series is None:
             lines = ["name,value,pass,tol\n"]
             for r in self.rows:
@@ -216,16 +223,30 @@ class Report:
             return
         # point-major: every series at x_j, then every series at x_j+1
         x, named = self.series
+        names = [name for name, _ in named]
+        # the lines of one point: its x, formatted once, and a value per
+        # series
+        point = "".join("%s," + name.replace("%", "%%") + ",%.17g\n"
+                        for name in names)
         out.write("t_or_x,series,value\n")
         for start in range(0, x.size, CSV_CHUNK_POINTS):
             chunk = slice(start, start + CSV_CHUNK_POINTS)
-            lines = []
-            for xj, *vals in zip(x[chunk].tolist(),
-                                 *(c[chunk].tolist() for _, c in named)):
-                xs = format_float(xj)
-                lines += [f"{xs},{name},{format_float(v)}\n"
-                          for (name, _), v in zip(named, vals)]
-            out.write("".join(lines))
+            xs = x[chunk].tolist()
+            # the arguments of each line: the text of its x, and its value
+            cells = np.empty((len(xs), len(names), 2), dtype=object)
+            cells[:, :, 0] = np.array(("%.17g " * len(xs) % tuple(xs)).split(),
+                                      dtype=object)[:, None]
+            for i, (_, column) in enumerate(named):
+                cells[:, i, 1] = column[chunk]
+            text = point * len(xs) % tuple(cells.ravel().tolist())
+            # a finite %.17g has no "n", so more "n" than the names hold is
+            # an inf or a nan: that chunk goes to format_float value by value
+            if text.count("n") > len(xs) * point.count("n"):
+                text = "".join(
+                    f"{format_float(t)},{name},{format_float(v)}\n"
+                    for t, values in zip(xs, cells[:, :, 1].tolist())
+                    for name, v in zip(names, values))
+            out.write(text)
 
 
 def _need(doc: dict, key: str, path: str):

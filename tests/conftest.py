@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -49,3 +52,21 @@ def random_diagonalizable(rng, dim, cond_v=10.0, spread=1.0):
             break
     h = v @ np.diag(lam) @ np.linalg.inv(v)
     return h, lam, v
+
+
+def render_float(x) -> str:
+    """A report float, written out here apart from the library: 17
+    significant digits, and inf and nan as the JSON strings "inf", "-inf"
+    and "nan"."""
+    x = float(x)
+    return format(x, ".17g") if math.isfinite(x) else json.dumps(str(x))
+
+
+def point_major_csv(x, named):
+    """The point-major series rows, (x, name, value) for every series at
+    each x in turn, rendered one row per line."""
+    columns = [(name, samples.tolist()) for name, samples in named]
+    rows = [(xj, name, col[j]) for j, xj in enumerate(x.tolist())
+            for name, col in columns]
+    return "".join(f"{render_float(t)},{name},{render_float(v)}\n"
+                   for t, name, v in rows)

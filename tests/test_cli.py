@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import stat
@@ -7,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import point_major_csv
 from quasiherm import models
 from quasiherm.cli import build_parser, main
 from quasiherm.models import (MAX_DENSE_DIM, MAX_EVOLVE_ENTRIES,
@@ -649,6 +652,27 @@ def test_csv_written_in_chunks_has_the_same_bytes(model_file, tmp_path,
     expected = run_scenario(parse_model(MODEL_2X2), "evolve",
                             {"steps": 50}).to_csv()
     assert whole.read_bytes() == expected.encode()
+
+
+def test_evolve_csv_at_the_chunk_size_reads_back(model_file, tmp_path):
+    # one whole chunk of CSV_CHUNK_POINTS points and a short one after it
+    steps = 65539
+    assert models.CSV_CHUNK_POINTS < steps < 2 * models.CSV_CHUNK_POINTS
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--model", model_file(MODEL_2X2), "--format",
+                 "csv", "--steps", str(steps), "--out", str(out)]) == 0
+    x, named = run_scenario(parse_model(MODEL_2X2), "evolve",
+                            {"steps": steps}).series
+    text = out.read_bytes().decode("utf-8")
+    assert text == "t_or_x,series,value\n" + point_major_csv(x, named)
+    # read back by csv and float alone, sharing no code with the renderer
+    lines = list(csv.reader(io.StringIO(text, newline="")))
+    assert lines[0] == ["t_or_x", "series", "value"]
+    assert len(lines) == 1 + steps * len(named)
+    expected = ((t, name, v) for j, t in enumerate(x.tolist())
+                for name, column in named for v in [column[j]])
+    for (t_text, name_text, v_text), (t, name, v) in zip(lines[1:], expected):
+        assert (float(t_text), name_text, float(v_text)) == (t, name, v)
 
 
 # --out is written in place and cut to the report's length

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import quasiherm.errors as errors_module
+from conftest import point_major_csv, render_float
 from quasiherm import (ParityViolation, QuasihermError, ReportRow,
                        SchemaError, as_pseudometric, even_part, factorization,
                        forward_family, make_ansatz, make_grid, models,
@@ -256,12 +258,33 @@ def test_float_rendering_17_digits():
     assert format_float(0.5) == "0.5"
 
 
-def render_leaf_by_leaf(obj):
-    """The general path of canonical_json: one format_float per leaf."""
-    from quasiherm.models import format_float
-    if isinstance(obj, list):
-        return "[" + ",".join(render_leaf_by_leaf(v) for v in obj) + "]"
-    return format_float(obj) if type(obj) is float else str(obj)
+def render_leaf_by_leaf(obj, sort_keys=False):
+    """A reference for canonical_json that shares no code with it: one
+    leaf at a time, strings and keys quoted by json.dumps.  Complex numbers
+    and arrays are rendered as jsonable should embed them: [re, im] pairs
+    and nested lists."""
+    if isinstance(obj, np.ndarray):
+        return render_leaf_by_leaf(obj.tolist())
+    if isinstance(obj, (complex, np.complexfloating)):
+        return render_leaf_by_leaf([obj.real, obj.imag])
+    if isinstance(obj, dict):
+        keys = sorted(obj) if sort_keys else list(obj)
+        return "{" + ",".join(json.dumps(str(k)) + ":"
+                              + render_leaf_by_leaf(obj[k], sort_keys)
+                              for k in keys) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(render_leaf_by_leaf(v, sort_keys)
+                              for v in obj) + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return render_float(obj)
+    assert isinstance(obj, str)
+    return json.dumps(obj)
 
 
 @pytest.mark.parametrize("case", ["floats", "pairs", "non-finite", "mixed"])
@@ -278,6 +301,104 @@ def test_float_rows_render_as_leaf_by_leaf(case):
            "mixed": [1, 2.5, [0.5, 3]]}[case]
     for obj in (row, [row, row], []):
         assert canonical_json(obj) == render_leaf_by_leaf(obj)
+
+
+def _renderer_strategies():
+    """Hypothesis strategies of report leaves, values and series."""
+    st = pytest.importorskip("hypothesis.strategies")
+    special = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, float("inf"), float("-inf"),
+               float("nan")]
+    floats = st.one_of(st.sampled_from(special), st.floats())
+    finite = st.one_of(st.sampled_from(special[:6]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n/%,n'),
+                              st.characters()), max_size=8)
+    complexes = st.builds(complex, floats, floats)
+    arrays = st.one_of(
+        st.lists(finite, max_size=6).map(np.array),
+        st.lists(st.builds(complex, finite, finite), max_size=6).map(
+            lambda v: np.array(v, dtype=complex)),
+        st.lists(finite, min_size=6, max_size=6).map(
+            lambda v: np.array(v).reshape(3, 2)),
+        st.lists(st.builds(complex, finite, finite), min_size=4,
+                 max_size=4).map(lambda v: np.array(v).reshape(2, 2)))
+    leaves = st.one_of(
+        floats, st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.booleans(), st.booleans().map(np.bool_), st.none(), texts,
+        complexes, complexes.map(np.complex128), arrays,
+        st.lists(finite, max_size=6),
+        st.lists(st.lists(finite, min_size=2, max_size=2), max_size=6))
+    values = st.recursive(leaves, lambda inner: st.lists(inner, max_size=4),
+                          max_leaves=8)
+    return st, floats, finite, texts, values
+
+
+def _embedded(raw):
+    """A row value: complex numbers and arrays go through jsonable, as the
+    tasks' rows do; everything else is kept as it is."""
+    if isinstance(raw, (complex, np.complexfloating, np.ndarray)):
+        return models.jsonable(raw)
+    if isinstance(raw, list):
+        return [_embedded(v) for v in raw]
+    if isinstance(raw, dict):
+        return {k: _embedded(v) for k, v in raw.items()}
+    return raw
+
+
+def test_report_json_and_digest_render_as_leaf_by_leaf():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, floats, _, texts, values = _renderer_strategies()
+    rows = st.lists(st.tuples(texts, values,
+                              st.one_of(st.none(), st.booleans(),
+                                        st.booleans().map(np.bool_)),
+                              st.one_of(st.none(), floats)), max_size=4)
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(head=st.tuples(texts, texts, texts), rows=rows,
+                      note=st.dictionaries(texts, values, max_size=3))
+    def check(head, rows, note):
+        report = models.Report(*head, [
+            ReportRow(name, _embedded(raw), passed, tol)
+            for name, raw, passed, tol in rows])
+        doc = dict(zip(("scenario", "digest", "version"), head))
+        doc["rows"] = [{"name": name, "value": raw, "pass": passed,
+                        "tol": tol} for name, raw, passed, tol in rows]
+        assert report.to_json() == render_leaf_by_leaf(doc) + "\n"
+        # the model digest hashes the whole document, extra fields too
+        model = dict(MODEL_2X2, note=note)
+        assert parse_model(_embedded(model)).digest == hashlib.sha256(
+            render_leaf_by_leaf(model, sort_keys=True).encode()).hexdigest()
+
+    check()
+
+
+def test_series_csv_renders_as_point_major_rows(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st, _, finite, texts, _ = _renderer_strategies()
+    monkeypatch.setattr(models, "CSV_CHUNK_POINTS", 7)
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(data=st.data(),
+                      size=st.integers(1, 40).filter(lambda k: k % 7),
+                      names=st.lists(texts, min_size=1, max_size=3))
+    def check(data, size, names):
+        points = st.lists(finite, min_size=size, max_size=size)
+        x, *columns = (np.array(data.draw(points))
+                       for _ in range(len(names) + 1))
+        # at most one inf or nan, in x or in one series, so in one chunk
+        bad = data.draw(st.none() | st.tuples(
+            st.integers(0, len(names)), st.integers(0, size - 1),
+            st.sampled_from([float("inf"), float("-inf"), float("nan")])))
+        if bad is not None:
+            which, at, value = bad
+            (x, *columns)[which][at] = value
+        named = list(zip(names, columns))
+        report = models.Report("evolve", "0" * 64, "0", [], (x, named))
+        assert report.to_csv() == ("t_or_x,series,value\n"
+                                   + point_major_csv(x, named))
+
+    check()
 
 
 def test_family_inverse_sigma_vanishes_row():
@@ -641,16 +762,6 @@ def test_series_are_the_task_arrays(task):
     for _, column in named:
         assert isinstance(column, np.ndarray) and column.shape == x.shape
         assert column.dtype == float
-
-
-def point_major_csv(x, named):
-    """The point-major series rows, (x, name, value) for every series at
-    each x in turn, rendered one row per line."""
-    columns = [(name, samples.tolist()) for name, samples in named]
-    rows = [(xj, name, col[j]) for j, xj in enumerate(x.tolist())
-            for name, col in columns]
-    return "".join(f"{models.format_float(t)},{name},"
-                   f"{models.format_float(v)}\n" for t, name, v in rows)
 
 
 @pytest.mark.parametrize("task", SERIES_TASKS)
