@@ -145,6 +145,11 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
+# the literal exponent of a square: u^2 is u*u, correctly rounded, where
+# libm's pow is not always; an overflow raises as pow's does
+_TWO = ("num", 2.0)
+
+
 def _eval(node, x: float) -> float:
     tag = node[0]
     if tag == "num":
@@ -171,9 +176,14 @@ def _eval(node, x: float) -> float:
             return a * b
         if op == "/":
             return a / b
+        if rhs == _TWO:
+            result = a * a
+            if math.isinf(result) and math.isfinite(a):
+                raise OverflowError
+            return result
         result = a ** b
     except ZeroDivisionError as exc:
-        raise EvalError(f"division by zero", x) from exc
+        raise EvalError("division by zero", x) from exc
     except OverflowError as exc:
         raise EvalError(f"overflow in {a!r} ^ {b!r}", x) from exc
     if isinstance(result, complex):
@@ -199,7 +209,11 @@ class Sampler:
     Expressions sampled through one Sampler (``expr.sample(sampler)``)
     evaluate each distinct subexpression, an AST subtree, once over the
     points.  The memo holds only subtrees whose samples came out finite at
-    every point, so a shared entry never hides an error.
+    every point, so a shared entry never hides an error.  A libm call is
+    made once per mirror pair of points: when every operand of a call or
+    of "^" equals its own reversal bit for bit (as an even function does
+    on a grid closed under reflection), the first half of the points
+    gives the whole.
     """
 
     def __init__(self, xs):
@@ -215,14 +229,23 @@ class Sampler:
 
     def _pointwise(self, fn, *args) -> np.ndarray:
         """fn on Python floats at every point; a "num" operand is passed as
-        a repeated scalar, any other as its samples."""
-        operands = [repeat(a[1]) if a[0] == "num" else self.eval(a).tolist()
-                    for a in args]
+        a repeated scalar, any other as its samples.  When the samples of
+        every operand read the same reversed, with +0.0 and -0.0 told
+        apart, so do the results: fn runs on the first ceil(n/2) points
+        and the rest are their mirror."""
+        samples = [None if a[0] == "num" else self.eval(a) for a in args]
+        n = self.size
+        bits = [v.view(np.int64) for v in samples if v is not None]
+        mirrored = all(np.array_equal(b, b[::-1]) for b in bits)
+        todo = n - n // 2 if mirrored else n
+        operands = [repeat(a[1]) if v is None else v[:todo].tolist()
+                    for a, v in zip(args, samples)]
         try:
             # a negative base to a fractional power is complex: TypeError
-            return np.fromiter(map(fn, *operands), float, self.size)
+            out = np.fromiter(map(fn, *operands), float, todo)
         except (ArithmeticError, ValueError, TypeError) as exc:
             raise _Rerun from exc
+        return np.concatenate((out, out[:n - todo][::-1])) if mirrored else out
 
     def eval(self, node) -> np.ndarray:
         """Samples of node, computed once per node; the returned array must
@@ -247,6 +270,9 @@ class Sampler:
             _, op, lhs, rhs = node
             if op in _NUMPY_OPS:
                 out = _NUMPY_OPS[op](self.eval(lhs), self.eval(rhs))
+            elif rhs == _TWO:
+                base = self.eval(lhs)
+                out = base * base
             else:
                 out = self._pointwise(pow, lhs, rhs)
         if not np.isfinite(out).all():
@@ -288,7 +314,8 @@ class Expression:
         xs is an array of points, or a Sampler whose memo the expressions
         sampled through it share.  Returns a fresh array.  Raises EvalError
         at the first point whose evaluation fails or whose value is not
-        finite.
+        finite.  A function of samples that read the same reversed costs
+        one libm call per mirror pair of points, and u^2 is u*u.
         """
         sampler = xs if isinstance(xs, Sampler) else Sampler(xs)
         try:

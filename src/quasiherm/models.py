@@ -26,8 +26,8 @@ from .expressions import Expression, Sampler, parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
                             charge_from_spectrum, pt_symmetry_residual,
                             require_pseudo_hermitian, verify_table)
-from .family import (ChargeAnsatz, Grid, PotentialSplit, charge_norm,
-                     charge_pg_hermiticity, coefficient_match,
+from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
+                     charge_norm, charge_pg_hermiticity, coefficient_match,
                      compatible_split, compose_pct_residual,
                      discretize_hamiltonian, even_part, forward_family,
                      inverse_family, make_grid, odd_part, ode_pair_residual,
@@ -789,7 +789,7 @@ def _task_family_inverse(a: _Analysis):
                                branch=branch)
     rows = [_row("omega_sign_convention", "S_minus_omega")]
     if roundtrip:
-        mask = np.abs(ansatz.sigma) > 1e-6
+        mask = np.abs(ansatz.sigma) > SIGMA_FLOOR
         if not mask.any():
             raise SigmaVanishes(
                 "sigma vanishes at every point; alpha is not recoverable",

@@ -190,9 +190,12 @@ def _left_from_inverse(right: np.ndarray, w: np.ndarray,
         if not np.iscomplexobj(inv):
             # a real inverse pairs with W about 1.4 times worse than a
             # complex one (||W^-1 W - 1||_F 1.2e-13 against 8.9e-14 on the
-            # README harmonic model); one Newton step X += X (1 - W X), two
+            # README harmonic model); one Newton step X -= X (W X - 1), two
             # real products, brings it to 1.5e-14
-            inv += inv @ (np.eye(len(w)) - w @ inv)
+            resid = w @ inv
+            resid.flat[::len(w) + 1] -= 1.0
+            inv -= inv @ resid
+            del resid
         left = inv.conj().T
         if rotated:
             left = _from_real_form(left)
@@ -282,6 +285,8 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
             raise DegenerateSpectrum(
                 f"eigenvalues {i} and {j}: gap {dist[i, j]:.3e} below floor "
                 f"{np.broadcast_to(floor, dist.shape)[i, j]:.3e}")
+    # the vectors are scaled without the distances and b
+    del b, dist
     if not hermitian:
         right, left = biorthonormalize(right, left)
     return SpectralData(vals, right, left, min_gap)

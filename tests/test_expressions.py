@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -211,10 +212,9 @@ def test_sample_keeps_finite_values_after_overflow():
     assert expr.sample(xs).tobytes() == np.ones(11).tobytes()
 
 
-def test_shared_sampler_matches_scalar_calls_property():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
+def _expression_strategies(st, leaves):
+    """Expression texts built from leaves, and a strategy of texts whose
+    subtrees come from a given pool."""
     # 1e400 parses to inf; 0 and 1e200 make divisions by zero and overflow
     numbers = st.sampled_from(["0", "0.5", "1", "2", "3", "1.5", "0.25",
                                "1e-3", "1e200", "1e400"])
@@ -229,7 +229,7 @@ def test_shared_sampler_matches_scalar_calls_property():
             st.tuples(children, numbers).map(lambda t: f"({t[0]})^{t[1]}"),
         )
 
-    texts = st.recursive(st.one_of(st.just("x"), numbers), extend,
+    texts = st.recursive(st.one_of(st.sampled_from(leaves), numbers), extend,
                          max_leaves=8)
 
     def built_from(pool):
@@ -242,6 +242,14 @@ def test_shared_sampler_matches_scalar_calls_property():
             st.tuples(parts, st.sampled_from("+-*/^"), parts).map(
                 lambda t: f"({t[0]}{t[1]}{t[2]})"),
         )
+
+    return texts, built_from
+
+
+def test_shared_sampler_matches_scalar_calls_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    texts, built_from = _expression_strategies(st, ["x"])
 
     @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
     @hypothesis.given(data=st.data())
@@ -256,3 +264,100 @@ def test_shared_sampler_matches_scalar_calls_property():
             assert_matches_scalar_loop(expr, xs, sampler)
 
     check()
+
+
+def test_shared_sampler_on_mirrored_points_matches_scalar_calls_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # even leaves make operands that read the same reversed
+    texts, built_from = _expression_strategies(
+        st, ["x", "(x*x)", "(x^2)", "abs(x)", "cos(x)"])
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                       st.floats(-4.0, 4.0))
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        pool = data.draw(st.lists(texts, min_size=1, max_size=3))
+        exprs = [parse_expression(t) for t in data.draw(
+            st.lists(built_from(pool), min_size=2, max_size=4))]
+        # points x and -x at mirrored indices: an odd count has a middle
+        # +-0.0, and a 0.0 beside the middle makes a +0.0, -0.0 pair
+        half = data.draw(st.lists(coords, max_size=6))
+        middle = data.draw(st.sampled_from([[], [0.0], [-0.0]]))
+        hypothesis.assume(half or middle)
+        xs = [-x for x in reversed(half)] + middle + half
+        sampler = Sampler(xs)
+        for expr in exprs:
+            assert_matches_scalar_loop(expr, xs, sampler)
+
+    check()
+
+
+def _mirrored_points(n):
+    """n points closed under x -> -x at mirrored indices, 0.0 in the
+    middle of an odd count."""
+    h = np.linspace(0.25, 2.0, n // 2)
+    return np.concatenate((-h[::-1], [0.0] * (n % 2), h))
+
+
+@pytest.mark.parametrize("text", [
+    "log(x^2 - 1)",
+    "1/(x^2 - 4)",
+    "exp(400*x^2)",
+    "(x^2 - 1)^0.5",
+    "log(abs(x) - 0.5)^2",
+])
+def test_mirrored_points_fail_as_the_scalar_loop(text):
+    # the samples fail at points on both sides of the middle
+    xs = _mirrored_points(41)
+    assert isinstance(assert_matches_scalar_loop(parse_expression(text), xs),
+                      EvalError)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 201])
+def test_libm_runs_once_per_mirror_pair(monkeypatch, n):
+    calls = []
+
+    def exp(v):
+        calls.append(v)
+        return math.exp(v)
+
+    monkeypatch.setitem(FUNCTIONS, "exp", exp)
+    expr = parse_expression("x*exp(-x^2)")
+    xs = _mirrored_points(n)
+    assert_matches_scalar_loop(expr, xs)
+    calls.clear()
+    expr.sample(xs)
+    assert len(calls) == (n + 1) // 2
+    # an odd operand reads differently reversed: every point is a call
+    calls.clear()
+    parse_expression("exp(x)").sample(xs)
+    assert len(calls) == n
+    if n > 1:
+        calls.clear()
+        expr.sample(np.linspace(-1.0, 2.0, n))
+        assert len(calls) == n
+
+
+def test_squares_are_correctly_rounded():
+    xs = np.linspace(-4, 4, 14000)
+    # the exact square of a double in [-4, 4] has fewer than 200 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 200
+        expected = np.array([float(decimal.Decimal(x) * decimal.Decimal(x))
+                             for x in xs.tolist()])
+    expr = parse_expression("x^2")
+    assert expr.sample(xs).tobytes() == expected.tobytes()
+    assert_matches_scalar_loop(expr, xs)
+
+
+def test_square_overflow_keeps_the_pow_error():
+    expr = parse_expression("(1e200*x)^2")
+    with pytest.raises(EvalError) as err:
+        expr(1.0)
+    assert str(err.value) == "overflow in 1e+200 ^ 2.0 (at x = 1.0)"
+    err = assert_matches_scalar_loop(expr, np.linspace(-1, 1, 5))
+    assert str(err) == "overflow in -1e+200 ^ 2.0 (at x = -1.0)"
+    # an infinite base squares to inf as pow does, and is not an overflow
+    assert parse_expression("(1e400*x)^2")(0.5) == math.inf
