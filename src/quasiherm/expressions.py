@@ -220,43 +220,46 @@ class Sampler:
         self.points = np.asarray(xs, dtype=float).ravel()
         # keyed by AST tuple; parsed literals are never -0.0 or nan, so
         # equal keys are equal subtrees
-        self.memo: dict[tuple, np.ndarray] = {}
+        self.memo: dict[tuple, np.ndarray | np.float64] = {}
 
     @property
     def size(self) -> int:
         """Number of points, as for an array."""
         return self.points.size
 
-    def _pointwise(self, fn, *args) -> np.ndarray:
-        """fn on Python floats at every point; a "num" operand is passed as
-        a repeated scalar, any other as its samples.  When the samples of
-        every operand read the same reversed, with +0.0 and -0.0 told
-        apart, so do the results: fn runs on the first ceil(n/2) points
-        and the rest are their mirror."""
-        samples = [None if a[0] == "num" else self.eval(a) for a in args]
+    def _pointwise(self, fn, *args) -> np.ndarray | np.float64:
+        """fn on Python floats at every point, or once if every operand is
+        a constant, which is passed as a repeated scalar.  When the samples
+        of every other operand read the same reversed, with +0.0 and -0.0
+        told apart, so do the results: fn runs on the first ceil(n/2)
+        points and the rest are their mirror."""
+        samples = [self.eval(a) for a in args]
+        arrays = [v for v in samples if v.ndim]
         n = self.size
-        bits = [v.view(np.int64) for v in samples if v is not None]
-        mirrored = all(np.array_equal(b, b[::-1]) for b in bits)
-        todo = n - n // 2 if mirrored else n
-        operands = [repeat(a[1]) if v is None else v[:todo].tolist()
-                    for a, v in zip(args, samples)]
+        mirrored = all(np.array_equal(b, b[::-1])
+                       for b in (v.view(np.int64) for v in arrays))
+        todo = (n - n // 2 if mirrored else n) if arrays else 1
+        operands = [v[:todo].tolist() if v.ndim else repeat(float(v))
+                    for v in samples]
         try:
             # a negative base to a fractional power is complex: TypeError
             out = np.fromiter(map(fn, *operands), float, todo)
         except (ArithmeticError, ValueError, TypeError) as exc:
             raise _Rerun from exc
+        if not arrays:
+            return out[0]
         return np.concatenate((out, out[:n - todo][::-1])) if mirrored else out
 
-    def eval(self, node) -> np.ndarray:
-        """Samples of node, computed once per node; the returned array must
-        not be modified.  Raises _Rerun as soon as a node fails or is not
-        finite everywhere."""
+    def eval(self, node) -> np.ndarray | np.float64:
+        """Samples of node, computed once per node, as an array that must
+        not be modified or, without x, a float64 scalar.  Raises _Rerun as
+        soon as a node fails or is not finite everywhere."""
         out = self.memo.get(node)
         if out is not None:
             return out
         tag = node[0]
         if tag == "num":
-            out = np.full(self.points.shape, node[1])
+            out = np.float64(node[1])
         elif tag == "var":
             out = self.points
         elif tag == "neg":
@@ -275,7 +278,7 @@ class Sampler:
                 out = base * base
             else:
                 out = self._pointwise(pow, lhs, rhs)
-        if not np.isfinite(out).all():
+        if not (np.isfinite(out).all() if out.ndim else math.isfinite(out)):
             raise _Rerun
         self.memo[node] = out
         return out
@@ -320,7 +323,7 @@ class Expression:
         sampler = xs if isinstance(xs, Sampler) else Sampler(xs)
         try:
             with np.errstate(all="ignore"):
-                return sampler.eval(self.ast).copy()
+                return np.full(sampler.points.shape, sampler.eval(self.ast))
         except _Rerun:
             pass
         values = []

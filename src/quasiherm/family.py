@@ -11,7 +11,9 @@ effective hard walls sit one spacing outside the sampled extent.
 Every operator is held as its three stencil bands (lower, diagonal,
 upper), and P acts as a plain reversal, so the family checks run in O(N).
 Dense matrices are assembled from the same bands only for callers that
-need them, such as the Schroedinger eigensolve.
+need them, such as the Schroedinger eigensolve.  A public function checks
+its arrays and calls a private core, which the model path, its arrays
+checked where they enter, calls directly.
 
 The forward map from a charge ansatz to the potential reads, per sample,
 
@@ -182,28 +184,29 @@ def second_difference(grid: Grid) -> np.ndarray:
     return tridiagonal(*_d2_bands(grid))
 
 
-def _hamiltonian_bands(grid: Grid, potential) -> tuple:
-    """(lower, diag, upper) of H = -D2 + diag(V)."""
-    (v,) = _samples(grid, complex, potential=potential)
+def _hamiltonian_bands(grid: Grid, v: np.ndarray) -> tuple:
+    """(lower, diag, upper) of H = -D2 + diag(v), v checked complex samples."""
     lower, diag, upper = _d2_bands(grid)
     return -lower, v - diag, -upper
 
 
-def _charge_bands(grid: Grid, sigma, alpha) -> tuple:
-    """(lower, diag, upper) of C = D1 + diag(sigma + i alpha)."""
-    s, a = _samples(grid, sigma=sigma, alpha=alpha)
+def _charge_bands(grid: Grid, sigma: np.ndarray, alpha: np.ndarray) -> tuple:
+    """(lower, diag, upper) of C = D1 + diag(sigma + i alpha), for checked
+    samples."""
     lower, diag, upper = _d1_bands(grid)
-    return lower, diag + (s + 1j * a), upper
+    return lower, diag + (sigma + 1j * alpha), upper
 
 
 def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
     """H = -D2 + diag(V) with zero (Dirichlet) samples beyond the ends."""
-    return tridiagonal(*_hamiltonian_bands(grid, np.ravel(potential)))
+    (v,) = _samples(grid, complex, potential=np.ravel(potential))
+    return tridiagonal(*_hamiltonian_bands(grid, v))
 
 
 def discretize_charge(grid: Grid, sigma, alpha) -> np.ndarray:
     """C = D1 + diag(sigma + i alpha) with Dirichlet ends."""
-    return tridiagonal(*_charge_bands(grid, np.ravel(sigma), np.ravel(alpha)))
+    return tridiagonal(*_charge_bands(grid, *_samples(
+        grid, sigma=np.ravel(sigma), alpha=np.ravel(alpha))))
 
 
 def _reflected_adjoint(bands) -> tuple:
@@ -252,10 +255,24 @@ def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
     the interior differences already have it exactly and do not change.
     """
     _samples(grid, sigma=a.sigma, alpha=a.alpha)
+    ps = _compatible_split(a, grid.spacing)
+    return make_split(grid, ps.real_even, ps.real_odd, ps.imag_even,
+                      ps.imag_odd)
+
+
+def _compatible_split(a: ChargeAnsatz, h: float) -> PotentialSplit:
+    """compatible_split of a checked ansatz on a grid of spacing h."""
     s_even, lam_odd = forward_family(a)
-    ds = odd_part(np.gradient(a.sigma, grid.spacing, edge_order=2))
-    da = even_part(np.gradient(a.alpha, grid.spacing, edge_order=2))
-    return make_split(grid, s_even, -ds, -da, lam_odd)
+    ds = odd_part(np.gradient(a.sigma, h, edge_order=2))
+    da = even_part(np.gradient(a.alpha, h, edge_order=2))
+    return PotentialSplit(s_even, -ds, -da, lam_odd)
+
+
+def _finite(value, what: str):
+    """``value``, or NonFiniteResult naming ``what`` if any of it is not."""
+    if not np.isfinite(value).all():
+        raise NonFiniteResult(f"{what} is not finite")
+    return value
 
 
 def _central(f: np.ndarray, h: float) -> np.ndarray:
@@ -276,18 +293,26 @@ def ode_pair_residual(a: ChargeAnsatz, s_even, lam_odd, grid: Grid
         Lambda' = 2 sigma' alpha + 2 alpha' sigma
 
     with central differences on interior points; O(h^2) for smooth data
-    produced by forward_family.
+    produced by forward_family.  NonFiniteResult when either overflows.
     """
-    sigma, alpha, s_arr, lam_arr = _samples(
-        grid, sigma=a.sigma, alpha=a.alpha, s_even=s_even, lam_odd=lam_odd)
-    h = grid.spacing
+    return _ode_pair_residual(*_samples(
+        grid, sigma=a.sigma, alpha=a.alpha, s_even=s_even, lam_odd=lam_odd),
+        grid.spacing)
+
+
+def _ode_pair_residual(sigma, alpha, s_arr, lam_arr, h: float
+                       ) -> tuple[float, float]:
+    """ode_pair_residual of checked samples on a grid of spacing h."""
     sig_i = sigma[1:-1]
     alp_i = alpha[1:-1]
-    dsig = _central(sigma, h)
-    dalp = _central(alpha, h)
-    r1 = np.abs(_central(s_arr, h) - (2 * dsig * sig_i - 2 * dalp * alp_i))
-    r2 = np.abs(_central(lam_arr, h) - (2 * dsig * alp_i + 2 * dalp * sig_i))
-    return float(r1.max()), float(r2.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        dsig = _central(sigma, h)
+        dalp = _central(alpha, h)
+        r1 = np.abs(_central(s_arr, h) - (2 * dsig * sig_i - 2 * dalp * alp_i))
+        r2 = np.abs(_central(lam_arr, h)
+                    - (2 * dsig * alp_i + 2 * dalp * sig_i))
+    return _finite((float(r1.max()), float(r2.max())),
+                   "the ODE pair residual")
 
 
 def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
@@ -339,17 +364,24 @@ def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
 
     Left-multiplying by P permutes rows within the core, so the maximum
     is taken over (P H^dagger P) C - C H, a pentadiagonal difference of
-    two tridiagonal products.
+    two tridiagonal products.  NonFiniteResult when it overflows.
     """
-    hb = _hamiltonian_bands(grid, ps.potential())
-    cb = _charge_bands(grid, a.sigma, a.alpha)
-    lhs = _product_diagonals(_reflected_adjoint(hb), cb)
-    rhs = _product_diagonals(cb, hb)
+    (v,) = _samples(grid, complex, potential=ps.potential())
+    return _compose_residual(_hamiltonian_bands(grid, v), _charge_bands(
+        grid, *_samples(grid, sigma=a.sigma, alpha=a.alpha)))
+
+
+def _compose_residual(hb, cb) -> float:
+    """compose_pct_residual of Hamiltonian bands hb and charge bands cb."""
     m = BOUNDARY_MARGIN
-    n = grid.npoints
-    core = [np.abs(lhs_k - rhs_k)[m:n - m - abs(k)]
-            for k, lhs_k, rhs_k in zip(range(-2, 3), lhs, rhs)]
-    return float(np.concatenate(core).max())
+    n = cb[1].size
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _product_diagonals(_reflected_adjoint(hb), cb)
+        rhs = _product_diagonals(cb, hb)
+        core = [np.abs(lhs_k - rhs_k)[m:n - m - abs(k)]
+                for k, lhs_k, rhs_k in zip(range(-2, 3), lhs, rhs)]
+    return _finite(float(np.concatenate(core).max()),
+                   "the composition residual")
 
 
 @dataclass(frozen=True)
@@ -400,38 +432,44 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
     order-0 residuals are the compatibility conditions.  Their odd real
     and odd imaginary projections reproduce the differentiated pair tested
     by ode_pair_residual; the even projections vanish exactly when
-    real_odd = -sigma' and imag_even = -alpha'.
+    real_odd = -sigma' and imag_even = -alpha'.  NonFiniteResult when a
+    residual overflows.
     """
     (v,) = _samples(grid, complex, potential=ps.potential())
     _samples(grid, sigma=a.sigma, alpha=a.alpha)
+    return _coefficient_match(a.w, v, grid)
+
+
+def _coefficient_match(w, v, grid: Grid) -> CoefficientResiduals:
+    """coefficient_match of checked w = sigma + i alpha and potential v."""
     h = grid.spacing
     n = grid.npoints
-    w = a.w
     u = np.conj(v)[::-1]
 
     w_i = w[1:-1]
     u_i = u[1:-1]
     v_i = v[1:-1]
-    dw = _central(w, h)
-    ddw = _central2(w, h)
-    dv = _central(v, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dw = _central(w, h)
+        ddw = _central2(w, h)
+        dv = _central(v, h)
 
-    lhs_d3 = np.full(n - 2, -1.0 + 0.0j)
-    rhs_d3 = np.full(n - 2, -1.0 + 0.0j)
-    lhs_d2 = -w_i
-    rhs_d2 = -w_i
-    lhs_d1 = u_i - 2.0 * dw
-    rhs_d1 = v_i
-    lhs_d0 = u_i * w_i - ddw
-    rhs_d0 = dv + w_i * v_i
+        lhs_d3 = np.full(n - 2, -1.0 + 0.0j)
+        rhs_d3 = np.full(n - 2, -1.0 + 0.0j)
+        lhs_d2 = -w_i
+        rhs_d2 = -w_i
+        lhs_d1 = u_i - 2.0 * dw
+        rhs_d1 = v_i
+        lhs_d0 = u_i * w_i - ddw
+        rhs_d0 = dv + w_i * v_i
 
-    return CoefficientResiduals(
-        x=grid.points[1:-1].copy(),
-        d3=lhs_d3 - rhs_d3,
-        d2=lhs_d2 - rhs_d2,
-        d1=lhs_d1 - rhs_d1,
-        d0=lhs_d0 - rhs_d0,
-    )
+        return CoefficientResiduals(
+            x=grid.points[1:-1].copy(),
+            d3=lhs_d3 - rhs_d3,
+            d2=lhs_d2 - rhs_d2,
+            d1=_finite(lhs_d1 - rhs_d1, "the order-1 coefficient residual"),
+            d0=_finite(lhs_d0 - rhs_d0, "the order-0 coefficient residual"),
+        )
 
 
 def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
@@ -442,12 +480,21 @@ def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
     machine zero.  P (P C - (P C)^dagger) = C - P C^dagger P has the same
     norm and stays tridiagonal.
     """
-    cb = _charge_bands(grid, a.sigma, a.alpha)
-    dev = [c - g for c, g in zip(cb, _reflected_adjoint(cb))]
-    return float(np.linalg.norm(np.concatenate(dev)))
+    return _pg_deviation(_charge_bands(
+        grid, *_samples(grid, sigma=a.sigma, alpha=a.alpha)))
+
+
+def _pg_deviation(cb) -> float:
+    """charge_pg_hermiticity from the charge bands cb."""
+    return _bands_norm([c - g for c, g in zip(cb, _reflected_adjoint(cb))])
 
 
 def charge_norm(a: ChargeAnsatz, grid: Grid) -> float:
     """Frobenius norm of C, equal to that of P C."""
-    return float(np.linalg.norm(np.concatenate(
-        _charge_bands(grid, a.sigma, a.alpha))))
+    return _bands_norm(_charge_bands(
+        grid, *_samples(grid, sigma=a.sigma, alpha=a.alpha)))
+
+
+def _bands_norm(bands) -> float:
+    """Frobenius norm of the matrix with these bands."""
+    return float(np.linalg.norm(np.concatenate(bands)))

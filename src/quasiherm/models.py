@@ -27,11 +27,12 @@ from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
                             charge_from_spectrum, pt_symmetry_residual,
                             require_pseudo_hermitian, verify_table)
 from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
-                     charge_norm, charge_pg_hermiticity, coefficient_match,
-                     compatible_split, compose_pct_residual,
+                     _bands_norm, _charge_bands, _coefficient_match,
+                     _compatible_split, _compose_residual,
+                     _hamiltonian_bands, _ode_pair_residual, _pg_deviation,
                      discretize_hamiltonian, even_part, forward_family,
-                     inverse_family, make_grid, odd_part, ode_pair_residual,
-                     parity_deviation, tridiagonal)
+                     inverse_family, make_grid, odd_part, parity_deviation,
+                     tridiagonal)
 from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
                       spectral_metric)
 from .spectral import (SpectralData, eigendecompose, is_real_spectrum,
@@ -370,18 +371,23 @@ def _expression(document: dict, name: str,
     return parse_expression(text)
 
 
-def _sample_parity_pair(document: dict, names: tuple[str, str],
+def _sample_parity_pair(exprs: dict, names: tuple[str, str],
                         sampler: Sampler,
-                        raw_max: tuple[float, float] = (0.0, 0.0)
+                        raw_max: tuple[float, float] = (0.0, 0.0),
+                        document: dict | None = None
                         ) -> tuple[list[np.ndarray], tuple[float, float]]:
-    """Even part of the samples of expression ``names[0]``, odd part of those
-    of ``names[1]`` (points closed under reflection), and the largest |sample|
-    of each so far, ``raw_max`` being that of points checked before; it scales
-    the check of each part against what its projection drops.  A part that
-    passes is exactly even or odd and finite, and needs no other check."""
+    """Even part of the samples of expression ``exprs[names[0]]``, odd part
+    of those of ``exprs[names[1]]`` (points closed under reflection), and the
+    largest |sample| of each so far, ``raw_max`` being that of points checked
+    before; it scales the check of each part against what its projection
+    drops.  A part that passes is exactly even or odd and finite, and needs
+    no other check.  A name not in ``exprs`` is parsed from ``document``
+    when reached, and kept."""
     parts, tops = [], []
     for name, sign, top in zip(names, (+1, -1), raw_max):
-        raw = _expression(document, name).sample(sampler)
+        if name not in exprs:
+            exprs[name] = _expression(document, name)
+        raw = exprs[name].sample(sampler)
         proj = even_part(raw) if sign == 1 else odd_part(raw)
         lost = float(np.abs(raw - proj).max())
         tops.append(max(top, float(np.abs(raw).max())))
@@ -447,14 +453,15 @@ def parse_model(document) -> ModelSpec:
         # family check --refine samples only the points each level adds,
         # and the largest |sample| so far scales their parity check
         sampler = Sampler(grid.points)
+        exprs = payload["expressions"] = {}
         (sigma, alpha), payload["raw_max"] = _sample_parity_pair(
-            document, ("sigma", "alpha"), sampler)
+            exprs, ("sigma", "alpha"), sampler, document=document)
         omega = _as_number(document.get("omega", 0.0), "omega")
         payload["grid"] = grid
         payload["ansatz"] = ChargeAnsatz(sigma, alpha, omega)
         if "S" in document or "Lambda" in document:
             (payload["s_even"], payload["lam_odd"]), _ = _sample_parity_pair(
-                document, ("S", "Lambda"), sampler)
+                exprs, ("S", "Lambda"), sampler, document=document)
 
     if "pseudometric" in document:
         pchoice = document["pseudometric"]
@@ -580,8 +587,9 @@ class _Analysis:
 
     @cached_property
     def split(self) -> PotentialSplit:
+        # the parsed ansatz was checked where it was sampled
         grid, ansatz = _family_parts(self.spec)
-        return compatible_split(ansatz, grid)
+        return _compatible_split(ansatz, grid.spacing)
 
     @property
     def potential(self) -> tuple[np.ndarray, np.ndarray]:
@@ -818,20 +826,27 @@ def _task_family_check(a: _Analysis):
         raise SchemaError(
             f"need refine >= 0 and at most {MAX_REFINED_POINTS} points on "
             f"the finest grid, got refine {levels}", "refine")
+    # the family functions' cores on arrays checked where they entered: the
+    # charge bands are built once, the Hamiltonian bands once per split
     full = a.split
     zeros = np.zeros(grid.npoints)
     partial = replace(full, real_odd=zeros, imag_even=zeros)
+    v_full = full.potential()
+    cb = _charge_bands(grid, ansatz.sigma, ansatz.alpha)
 
-    cm = coefficient_match(ansatz, full, grid)
-    pg = charge_pg_hermiticity(ansatz, grid)
-    pc_scale = charge_norm(ansatz, grid)
-    r1, r2 = ode_pair_residual(ansatz, full.real_even, full.imag_odd, grid)
-    compose_full = compose_pct_residual(ansatz, full, grid)
-    compose_partial = compose_pct_residual(ansatz, partial, grid)
+    cm = _coefficient_match(ansatz.w, v_full, grid)
+    pg = _pg_deviation(cb)
+    pc_scale = _bands_norm(cb)
+    r1, r2 = _ode_pair_residual(ansatz.sigma, ansatz.alpha, full.real_even,
+                                full.imag_odd, grid.spacing)
+    compose_full = _compose_residual(_hamiltonian_bands(grid, v_full), cb)
+    compose_partial = _compose_residual(
+        _hamiltonian_bands(grid, partial.potential()), cb)
 
+    d3, d2 = cm.sup(3), cm.sup(2)
     rows = [
-        _row("d3_sup", cm.sup(3), cm.sup(3) <= 1e-13, 1e-13),
-        _row("d2_sup", cm.sup(2), cm.sup(2) <= 1e-13, 1e-13),
+        _row("d3_sup", d3, d3 <= 1e-13, 1e-13),
+        _row("d2_sup", d2, d2 <= 1e-13, 1e-13),
         _row("d1_sup", cm.sup(1)),
         _row("d0_sup", cm.sup(0)),
         _row("pg_hermiticity", pg, pg <= 1e-13 * max(pc_scale, 1.0), 1e-13),
@@ -855,15 +870,14 @@ def _task_family_check(a: _Analysis):
             n_pts = 2 * n_pts - 1
             fine = make_grid(grid.half_width, n_pts)
             new, tops = _sample_parity_pair(
-                spec.document, ("sigma", "alpha"),
+                spec.payload["expressions"], ("sigma", "alpha"),
                 Sampler(fine.points[1::2]), tops)
             fine_samples = np.empty((2, n_pts))
             for row, old, add in zip(fine_samples, samples, new):
                 row[0::2], row[1::2] = old, add
             samples = fine_samples
-            fine_ansatz = ChargeAnsatz(*samples, ansatz.omega)
-            fs, fl = forward_family(fine_ansatz)
-            fr1, fr2 = ode_pair_residual(fine_ansatz, fs, fl, fine)
+            fs, fl = forward_family(ChargeAnsatz(*samples, ansatz.omega))
+            fr1, fr2 = _ode_pair_residual(*samples, fs, fl, fine.spacing)
             rows.append(_row(f"ode_residual_S_level{k}", fr1))
             rows.append(_row(f"ode_residual_Lambda_level{k}", fr2))
             floor = 100 * np.finfo(float).eps

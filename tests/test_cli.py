@@ -586,6 +586,39 @@ def test_overflowing_inverse_root_is_a_failed_row(model_file, capsys):
     assert [r["name"] for r in doc["rows"]] == ["NonFiniteResult"]
 
 
+OVERFLOWING_CHECK = {"kind": "family", "grid": {"L": 4, "N": 201},
+                     "sigma": "1+0.5*exp(-x^2)",
+                     "alpha": "1e105*x*exp(-x^2)", "omega": 0.7}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [["family", "check"],
+                                  ["family", "check", "--refine", "2"],
+                                  ["report"]], ids=" ".join)
+def test_overflowing_family_check_is_one_failed_row(model_file, capsys,
+                                                    argv, fmt):
+    # S and Lambda are finite (|alpha| stays below 1e105), but the order-0
+    # coefficient residual and the composed products overflow
+    code = main(argv + ["--model", model_file(OVERFLOWING_CHECK),
+                        "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    if fmt == "json":
+        rows = json.loads(captured.out)["rows"]
+        fields = [r["value"] for r in rows]
+    else:
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        fields = [v for r in rows for v in r.values()]
+    assert not {"nan", "inf", "-inf"} & set(map(str, fields))
+    prefix = "family-check." if argv == ["report"] else ""
+    check = [r for r in rows if r["name"].startswith(prefix)]
+    assert [r["name"] for r in check] == [prefix + "NonFiniteResult"]
+    assert "the order-0 coefficient residual is not finite" in str(
+        check[0]["value"])
+    assert check[0]["pass"] in (False, "false")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["schroedinger", "family"])
 @pytest.mark.parametrize("length", [1e-300, 1e-160, 1e160, 1e300])

@@ -361,3 +361,68 @@ def test_square_overflow_keeps_the_pow_error():
     assert str(err) == "overflow in -1e+200 ^ 2.0 (at x = -1.0)"
     # an infinite base squares to inf as pow does, and is not an overflow
     assert parse_expression("(1e400*x)^2")(0.5) == math.inf
+
+
+CONSTANT_TEXTS = ["0", "-2", "exp(1)", "2^0.5*3 - abs(-1.5)", "sqrt(2)/7",
+                  "(-(3))^2"]
+
+
+@pytest.mark.parametrize("text", CONSTANT_TEXTS)
+def test_constant_expressions_sample_to_fresh_arrays(text):
+    expr = parse_expression(text)
+    xs = _mirrored_points(9)
+    sampler = Sampler(xs)
+    assert_matches_scalar_loop(expr, xs, sampler)
+    # the memo holds one scalar; each sample is a writable array of its own
+    first, second = expr.sample(sampler), expr.sample(sampler)
+    assert first.shape == xs.shape and not np.shares_memory(first, second)
+    first[:] = 7.0
+    assert second.tobytes() == _scalar_loop(expr, xs).tobytes()
+    assert np.ndim(sampler.memo[expr.ast]) == 0
+    assert expr.sample(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("text", ["log(-1)", "1/0", "1e200*1e200",
+                                  "sqrt(-2)", "(-8)^(1/3)"])
+def test_failing_constants_fail_as_the_scalar_loop(text):
+    assert isinstance(assert_matches_scalar_loop(
+        parse_expression(text), np.linspace(-1, 1, 5)), EvalError)
+
+
+def test_numbers_are_scalars_not_filled_arrays():
+    sampler = Sampler(np.linspace(-4, 4, 201))
+    expr = parse_expression("1+0.5*exp(-x^2)")
+    assert_matches_scalar_loop(expr, sampler.points, sampler)
+    assert [np.ndim(sampler.memo[node]) for node in (
+        ("num", 1.0), ("num", 0.5), expr.ast)] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("text,fn,calls", [
+    # a "num" exponent, a constant exponent that is not a literal, and a
+    # constant base: each a scalar beside a mirrored operand
+    ("abs(x)^1.5", "pow", 101),
+    ("(x*x + 1)^(-1.5)", "pow", 101),
+    ("2^(x*x)", "pow", 101),
+    ("exp(-(2))*exp(-x^2)", "exp", 102),
+    # an odd operand beside a scalar: every point is a call
+    ("(x + 5)^0.5", "pow", 201),
+])
+def test_mirror_rule_holds_beside_a_scalar_operand(monkeypatch, text, fn,
+                                                   calls):
+    from quasiherm import expressions
+    counted = []
+    original = FUNCTIONS.get(fn, pow)
+
+    def count(*args):
+        counted.append(args)
+        return original(*args)
+    if fn == "pow":
+        monkeypatch.setattr(expressions, "pow", count, raising=False)
+    else:
+        monkeypatch.setitem(FUNCTIONS, fn, count)
+    xs = _mirrored_points(201)
+    expr = parse_expression(text)
+    expr.sample(xs)
+    assert len(counted) == calls
+    monkeypatch.undo()
+    assert_matches_scalar_loop(expr, xs)

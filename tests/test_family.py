@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from quasiherm import (BadGrid, ChargeAnsatz, DimensionMismatch,
-                       ParityViolation, SigmaVanishes,
+                       NonFiniteResult, ParityViolation, SigmaVanishes,
                        adjoint, charge_norm, charge_pg_hermiticity,
                        coefficient_match, compatible_split,
                        compose_pct_residual, discretize_charge,
                        discretize_hamiltonian, even_part, first_difference,
                        forward_family, inverse_family, make_ansatz, make_grid,
                        make_split, odd_part, ode_pair_residual, parity_matrix,
-                       parse_model, second_difference)
-from quasiherm.family import BOUNDARY_MARGIN
+                       parse_model, run_battery, run_scenario,
+                       second_difference)
+from quasiherm.family import BOUNDARY_MARGIN, SIGMA_FLOOR, parity_deviation
 
 
 def smooth_ansatz(grid, omega=0.7):
@@ -728,3 +729,153 @@ def test_derivative_companions_converge_to_symbolic_derivatives(texts):
                        cm.sup(0)))
     for coarse, fine in zip(errors, errors[1:]):
         assert all(c >= 3.9 * f for c, f in zip(coarse, fine)), errors
+
+
+# ---------------------------------------------------------------------------
+# the model path against the public functions
+
+README_TEXTS = ("1+0.5*exp(-x^2)", "x*exp(-x^2)")
+
+
+def family_doc(texts, npoints, half_width=4.0):
+    return {"kind": "family", "grid": {"L": half_width, "N": npoints},
+            "sigma": texts[0], "alpha": texts[1], "omega": 0.7}
+
+
+def public_check_rows(texts, npoints, levels):
+    """(name, value) of each family check --refine row, from the public
+    functions on the ansatz that parse_model gives on each level's grid."""
+    rows, prev = [], None
+    floor = 100 * np.finfo(float).eps
+    for k in range(levels + 1):
+        n = 2 ** k * (npoints - 1) + 1
+        spec = parse_model(family_doc(texts, n))
+        g, a = spec.payload["grid"], spec.payload["ansatz"]
+        ps = compatible_split(a, g)
+        ode = ode_pair_residual(a, ps.real_even, ps.imag_odd, g)
+        if k == 0:
+            zeros = np.zeros(n)
+            partial = replace(ps, real_odd=zeros, imag_even=zeros)
+            cm = coefficient_match(a, ps, g)
+            rows += [(f"d{order}_sup", cm.sup(order)) for order in (3, 2, 1, 0)]
+            rows += [("pg_hermiticity", charge_pg_hermiticity(a, g)),
+                     ("ode_residual_S", ode[0]),
+                     ("ode_residual_Lambda", ode[1]),
+                     ("compose_residual_full_split",
+                      compose_pct_residual(a, ps, g)),
+                     ("compose_residual_s_lambda_only",
+                      compose_pct_residual(a, partial, g))]
+        else:
+            rows += [(f"ode_residual_S_level{k}", ode[0]),
+                     (f"ode_residual_Lambda_level{k}", ode[1])]
+            rows += [(f"ode_ratio_{name}_level{k}", p / f)
+                     for name, p, f in zip(("S", "Lambda"), prev, ode)
+                     if p > floor and f > floor]
+        prev = ode
+    return rows
+
+
+def public_forward_inverse_rows(texts, npoints):
+    """(name, value) of the family-forward and family-inverse rows of a
+    report, from the public functions on the parsed ansatz."""
+    spec = parse_model(family_doc(texts, npoints))
+    g, a = spec.payload["grid"], spec.payload["ansatz"]
+    ps = compatible_split(a, g)
+    back = inverse_family(ps.real_even, ps.imag_odd, a.omega, g)
+    mask = np.abs(a.sigma) > SIGMA_FLOOR
+    forward = [("S_parity_dev", parity_deviation(ps.real_even, +1)),
+               ("Lambda_parity_dev", parity_deviation(ps.imag_odd, -1)),
+               ("S_sup", np.abs(ps.real_even).max()),
+               ("Lambda_sup", np.abs(ps.imag_odd).max()),
+               ("real_odd_sup", np.abs(ps.real_odd).max()),
+               ("imag_even_sup", np.abs(ps.imag_even).max())]
+    inverse = [("omega_sign_convention", "S_minus_omega"),
+               ("sigma_roundtrip_max",
+                np.abs(back.sigma - a.sigma)[mask].max()),
+               ("alpha_roundtrip_max",
+                np.abs(back.alpha - a.alpha)[mask].max()),
+               ("omega", a.omega), ("branch", 1)]
+    return ([("family-forward." + name, v) for name, v in forward]
+            + [("family-inverse." + name, v) for name, v in inverse])
+
+
+def exact(rows):
+    """Rows as (name, repr of the value): equal floats are equal bit for
+    bit, the sign of a zero included."""
+    return [(name, repr(float(v)) if isinstance(v, (float, np.floating))
+             else repr(v)) for name, v in rows]
+
+
+BUMP_SEEDS = (3, 17, 2024)
+
+
+@pytest.mark.parametrize("texts", [README_TEXTS] + [
+    seeded_bump_texts(seed) for seed in BUMP_SEEDS],
+    ids=["readme"] + [f"bump-{seed}" for seed in BUMP_SEEDS])
+def test_check_and_report_rows_equal_the_public_functions(texts):
+    # the model path runs the private cores on arrays checked once; every
+    # row must be what the checking public functions give, bit for bit
+    spec = parse_model(family_doc(texts, 101))
+    for levels in range(4):
+        report = run_scenario(spec, "family-check", {"refine": levels})
+        assert exact((r.name, r.value) for r in report.rows) == exact(
+            public_check_rows(texts, 101, levels))
+    battery = run_battery(spec)
+    assert exact((r.name, r.value) for r in battery.rows) == exact(
+        public_forward_inverse_rows(texts, 101)
+        + [("family-check." + name, v)
+           for name, v in public_check_rows(texts, 101, 0)])
+
+
+def test_refine_rows_match_a_symbolic_leading_term():
+    # oracle: at interior points the central differences leave
+    #   S residual       h^2 |sigma' sigma'' - alpha' alpha''| + O(h^4)
+    #   Lambda residual  h^2 |sigma'' alpha' + sigma' alpha''| + O(h^4)
+    # with the derivatives taken by sympy from the model texts
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sigma, alpha = (sympy.sympify(t.replace("^", "**")) for t in README_TEXTS)
+    ds, dds, da, dda = (sympy.lambdify(x, sympy.diff(f, x, k), "numpy")
+                        for f in (sigma, alpha) for k in (1, 2))
+    report = run_scenario(parse_model(family_doc(README_TEXTS, 201)),
+                          "family-check", {"refine": 3})
+    rows = {r.name: r.value for r in report.rows}
+    gaps = []
+    for k in range(4):
+        n = 2 ** k * 200 + 1
+        h = 8.0 / (n - 1)
+        xs = make_grid(4.0, n).points[1:-1]
+        leading = (np.abs(ds(xs) * dds(xs) - da(xs) * dda(xs)).max(),
+                   np.abs(dds(xs) * da(xs) + ds(xs) * dda(xs)).max())
+        suffix = f"_level{k}" if k else ""
+        gaps.append([abs(rows[f"ode_residual_{name}{suffix}"] / (h * h * lead)
+                         - 1.0)
+                     for name, lead in zip(("S", "Lambda"), leading)])
+    assert max(gaps[0]) <= 1e-2, gaps
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert all(c >= 3.0 * f for c, f in zip(coarse, fine)), gaps
+
+
+OVERFLOWING = {
+    # |alpha| near 1e105 keeps S and Lambda finite; u w and the band
+    # products of the order-0 residual and the composition overflow
+    "coefficient_match": (lambda x: 1e105 * x * np.exp(-x ** 2), 4.0, 201,
+                          lambda a, ps, g: coefficient_match(a, ps, g)),
+    "compose_pct_residual": (lambda x: 1e105 * x * np.exp(-x ** 2), 4.0, 201,
+                             lambda a, ps, g: compose_pct_residual(a, ps, g)),
+    # alpha^2 stays below the largest double, 2 alpha' alpha does not
+    "ode_pair_residual": (lambda x: 1.3e154 * x, 1.0, 101, lambda a, ps, g:
+                          ode_pair_residual(a, ps.real_even, ps.imag_odd, g)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OVERFLOWING)
+def test_overflowing_residuals_raise_non_finite_result(case):
+    alpha, half_width, n, call = OVERFLOWING[case]
+    g = make_grid(half_width, n)
+    a = make_ansatz(g, 1.0 + 0.5 * np.exp(-g.points ** 2), alpha(g.points),
+                    0.7)
+    ps = compatible_split(a, g)
+    with pytest.raises(NonFiniteResult, match="is not finite$"):
+        call(a, ps, g)

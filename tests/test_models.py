@@ -502,14 +502,38 @@ def test_battery_rows_equal_fresh_scenarios(doc, failing):
 
 def test_family_battery_builds_the_split_once(monkeypatch):
     from quasiherm import family
-    splits = count_calls(monkeypatch, models, "compatible_split")
+    splits = count_calls(monkeypatch, models, "_compatible_split")
     forwards = count_calls(monkeypatch, models, "forward_family")
     parity = count_calls(monkeypatch, family, "parity_deviation")
     report = run_battery(parse_model(MODEL_FAMILY))
     assert report.all_passed
     assert len(splits) == 1 and forwards == []
-    # the four parts of the one split and the recovered sigma and alpha
-    assert len(parity) == 6
+    # only the recovered sigma and alpha: the split of the parsed ansatz,
+    # exactly even and odd, is built without compatible_split's checks
+    assert len(parity) == 2
+
+
+@pytest.mark.parametrize("extra,fields", [
+    ({}, ["sigma", "alpha"]),
+    ({"S": "0.7 + (1+0.5*exp(-x^2))^2 - (x*exp(-x^2))^2",
+      "Lambda": "2*(1+0.5*exp(-x^2))*x*exp(-x^2)"},
+     ["sigma", "alpha", "S", "Lambda"]),
+], ids=["ansatz", "with-potential"])
+def test_refined_check_parses_each_expression_once(monkeypatch, extra,
+                                                   fields):
+    # the refine levels sample the expressions parsed with the model
+    texts = []
+    original = models.parse_expression
+
+    def counted(text):
+        texts.append(text)
+        return original(text)
+    monkeypatch.setattr(models, "parse_expression", counted)
+    doc = dict(MODEL_FAMILY, grid={"L": 4, "N": 101}, **extra)
+    report = run_scenario(parse_model(doc), "family-check", {"refine": 3})
+    assert report.all_passed
+    assert "ode_residual_S_level3" in [r.name for r in report.rows]
+    assert texts == [doc[name] for name in fields]
 
 
 def test_lone_roundtrip_builds_no_split(monkeypatch):

@@ -18,12 +18,17 @@ The corpus:
   - a broken-phase Schroedinger model whose evolution overflows;
   - a lattice with the identity pseudometric and a matrix model with an
     explicit dense pseudometric;
+  - a family whose S and Lambda are finite but whose check residuals
+    overflow;
   - every model of the benchmark workloads (bench/workloads.py, read only)
     at the requested seeds.
 
 Every model gets every task in both formats, plus ``evolve --steps 7
 --t-max 3``, ``family inverse --branch -1`` and ``family check --refine
-2``.  Exits 1 if any call exits 3 (internal error), else 0.
+2``.  Exits 1 if any call exits 3 (internal error), prints a non-finite
+value (a "nan", "inf" or "-inf" JSON row value or CSV field, the rule of
+bench/worker.py) or raises a warning; else 0.  The counts of each go to
+stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np
 from quasiherm.cli import main
+from worker import _is_nonfinite, _scan_json
 from workloads import WORKLOADS, build_plan
 
 TASKS = (["spectrum"], ["metric"], ["factorize"], ["table"], ["evolve"],
@@ -62,6 +68,11 @@ BROKEN_EVOLVE = {"kind": "schroedinger", "grid": {"L": 8, "N": 201},
                  "V_real": "0", "V_imag": "0.1*x^3"}
 IDENTITY_P = {"kind": "lattice", "n": 4, "gamma": 0.0,
               "pseudometric": "identity"}
+# |alpha| below 1e105: S and Lambda are finite, the order-0 coefficient
+# residual and the composed products of family check are not
+OVERFLOW_CHECK = {"kind": "family", "grid": {"L": 4, "N": 201},
+                  "sigma": "1+0.5*exp(-x^2)", "alpha": "1e105*x*exp(-x^2)",
+                  "omega": 0.7}
 
 
 def explicit_p_model() -> dict:
@@ -96,7 +107,8 @@ def corpus(seeds) -> list[tuple[str, dict]]:
     """(label, document) pairs; documents repeated across plans run once."""
     named = [(f"readme-{k}", doc) for k, doc in enumerate(readme_models())]
     named += [("broken-evolve", BROKEN_EVOLVE), ("identity-p", IDENTITY_P),
-              ("explicit-p", explicit_p_model())]
+              ("explicit-p", explicit_p_model()),
+              ("overflow-check", OVERFLOW_CHECK)]
     for workload in WORKLOADS:
         for seed in seeds:
             named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
@@ -110,7 +122,18 @@ def corpus(seeds) -> list[tuple[str, dict]]:
     return out
 
 
-def digest_call(argv: list[str]) -> tuple[int, str]:
+def nonfinite_output(stdout: str, fmt: str) -> bool:
+    """Whether a call's output holds a non-finite value, by the rule of
+    bench/worker.py: any CSV field, or any value in the JSON rows."""
+    if fmt == "csv":
+        return any(_is_nonfinite(field) for line in stdout.splitlines()
+                   for field in line.split(","))
+    return bool(stdout) and _scan_json(json.loads(stdout)["rows"])
+
+
+def digest_call(argv: list[str], fmt: str) -> tuple[int, str, bool, bool]:
+    """Exit code, digest, whether the output holds a non-finite value, and
+    whether the call raised a warning."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -118,11 +141,12 @@ def digest_call(argv: list[str]) -> tuple[int, str]:
         code = main(argv)
     text = out.getvalue() + err.getvalue() + "".join(
         f"{w.category.__name__}: {w.message}\n" for w in caught)
-    return code, hashlib.sha256(text.encode()).hexdigest()
+    return (code, hashlib.sha256(text.encode()).hexdigest(),
+            nonfinite_output(out.getvalue(), fmt), bool(caught))
 
 
 def main_digests(seeds) -> int:
-    internal = 0
+    internal = nonfinite = warned = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "model.json")
         for label, doc in corpus(seeds):
@@ -130,12 +154,16 @@ def main_digests(seeds) -> int:
             for task in TASKS:
                 for fmt in FORMATS:
                     argv = task + ["--model", path, "--format", fmt]
-                    code, digest = digest_call(argv)
+                    code, digest, bad, warning = digest_call(argv, fmt)
                     internal += code == 3
+                    nonfinite += bad
+                    warned += warning
                     shown = " ".join(task + ["--format", fmt])
                     print(f"{code} {digest} {label} {shown}", flush=True)
     print(f"{internal} internal errors", file=sys.stderr)
-    return 1 if internal else 0
+    print(f"{nonfinite} outputs with a non-finite value", file=sys.stderr)
+    print(f"{warned} calls that raised a warning", file=sys.stderr)
+    return 1 if internal or nonfinite or warned else 0
 
 
 if __name__ == "__main__":
