@@ -95,6 +95,14 @@ def norm_trace_columns(traj: Trajectory,
                 raise DimensionMismatch(
                     f"metric {name!r} has wrong dimension for the trajectory")
         checked[name] = m
+    return _norm_trace_columns(traj, checked)
+
+
+def _norm_trace_columns(traj: Trajectory,
+                        checked: Mapping[str, np.ndarray | None]
+                        ) -> dict[str, np.ndarray]:
+    """``norm_trace_columns`` of metrics that are already symmetrized, of
+    the trajectory's dimension, or None."""
     with np.errstate(over="ignore", invalid="ignore"):
         traces = {}
         for name, m in checked.items():

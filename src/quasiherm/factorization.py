@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ExceptionalPoint, NonHermitianMetric,
                      NotPTSymmetric, SingularMetric, SingularPseudoMetric)
-from .metrics import (MetricCandidate, certify_metric, frobenius_deviation,
-                      frobenius_residual, intertwining_residual,
-                      spectral_metric)
-from .operators import (adjoint_product, as_operator, as_state, hermitian_part,
-                        parity_matrix, require_metric, right_product,
-                        unaliased)
+from .metrics import (MetricCandidate, _certified, _qh_residual,
+                      _spectral_theta, certify_metric, frobenius_deviation,
+                      frobenius_residual)
+from .operators import (_adjoint_product, _right_product, _tridiagonal_bands,
+                        adjoint_product, as_operator, as_state, hermitian_part,
+                        parity_matrix, require_metric, unaliased)
 from .spectral import (DEFAULT_REALITY_TOL, SpectralData, eigendecompose,
                        require_real_spectrum)
 
@@ -179,17 +179,22 @@ def make_triple(p, c) -> SpaceTriple:
 
 def pt_symmetry_residual(h, p) -> tuple[float, float]:
     """Residual of the pseudo-Hermiticity relation H^dagger P = P H."""
-    return _p_residual(as_operator(h), as_pseudometric(p))
-
-
-def _p_residual(a: np.ndarray, pm: PseudoMetric) -> tuple[float, float]:
-    """Absolute and relative Frobenius residual of A^dagger P - P A."""
-    if a.shape != pm.shape:
+    hh = as_operator(h)
+    pm = as_pseudometric(p)
+    if hh.shape != pm.shape:
         raise DimensionMismatch(
-            f"operator {a.shape} incompatible with pseudometric {pm.shape}")
-    # the norm first: of a view such as C = P^-1 Theta it takes a copy
-    denom = float(np.linalg.norm(a)) * pm.norm
-    return frobenius_deviation(pm.apply_right(a.conj().T), pm.apply(a), denom)
+            f"operator {hh.shape} incompatible with pseudometric {pm.shape}")
+    return _p_residual(hh, pm, float(np.linalg.norm(hh)))
+
+
+def _p_residual(a: np.ndarray, pm: PseudoMetric,
+                a_norm: float) -> tuple[float, float]:
+    """Absolute and relative Frobenius residual of A^dagger P - P A, for a
+    checked A of P's shape and Frobenius norm ``a_norm`` (of a view such as
+    C = P^-1 Theta, the norm takes a copy, so it is taken before the
+    products)."""
+    return frobenius_deviation(pm.apply_right(a.conj().T), pm.apply(a),
+                               a_norm * pm.norm)
 
 
 def charge_from_metric(theta, p) -> np.ndarray:
@@ -227,7 +232,7 @@ def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
     """
     hh = as_operator(h)
     pm = as_pseudometric(p)
-    require_pseudo_hermitian(_p_residual(hh, pm)[1], DEFAULT_PT_RTOL)
+    require_pseudo_hermitian(pt_symmetry_residual(hh, pm)[1], DEFAULT_PT_RTOL)
     return charge_from_spectrum(eigendecompose(hh, gap_floor), pm,
                                 reality_tol=reality_tol,
                                 pairing_floor=pairing_floor)
@@ -268,7 +273,8 @@ def charge_from_spectrum(s: SpectralData, p, *,
         raise ExceptionalPoint(
             f"pairing |c_n| below {pairing_floor:g}; eigensystem degenerating")
 
-    cand = spectral_metric(s, 1.0 / np.abs(c), reality_tol=reality_tol)
+    # the weights are positive, and the spectrum was found real above
+    cand = _certified(_spectral_theta(s, 1.0 / np.abs(c)))
     return pm.inverse_apply(cand.theta), cand
 
 
@@ -304,8 +310,13 @@ def conjugation_in(t: SpaceTriple, space: str, a) -> np.ndarray:
     if space == "F":
         return np.conj(aa).T
     if space == "R":
-        return t.P.inverse_apply(t.P.apply_right(aa.conj().T))
+        return _r_conjugate(t.P, aa)
     return _theta_solve(t.Theta, adjoint_product(aa, t.Theta))
+
+
+def _r_conjugate(pm: PseudoMetric, a: np.ndarray) -> np.ndarray:
+    """P^-1 A^dagger P, the R-space conjugate of a checked A."""
+    return pm.inverse_apply(pm.apply_right(a.conj().T))
 
 
 def _theta_solve(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -340,22 +351,30 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     if hh.shape != t.P.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with triple of dim {t.dim}")
+    return _verify_table(t, hh, _tridiagonal_bands(hh),
+                         float(np.linalg.norm(hh)), rtol)
+
+
+def _verify_table(t: SpaceTriple, hh: np.ndarray, bands, nh: float,
+                  rtol: float) -> list[TableRow]:
+    """``verify_table`` of a checked H of the triple's shape, with its
+    ``_tridiagonal_bands`` and Frobenius norm ``nh``."""
     pm = t.P
     c = t.C
-    nh = float(np.linalg.norm(hh))
     nc = float(np.linalg.norm(c))
 
     # each relation's arrays are dropped before the next one is built; H^dagger
     # Theta serves both H^sharp = Theta^-1 H^dagger Theta and H^dagger Theta
     # = Theta H, and is overwritten by the second
-    hd_theta = adjoint_product(hh, t.Theta)
+    hd_theta = _adjoint_product(hh, bands, t.Theta)
     h_sharp_dev = frobenius_deviation(_theta_solve(t.Theta, hd_theta), hh, nh)
-    hd_theta_dev = intertwining_residual(hd_theta, hh, t.Theta)
+    hd_theta_dev = _qh_residual(hh, bands, nh, t.Theta, hd_theta)
     del hd_theta
     # H^dd C = P^-1 H^dagger (P C): O(N^2) for a structured P and banded H;
     # the residual is taken in the buffer of C H, which is contiguous
-    hdd_c = pm.inverse_apply(adjoint_product(hh, pm.apply(c)))
-    hdd_c_dev = frobenius_deviation(right_product(c, hh), hdd_c, nh * nc)
+    hdd_c = pm.inverse_apply(_adjoint_product(hh, bands, pm.apply(c)))
+    hdd_c_dev = frobenius_deviation(_right_product(c, hh, bands), hdd_c,
+                                    nh * nc)
     del hdd_c
     if pm.kind == "dense":
         p_dev = frobenius_residual(pm.entries - pm.entries.conj().T, pm.norm)
@@ -365,9 +384,9 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     relations = [
         ("H_sharp_eq_H", h_sharp_dev),
         ("Hdd_C_eq_C_H", hdd_c_dev),
-        ("Cd_P_eq_P_C", _p_residual(c, pm)),
+        ("Cd_P_eq_P_C", _p_residual(c, pm, nc)),
         ("Hd_Theta_eq_Theta_H", hd_theta_dev),
-        ("C_eq_Cdd", frobenius_deviation(conjugation_in(t, "R", c), c, nc)),
+        ("C_eq_Cdd", frobenius_deviation(_r_conjugate(pm, c), c, nc)),
         ("P_eq_Pd", p_dev),
     ]
     rows = [TableRow(name, abs_res, rel, bool(rel <= rtol))
@@ -378,6 +397,6 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
                          t.metric.positive))
     rows.append(TableRow("P_signature_plus", float(p_count), None, None))
     rows.append(TableRow("P_signature_minus", float(q_count), None, None))
-    dev, dev_rel = frobenius_deviation(conjugation_in(t, "R", hh), hh, nh)
+    dev, dev_rel = frobenius_deviation(_r_conjugate(pm, hh), hh, nh)
     rows.append(TableRow("H_vs_Hdd_deviation", dev, dev_rel, None))
     return rows

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveWeight, NotPositive
-from .operators import (adjoint_product, as_operator, require_metric,
-                        right_product)
+from .operators import (_adjoint_product, _right_product,
+                        _tridiagonal_bands, as_operator, hermitian_part,
+                        require_metric)
 from .spectral import DEFAULT_REALITY_TOL, SpectralData, require_real_spectrum
 
 # positive means min_eig > floor * max_eig: scale-invariant certificate
@@ -56,16 +57,19 @@ def qh_residual(h, theta) -> tuple[float, float]:
     if hh.shape != tt.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with metric {tt.shape}")
-    return intertwining_residual(adjoint_product(hh, tt), hh, tt)
+    return _qh_residual(hh, _tridiagonal_bands(hh), float(np.linalg.norm(hh)),
+                        tt)
 
 
-def intertwining_residual(hd_theta: np.ndarray, h: np.ndarray,
-                          theta: np.ndarray) -> tuple[float, float]:
-    """``qh_residual`` of H and Theta from the product H^dagger Theta,
-    which is overwritten by the residual H^dagger Theta - Theta H."""
-    return frobenius_deviation(hd_theta, right_product(theta, h),
-                               float(np.linalg.norm(h))
-                               * float(np.linalg.norm(theta)))
+def _qh_residual(h: np.ndarray, bands, h_norm: float, theta: np.ndarray,
+                 hd_theta: np.ndarray | None = None) -> tuple[float, float]:
+    """``qh_residual`` of a checked H of Frobenius norm ``h_norm``, with
+    its ``_tridiagonal_bands``, and a checked Theta of its shape.  A given
+    product H^dagger Theta is overwritten by the residual."""
+    if hd_theta is None:
+        hd_theta = _adjoint_product(h, bands, theta)
+    return frobenius_deviation(hd_theta, _right_product(theta, h, bands),
+                               h_norm * float(np.linalg.norm(theta)))
 
 
 def frobenius_residual(resid: np.ndarray, denom: float) -> tuple[float, float]:
@@ -101,8 +105,12 @@ def positivity_certificate(m) -> tuple[float, bool]:
 
 def certify_metric(theta) -> MetricCandidate:
     """Symmetrize, certify, and package an explicit candidate metric."""
-    mm = require_metric(theta)
-    return MetricCandidate(mm, np.linalg.eigvalsh(mm))
+    return _certified(require_metric(theta))
+
+
+def _certified(theta: np.ndarray) -> MetricCandidate:
+    """The candidate of a symmetrized Theta, with its eigenvalues."""
+    return MetricCandidate(theta, np.linalg.eigvalsh(theta))
 
 
 def spectral_metric(s: SpectralData, weights=None, *,
@@ -123,8 +131,16 @@ def spectral_metric(s: SpectralData, weights=None, *,
             f"need {s.dim} weights, got shape {kappa.shape}")
     if not np.all(kappa > 0):
         raise NonPositiveWeight("metric weights must be strictly positive")
+    return _certified(_spectral_theta(s, kappa))
+
+
+def _spectral_theta(s: SpectralData, kappa: np.ndarray) -> np.ndarray:
+    """The Theta of ``spectral_metric`` for checked weights, symmetrized
+    after its Hermiticity drift check, but not certified: its eigenvalues
+    are taken only by ``_certified``."""
     phi = s.left_vectors
-    return certify_metric((phi * kappa) @ phi.conj().T)
+    # the product is a fresh array, so no copy is needed of what is kept
+    return hermitian_part((phi * kappa) @ phi.conj().T)
 
 
 def _positive_root_pair(cand: MetricCandidate) -> tuple[np.ndarray, np.ndarray]:

@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from .errors import (BrokenPhase, InaccurateEigensystem, QuasihermError,
                      ParityViolation, SchemaError, SigmaVanishes)
-from .evolution import norm_trace_columns, propagate_spectrum
+from .evolution import _expand, _norm_trace_columns
 from .expressions import Expression, Sampler, parse_expression
-from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
-                            charge_from_spectrum, pt_symmetry_residual,
-                            require_pseudo_hermitian, verify_table)
+from .factorization import (PseudoMetric, SpaceTriple, _p_residual,
+                            _verify_table, as_pseudometric,
+                            charge_from_spectrum, require_pseudo_hermitian)
 from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
                      _bands_norm, _charge_bands, _coefficient_match,
                      _compatible_split, _compose_residual,
@@ -33,10 +33,12 @@ from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
                      discretize_hamiltonian, even_part, forward_family,
                      inverse_family, make_grid, odd_part, parity_deviation,
                      tridiagonal)
-from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
-                      spectral_metric)
-from .spectral import (SpectralData, eigendecompose, is_real_spectrum,
-                       matrix_from_real_form, real_form, state_to_real_form)
+from .metrics import (MetricCandidate, _certified, _qh_residual,
+                      _spectral_theta, frobenius_residual)
+from .operators import _tridiagonal_bands
+from .spectral import (SpectralData, _eigendecompose, is_real_spectrum,
+                       matrix_from_real_form, real_form,
+                       require_real_spectrum, state_to_real_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -361,6 +363,15 @@ def _parse_grid(doc, path: str, max_points: float = math.inf) -> Grid:
     return grid
 
 
+def _require_finite_norm(values: np.ndarray, path: str) -> None:
+    """Reject an operator model's H (given as its entries or its bands)
+    whose squared Frobenius norm is not finite: every residual row and the
+    degeneracy floor scale with the norm, and the real form keeps it."""
+    # vdot sums the squares, as the norm does, and raises no warning
+    if not math.isfinite(np.vdot(values, values).real):
+        raise SchemaError("the squared Frobenius norm of H is not finite", path)
+
+
 def _expression(document: dict, name: str,
                 default: str | None = None) -> Expression:
     """The parsed expression of a model field, required without a default."""
@@ -438,8 +449,10 @@ def parse_model(document) -> ModelSpec:
     payload: dict = {}
     if kind == "matrix":
         payload["matrix"] = _parse_matrix(_need(document, "data", ""), "data")
+        _require_finite_norm(payload["matrix"], "data")
     elif kind == "lattice":
         payload["matrix"] = _build_lattice(document)
+        _require_finite_norm(payload["matrix"], "")
     elif kind == "schroedinger":
         grid = _parse_grid(_need(document, "grid", ""), "grid", MAX_DENSE_DIM)
         sampler = Sampler(grid.points)
@@ -447,6 +460,9 @@ def parse_model(document) -> ModelSpec:
         v_im = _expression(document, "V_imag", "0").sample(sampler)
         payload["grid"] = grid
         payload["potential"] = v_re + 1j * v_im
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands = _hamiltonian_bands(grid, payload["potential"])
+        _require_finite_norm(np.concatenate(bands), "")
     else:  # family
         grid = _parse_grid(_need(document, "grid", ""), "grid")
         # sigma, alpha, S and Lambda share the samples of common subtrees;
@@ -509,6 +525,10 @@ class _Analysis:
     else B = S^dagger H S (``rotated``).  S is unitary and S^dagger P S = P,
     so every residual, eigenvalue and verdict is that of H; only the
     matrix rows (``model_matrix``) and psi0 cross between the frames.
+
+    The operator is checked once, where the model was parsed; the tasks
+    run the cores of the public functions on it, with its tridiagonal
+    bands (``bands``) and Frobenius norm (``h_norm``), each taken once.
     """
 
     def __init__(self, spec: ModelSpec, opts: dict, tol: float):
@@ -540,6 +560,17 @@ class _Analysis:
     def rotated(self) -> bool:
         return self._frame[1]
 
+    @cached_property
+    def bands(self):
+        """The ``_tridiagonal_bands`` of ``h``, or None."""
+        return _tridiagonal_bands(self.h)
+
+    @cached_property
+    def h_norm(self) -> float:
+        """The Frobenius norm of ``h``; ``parse_model`` requires that of H
+        finite, and the real form keeps it up to roundoff."""
+        return float(np.linalg.norm(self.h))
+
     def model_matrix(self, x: np.ndarray) -> np.ndarray:
         """A matrix of the analysis as a complex matrix in the frame of the
         model's H: S X S^dagger when rotated, O(N^2)."""
@@ -549,7 +580,10 @@ class _Analysis:
 
     @cached_property
     def spectrum(self) -> SpectralData:
-        return eigendecompose(self.h, self.opts.get("gap_floor"))
+        # under a "parity" or "identity" P, h is its own real form
+        own = isinstance(self.spec.payload.get("pseudometric", "parity"), str)
+        return _eigendecompose(self.h, self.opts.get("gap_floor"),
+                               self.h_norm if own else None)
 
     @cached_property
     def spectrum_checks(self) -> tuple[float, float]:
@@ -557,7 +591,7 @@ class _Analysis:
         two N^3 products taken once per analysis."""
         s = self.spectrum
         _, recon_rel = frobenius_residual(self.h - s.reconstruction(),
-                                          np.linalg.norm(self.h))
+                                          self.h_norm)
         return recon_rel, float(np.linalg.norm(_minus_identity(s.pairing())))
 
     @cached_property
@@ -570,12 +604,19 @@ class _Analysis:
 
     @cached_property
     def pt_residual(self) -> float:
-        return pt_symmetry_residual(self.h, self.pseudometric)[1]
+        return _p_residual(self.h, self.pseudometric, self.h_norm)[1]
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """The default-weight spectral metric Theta, symmetrized after its
+        Hermiticity drift check; requires a real spectrum."""
+        require_real_spectrum(self.spectrum, self.tol)
+        return _spectral_theta(self.spectrum, np.ones(self.spectrum.dim))
 
     @cached_property
     def metric(self) -> MetricCandidate:
-        """Default-weight spectral metric; requires a real spectrum."""
-        return spectral_metric(self.spectrum, reality_tol=self.tol)
+        """``theta`` with its eigenvalues, which certify it."""
+        return _certified(self.theta)
 
     @cached_property
     def triple(self) -> SpaceTriple:
@@ -603,7 +644,7 @@ class _Analysis:
 
 def _minus_identity(x: np.ndarray) -> np.ndarray:
     """X - 1 for a square X of the caller's own, in place."""
-    x[np.diag_indices_from(x)] -= 1
+    x.flat[::len(x) + 1] -= 1
     return x
 
 
@@ -633,7 +674,7 @@ def _task_spectrum(a: _Analysis):
 
 def _task_metric(a: _Analysis):
     cand = a.metric
-    qh_abs, qh_rel = qh_residual(a.h, cand.theta)
+    qh_abs, qh_rel = _qh_residual(a.h, a.bands, a.h_norm, cand.theta)
     rows = [
         _row("qh_residual_rel", qh_rel, qh_rel <= a.tol, a.tol),
         _row("qh_residual_abs", qh_abs),
@@ -652,7 +693,7 @@ def _task_factorize(a: _Analysis):
     pm = a.pseudometric
     pt_rel = a.pt_residual
     charge, cand = a.triple.C, a.triple.metric
-    qh_abs, qh_rel = qh_residual(h, cand.theta)
+    qh_abs, qh_rel = _qh_residual(h, a.bands, a.h_norm, cand.theta)
     # C of a structured P is a view of Theta; one C-ordered copy serves
     # both operands of the product
     c = np.ascontiguousarray(charge)
@@ -676,7 +717,7 @@ def _task_factorize(a: _Analysis):
 def _task_table(a: _Analysis):
     triple = a.triple
     rows = [_row("mode", triple.mode)]
-    for trow in verify_table(triple, a.h, rtol=a.tol):
+    for trow in _verify_table(triple, a.h, a.bands, a.h_norm, a.tol):
         rel = trow.rel_residual
         value = trow.abs_residual if rel is None else rel
         row_tol = None if trow.passed is None or rel is None else a.tol
@@ -701,10 +742,14 @@ def _psi0_from_options(opts, dim: int) -> np.ndarray:
     if arr.size != dim:
         raise SchemaError(f"psi0 must have dimension {dim}", "psi0")
     # the norm rows are ratios of traces, which a zero state makes 0/0
-    if not np.vdot(arr, arr).real >= np.finfo(float).tiny:
+    square = np.vdot(arr, arr).real
+    if not square >= np.finfo(float).tiny:
         raise SchemaError(
             "psi0 must be nonzero, with a squared norm that does not "
             "underflow", "psi0")
+    # the traces and the frame of the real form need it finite
+    if not math.isfinite(square):
+        raise SchemaError("the squared norm of psi0 is not finite", "psi0")
     return arr
 
 
@@ -729,13 +774,21 @@ def _task_evolve(a: _Analysis):
             f"biorthonormality_dev {pairing_dev:.3e}, tol {PAIRING_TOL:g}); "
             "an expansion in it has no reliable digits")
     times = np.linspace(0.0, t_max, steps)
-    traj = propagate_spectrum(a.spectrum, psi0, times)
+    # a normal time step makes the time grid strictly increasing, a
+    # subnormal one need not
+    if (t_max / (steps - 1) < np.finfo(float).tiny
+            and not (np.diff(times) > 0).all()):
+        raise SchemaError(
+            f"the times of t_max = {t_max!r} in {steps} steps are not "
+            "strictly increasing", "evolve")
+    # psi0 and the times are checked, and Theta was where it was built
+    traj = _expand(a.spectrum, psi0, times)
 
     metrics = {"identity": None}
     real, max_imag = is_real_spectrum(a.spectrum, a.tol)
     if real:
-        metrics["theta"] = a.metric.theta
-    traces = norm_trace_columns(traj, metrics)
+        metrics["theta"] = a.theta
+    traces = _norm_trace_columns(traj, metrics)
 
     ident = traces["identity"]
     rows = [

@@ -159,7 +159,11 @@ def _tridiagonal_times(bands, x: np.ndarray) -> np.ndarray:
 def adjoint_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """H^dagger X for square matrices; through the bands of a tridiagonal
     H, otherwise the dense product."""
-    bands = _tridiagonal_bands(h)
+    return _adjoint_product(h, _tridiagonal_bands(h), x)
+
+
+def _adjoint_product(h: np.ndarray, bands, x: np.ndarray) -> np.ndarray:
+    """``adjoint_product`` through H's ``_tridiagonal_bands``, taken once."""
     if bands is None:
         return h.conj().T @ x
     lower, diag, upper = bands
@@ -169,7 +173,11 @@ def adjoint_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 def right_product(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """X H for square matrices; through the bands of a tridiagonal H,
     otherwise the dense product."""
-    bands = _tridiagonal_bands(h)
+    return _right_product(x, h, _tridiagonal_bands(h))
+
+
+def _right_product(x: np.ndarray, h: np.ndarray, bands) -> np.ndarray:
+    """``right_product`` through H's ``_tridiagonal_bands``, taken once."""
     if bands is None:
         return x @ h
     lower, diag, upper = bands

@@ -90,6 +90,12 @@ def biorthonormalize(right, left) -> tuple[np.ndarray, np.ndarray]:
     if r.shape != l.shape:
         raise DimensionMismatch(
             f"right system {r.shape} does not match left system {l.shape}")
+    return _biorthonormalize(r, l)
+
+
+def _biorthonormalize(r: np.ndarray, l: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``biorthonormalize`` of float or complex columns of one shape."""
     rnorm = np.linalg.norm(r, axis=0)
     lnorm = np.linalg.norm(l, axis=0)
     if np.any(rnorm == 0) or np.any(lnorm == 0):
@@ -237,10 +243,20 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     b.  A ``gap_floor`` replaces the bound by a fixed floor; pass 0 to
     disable the check.  ``min_gap`` is the smallest gap of all pairs.
     """
-    m = as_operator(a)
+    return _eigendecompose(as_operator(a), gap_floor)
+
+
+def _eigendecompose(m: np.ndarray, gap_floor: float | None,
+                    b_norm: float | None = None) -> SpectralData:
+    """``eigendecompose`` of a checked m; given ``b_norm``, m is its own
+    ``real_form`` b, of that Frobenius norm."""
     if gap_floor is not None and gap_floor < 0:
         raise ValueError("gap_floor must be nonnegative")
-    b, rotated = real_form(m)
+    if b_norm is None:
+        b, rotated = real_form(m)
+        b_norm = float(np.linalg.norm(b))
+    else:
+        b, rotated = m, False
     hermitian = np.array_equal(b, b.conj().T)
     try:
         vals, w, odd = (_hermitian_eig(b) if hermitian
@@ -266,7 +282,7 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     dist = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(dist, np.inf)
     min_gap = float(dist.min())
-    unit = vals.size * _EPS * float(np.linalg.norm(b))
+    unit = vals.size * _EPS * b_norm
     floor = 2 * kappa_max * unit if gap_floor is None else gap_floor
     if min_gap < floor:
         if gap_floor is None and not hermitian:
@@ -288,7 +304,7 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     # the vectors are scaled without the distances and b
     del b, dist
     if not hermitian:
-        right, left = biorthonormalize(right, left)
+        right, left = _biorthonormalize(right, left)
     return SpectralData(vals, right, left, min_gap)
 
 

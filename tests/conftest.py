@@ -70,3 +70,10 @@ def point_major_csv(x, named):
             for name, col in columns]
     return "".join(f"{render_float(t)},{name},{render_float(v)}\n"
                    for t, name, v in rows)
+
+
+def exact(rows):
+    """Rows as (name, repr of the value): equal floats are equal bit for
+    bit, the sign of a zero included."""
+    return [(name, repr(float(v)) if isinstance(v, (float, np.floating))
+             else repr(v)) for name, v in rows]

@@ -521,6 +521,71 @@ def test_zero_psi0_is_a_schema_row(model_file, tmp_path, capsys, vector):
     assert "psi0: psi0 must be nonzero" in doc["rows"][0]["value"]
 
 
+# finite entries whose squared Frobenius norm overflows: the real form,
+# the degeneracy floor and every residual row would overflow with it
+OVERFLOWING_NORM = {
+    "lattice-gamma": ({"kind": "lattice", "n": 4, "gamma": 1e308}, ""),
+    "lattice-coupling": ({"kind": "lattice", "n": 4, "coupling": 1e308}, ""),
+    "pt-matrix": ({"kind": "matrix",
+                   "data": [[[1e308, 1e308], [1e308, 0]],
+                            [[1e308, 0], [1e308, -1e308]]]}, "data: "),
+    "real-matrix": ({"kind": "matrix",
+                     "data": [[1e308, 2e307], [0, -1e308]]}, "data: "),
+    "schroedinger": ({"kind": "schroedinger", "grid": {"L": 1, "N": 5},
+                      "V_real": "1e308"}, ""),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OVERFLOWING_NORM)
+@pytest.mark.parametrize("task", ["spectrum", "evolve", "report"])
+def test_overflowing_operator_norm_exit_two(model_file, capsys, case, task):
+    doc, path = OVERFLOWING_NORM[case]
+    assert main([task, "--model", model_file(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"quasiherm: {path}the squared Frobenius norm "
+                            "of H is not finite\n")
+
+
+def test_largest_finite_norm_is_accepted():
+    # a squared norm just below the largest double passes the intake check
+    spec = parse_model({"kind": "matrix", "data": [[1.3e154, 0], [0, 0]]})
+    assert spec.payload["matrix"][0, 0] == 1.3e154
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_psi0_is_a_schema_row(model_file, tmp_path, capsys):
+    # finite entries whose squared norm overflows, on a rotated lattice
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text("[[1.5e308, 0], [0, 0], [0, 0], [0, 1.5e308]]")
+    code, doc = run_json(capsys, [
+        "evolve", "--model",
+        model_file({"kind": "lattice", "n": 4, "gamma": 0.3}),
+        "--psi0", str(psi_path)])
+    assert code == 1
+    assert doc["rows"] == [{"name": "SchemaError", "value": (
+        "psi0: the squared norm of psi0 is not finite"), "pass": False,
+        "tol": None}]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_max,steps,code", [
+    ("5e-324", "3", 1), ("3e-323", "5", 1), ("1e-320", "5", 0),
+    ("1e-310", "200", 0)])
+def test_subnormal_time_step(model_file, capsys, t_max, steps, code):
+    # a subnormal step gives a strictly increasing grid or a schema row
+    argv = ["evolve", "--model", model_file(MODEL_2X2), "--t-max", t_max,
+            "--steps", steps]
+    assert run_json(capsys, argv)[0] == code
+    if code:
+        rows = run_json(capsys, argv)[1]["rows"]
+        assert rows == [{"name": "SchemaError", "value": (
+            f"evolve: the times of t_max = {float(t_max)!r} in {steps} "
+            "steps are not strictly increasing"), "pass": False,
+            "tol": None}]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("content", ["1.5", "null", "true"])
 def test_scalar_psi0_file_is_a_schema_row(model_file, tmp_path, capsys,

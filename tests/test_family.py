@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import exact
 from quasiherm import (BadGrid, ChargeAnsatz, DimensionMismatch,
                        NonFiniteResult, ParityViolation, SigmaVanishes,
                        adjoint, charge_norm, charge_pg_hermiticity,
@@ -797,13 +798,6 @@ def public_forward_inverse_rows(texts, npoints):
                ("omega", a.omega), ("branch", 1)]
     return ([("family-forward." + name, v) for name, v in forward]
             + [("family-inverse." + name, v) for name, v in inverse])
-
-
-def exact(rows):
-    """Rows as (name, repr of the value): equal floats are equal bit for
-    bit, the sign of a zero included."""
-    return [(name, repr(float(v)) if isinstance(v, (float, np.floating))
-             else repr(v)) for name, v in rows]
 
 
 BUMP_SEEDS = (3, 17, 2024)

@@ -7,13 +7,21 @@ import numpy as np
 import pytest
 
 import quasiherm.errors as errors_module
-from conftest import point_major_csv, render_float
-from quasiherm import (ParityViolation, QuasihermError, ReportRow,
-                       SchemaError, as_pseudometric, even_part, factorization,
-                       forward_family, make_ansatz, make_grid, models,
+from conftest import exact, point_major_csv, render_float
+from quasiherm import (BrokenPhase, ParityViolation, PseudoMetric,
+                       QuasihermError, ReportRow, SchemaError, SpaceTriple,
+                       as_pseudometric, charge_from_spectrum,
+                       discretize_hamiltonian, eigendecompose, even_part,
+                       factorization, forward_family, is_real_spectrum,
+                       make_ansatz, make_grid, models, norm_trace_columns,
                        odd_part, ode_pair_residual, parse_expression,
-                       parse_model, pt_symmetry_residual, parity_matrix,
-                       run_battery, run_scenario)
+                       parse_model, propagate_spectrum, pt_symmetry_residual,
+                       parity_matrix, qh_residual, run_battery, run_scenario,
+                       spectral_metric, verify_table)
+from quasiherm.factorization import require_pseudo_hermitian
+from quasiherm.metrics import frobenius_residual
+from quasiherm.spectral import (matrix_from_real_form, real_form,
+                                state_to_real_form)
 
 MODEL_2X2 = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]]}
 MODEL_BROKEN = {"kind": "matrix", "data": [[[0, 1.2], [1, 0]], [[1, 0], [0, -1.2]]]}
@@ -560,6 +568,52 @@ def test_battery_checks_the_eigensystem_once(monkeypatch):
     assert len(recon) == 1 and len(pairing) == 1
 
 
+def test_report_scans_the_bands_once_and_takes_the_norm_once(monkeypatch):
+    # every product with B and every residual denominator reads the bands
+    # and the Frobenius norm that the analysis took once
+    from quasiherm import factorization, metrics, operators
+    scans, norms = [], []
+    scan, norm = operators._tridiagonal_bands, np.linalg.norm
+
+    def counted_scan(a):
+        scans.append(a)
+        return scan(a)
+
+    def counted_norm(x, *args, **kwargs):
+        norms.append(x)
+        return norm(x, *args, **kwargs)
+    for module in (operators, metrics, factorization, models):
+        monkeypatch.setattr(module, "_tridiagonal_bands", counted_scan,
+                            raising=False)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    spec = parse_model(MODEL_LATTICE)
+    b = real_form(spec.payload["matrix"])[0]
+    report = run_battery(spec)
+    assert report.all_passed
+    assert len(scans) == 1 and np.array_equal(scans[0], b)
+    assert sum(np.shape(x) == b.shape and np.array_equal(x, b)
+               for x in norms) == 1
+
+
+def test_evolve_reads_theta_without_certifying_it(monkeypatch):
+    # Theta is built and symmetrized once; the traces do not symmetrize it
+    # again, and no eigenvalue of it is taken
+    from quasiherm import evolution, metrics, operators
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    symmetrized = []
+    original = operators.hermitian_part
+
+    def counted(m):
+        symmetrized.append(m)
+        return original(m)
+    for module in (operators, metrics, evolution):
+        monkeypatch.setattr(module, "hermitian_part", counted)
+    report = run_scenario(parse_model(MODEL_LATTICE), "evolve")
+    assert report.all_passed
+    assert eigvalsh == []
+    assert len(symmetrized) == 1
+
+
 def test_spectrum_scenario_builds_nothing_else(monkeypatch):
     calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
     report = run_scenario(parse_model(MODEL_LATTICE), "spectrum")
@@ -811,3 +865,144 @@ def test_json_evolve_keeps_only_its_arrays():
     # the times and the two trace columns, no per-sample Python objects
     assert kept < 2 * trajectory_bytes
     assert peak < 6 * trajectory_bytes
+
+
+# --- the operator path against the public functions ------------------------
+
+def seeded_pt_matrix(seed: int, dim: int) -> np.ndarray:
+    """A + i g B with A symmetric and centrosymmetric and B symmetric and
+    anti-centrosymmetric: complex symmetric and PT-symmetric, and dense."""
+    rng = np.random.default_rng(seed)
+    flip = np.arange(dim)[::-1]
+    a, b = rng.normal(size=(2, dim, dim))
+    a, b = a + a.T, b + b.T
+    return (a + a[flip][:, flip]) + 0.05j * (b - b[flip][:, flip])
+
+
+ORACLE_MODELS = {
+    "lattice-endpoints": {"kind": "lattice", "n": 6, "gamma": 0.3},
+    "lattice-alternating": {"kind": "lattice", "n": 8, "gamma": 0.2,
+                            "pattern": "alternating"},
+    "pt-schroedinger": {"kind": "schroedinger", "grid": {"L": 2, "N": 41},
+                        "V_imag": "0.1*x^3"},
+    "harmonic": {"kind": "schroedinger", "grid": {"L": 8, "N": 41},
+                 "V_real": "x^2"},
+    "broken": MODEL_BROKEN,
+    "pt-matrix": {"kind": "matrix", "data": matrix_data(seeded_pt_matrix(5, 7))},
+    "dense-P": MODEL_DENSE_P,
+}
+
+
+def public_task_rows(spec, task, tol=models.DEFAULT_TOL):
+    """(name, value) of each row of an operator task, and its series, from
+    the public functions on the operator the task analyzes; a domain error
+    is one row, as in a report."""
+    payload = spec.payload
+    h = payload.get("matrix")
+    if h is None:
+        h = discretize_hamiltonian(payload["grid"], payload["potential"])
+    if "pseudometric" in payload:  # an explicit P: H in its own frame
+        b, rotated = h, False
+        pm = as_pseudometric(payload["pseudometric"])
+    else:
+        b, rotated = real_form(h)
+        pm = PseudoMetric.structured("parity", len(b))
+    n = len(b)
+
+    def frame(x):
+        return matrix_from_real_form(x) if rotated else x.astype(complex)
+
+    def matrices(**named):
+        return list(named.items()) if n <= models.MATRIX_ROW_DIM_CAP else []
+
+    try:
+        s = eigendecompose(b)
+        real, max_imag = is_real_spectrum(s, tol)
+        if task == "spectrum":
+            recon = frobenius_residual(b - s.reconstruction(),
+                                       np.linalg.norm(b))[1]
+            pairing = float(np.linalg.norm(s.pairing() - np.eye(n)))
+            return [("dim", n), ("eigenvalues", s.eigenvalues),
+                    ("spectrum_real", real), ("max_imag", max_imag),
+                    ("min_gap", s.min_gap), ("reconstruction_rel", recon),
+                    ("biorthonormality_dev", pairing)], None
+        if task == "metric":
+            cand = spectral_metric(s, reality_tol=tol)
+            qh_abs, qh_rel = qh_residual(b, cand.theta)
+            return [("qh_residual_rel", qh_rel), ("qh_residual_abs", qh_abs),
+                    ("theta_min_eig", cand.min_eig),
+                    ("theta_max_eig", cand.max_eig),
+                    ("theta_positive", cand.positive),
+                    ("theta_condition", cand.condition),
+                    *matrices(theta=frame(cand.theta))], None
+        if task in ("factorize", "table"):
+            require_pseudo_hermitian(pt_symmetry_residual(b, pm)[1], tol)
+            charge, cand = charge_from_spectrum(s, pm, reality_tol=tol)
+        if task == "factorize":
+            c = np.ascontiguousarray(charge)
+            c2 = frobenius_residual(c @ c - np.eye(n),
+                                    np.linalg.norm(c) ** 2)[1]
+            qh_abs, qh_rel = qh_residual(b, cand.theta)
+            return [("pt_residual_rel", pt_symmetry_residual(b, pm)[1]),
+                    ("charge_involution_rel", c2), ("qh_residual_rel", qh_rel),
+                    ("qh_residual_abs", qh_abs),
+                    ("theta_positive", cand.positive),
+                    ("theta_eigenvalues", cand.eigenvalues),
+                    ("p_signature", list(pm.signature)),
+                    *matrices(charge=frame(charge),
+                              theta=frame(cand.theta))], None
+        if task == "table":
+            rows = verify_table(SpaceTriple(pm, charge, cand), b, rtol=tol)
+            return [("mode", "hilbert" if pm.positive else "krein")] + [
+                (r.name, r.abs_residual if r.rel_residual is None
+                 else r.rel_residual) for r in rows], None
+        psi0 = np.eye(n, dtype=complex)[0]
+        traj = propagate_spectrum(s, state_to_real_form(psi0) if rotated
+                                  else psi0, np.linspace(0.0, 20.0, 200))
+        metrics = {"identity": None}
+        if real:
+            metrics["theta"] = spectral_metric(s, reality_tol=tol).theta
+        traces = norm_trace_columns(traj, metrics)
+        ident = traces["identity"]
+        rows = [("spectrum_real", real),
+                ("fnorm_ratio", float(ident.max() / ident.min()))]
+        if real:
+            theta = traces["theta"]
+            rows.append(("theta_drift_rel", float(
+                np.abs(theta - theta[0]).max() / abs(theta[0]))))
+        else:
+            rate = np.log(ident[-1] / ident[100]) / (traj.times[-1]
+                                                     - traj.times[100])
+            rows += [("fnorm_growth_rate", float(rate)),
+                     ("max_imag", max_imag)]
+        return rows, (traj.times, list(traces.items()))
+    except QuasihermError as exc:
+        return [(exc.code, exc.max_imag if isinstance(exc, BrokenPhase)
+                 else str(exc))], None
+
+
+def jsonable_rows(rows):
+    return [(name, models.jsonable(value)) for name, value in rows]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_operator_rows_equal_the_public_functions(model):
+    # the model path runs the private cores on an operator checked once,
+    # with its bands and norm taken once; every row of each task and of a
+    # report must be what the checking public functions give, bit for bit
+    spec = parse_model(ORACLE_MODELS[model])
+    battery = []
+    for task in models.OPERATOR_TASKS:
+        rows, series = public_task_rows(spec, task)
+        battery += [(f"{task}.{name}", value) for name, value in rows]
+        report = run_scenario(spec, task)
+        assert exact((r.name, r.value) for r in report.rows) == exact(
+            jsonable_rows(rows))
+        if series is None:
+            assert report.series is None
+        else:
+            assert report.series[0].tobytes() == series[0].tobytes()
+            assert [(name, v.tobytes()) for name, v in report.series[1]] == [
+                (name, v.tobytes()) for name, v in series[1]]
+    assert exact((r.name, r.value) for r in run_battery(spec).rows) == exact(
+        jsonable_rows(battery))

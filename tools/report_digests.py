@@ -20,6 +20,8 @@ The corpus:
     explicit dense pseudometric;
   - a family whose S and Lambda are finite but whose check residuals
     overflow;
+  - operator models with finite entries whose H has a squared Frobenius
+    norm that overflows (a schema error);
   - every model of the benchmark workloads (bench/workloads.py, read only)
     at the requested seeds.
 
@@ -73,6 +75,18 @@ IDENTITY_P = {"kind": "lattice", "n": 4, "gamma": 0.0,
 OVERFLOW_CHECK = {"kind": "family", "grid": {"L": 4, "N": 201},
                   "sigma": "1+0.5*exp(-x^2)", "alpha": "1e105*x*exp(-x^2)",
                   "omega": 0.7}
+# finite entries, each model's H with a squared Frobenius norm above the
+# largest double
+OVERFLOW_NORM = {
+    "overflow-gamma": {"kind": "lattice", "n": 4, "gamma": 1e308},
+    "overflow-coupling": {"kind": "lattice", "n": 4, "coupling": 1e308},
+    "overflow-pt": {"kind": "matrix",
+                    "data": [[[1e308, 1e308], [1e308, 0]],
+                             [[1e308, 0], [1e308, -1e308]]]},
+    "overflow-real": {"kind": "matrix", "data": [[1e308, 2e307], [0, -1e308]]},
+    "overflow-potential": {"kind": "schroedinger", "grid": {"L": 1, "N": 5},
+                           "V_real": "1e308"},
+}
 
 
 def explicit_p_model() -> dict:
@@ -109,6 +123,7 @@ def corpus(seeds) -> list[tuple[str, dict]]:
     named += [("broken-evolve", BROKEN_EVOLVE), ("identity-p", IDENTITY_P),
               ("explicit-p", explicit_p_model()),
               ("overflow-check", OVERFLOW_CHECK)]
+    named += list(OVERFLOW_NORM.items())
     for workload in WORKLOADS:
         for seed in seeds:
             named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
