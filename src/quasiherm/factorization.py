@@ -92,6 +92,13 @@ class PseudoMetric:
             return float(np.linalg.norm(self.entries))
         return math.sqrt(self.dim)
 
+    @cached_property
+    def inverse_norm(self) -> float:
+        """||P^-1||_2: 1/min|eig P|, and 1 for parity and identity."""
+        if self.kind == "dense":
+            return 1.0 / float(np.abs(np.linalg.eigvalsh(self.entries)).min())
+        return 1.0
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P X: reverses the rows (the entries of a vector) for parity."""
         if self.kind == "parity":
@@ -249,6 +256,8 @@ def charge_from_spectrum(s: SpectralData, p, *,
     kappa_n = 1/|c_n| make Theta = sum kappa_n |phi_n><phi_n| positive
     definite while C = P^-1 Theta squares to the identity and commutes
     with H.  For a structured P, C is a view of Theta (``inverse_apply``).
+    c_n scales as P^-1 and C not at all, so a pairing below
+    ``pairing_floor`` ||P^-1||_2 raises ExceptionalPoint.
     """
     pm = as_pseudometric(p)
     if s.dim != pm.dim:
@@ -269,9 +278,10 @@ def charge_from_spectrum(s: SpectralData, p, *,
             "left-eigenvector pairings acquired imaginary parts; "
             "H is not consistently pseudo-Hermitian w.r.t. P")
     c = c.real
-    if np.any(np.abs(c) < pairing_floor):
+    floor = pairing_floor * pm.inverse_norm
+    if np.any(np.abs(c) < floor):
         raise ExceptionalPoint(
-            f"pairing |c_n| below {pairing_floor:g}; eigensystem degenerating")
+            f"pairing |c_n| below {floor:g}; eigensystem degenerating")
 
     # the weights are positive, and the spectrum was found real above
     cand = _certified(_spectral_theta(s, 1.0 / np.abs(c)))

@@ -30,9 +30,8 @@ from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
                      _bands_norm, _charge_bands, _coefficient_match,
                      _compatible_split, _compose_residual,
                      _hamiltonian_bands, _ode_pair_residual, _pg_deviation,
-                     discretize_hamiltonian, even_part, forward_family,
-                     inverse_family, make_grid, odd_part, parity_deviation,
-                     tridiagonal)
+                     even_part, forward_family, inverse_family, make_grid,
+                     odd_part, parity_deviation, tridiagonal)
 from .metrics import (MetricCandidate, _certified, _qh_residual,
                       _spectral_theta, frobenius_residual)
 from .operators import _tridiagonal_bands
@@ -53,12 +52,12 @@ MATRIX_ROW_DIM_CAP = 12
 
 # largest lattice site count or Schroedinger grid size, checked before
 # anything is allocated.  Counted in float64 N x N arrays (tracemalloc,
-# N = 301), a run holds 2 (harmonic model: H and its eigenvectors) to 5 (PT
-# lattice: its complex H, the real form and both eigenvector sets).  Run
-# alone, each task after the eigensolve peaks at 8.1 or less, and evolve
-# at 10.7 with its 200 x N complex trajectory; in a report, which keeps
-# both metrics, at 9.1 and 11.7.  A report on the harmonic model at
-# N = 2047 peaks at 300 MB RSS.
+# N = 301), a run holds 2 (harmonic model: H and its eigenvectors) to 3 (PT
+# lattice: the real form and both eigenvector sets).  Run alone, each task
+# after the eigensolve peaks at 6.2 or less, and evolve at 8.7 with its
+# 200 x N complex trajectory; in a report, which keeps both metrics, at
+# 7.2 and 9.7 (a broken phase holds more).  A report at N = 2047 peaks at
+# 300 MB RSS on the harmonic model and 336 MB on the PT lattice.
 MAX_DENSE_DIM = 2048
 
 # largest steps x dim of an evolve task, checked before the time grid is
@@ -363,13 +362,14 @@ def _parse_grid(doc, path: str, max_points: float = math.inf) -> Grid:
     return grid
 
 
-def _require_finite_norm(values: np.ndarray, path: str) -> None:
-    """Reject an operator model's H (given as its entries or its bands)
-    whose squared Frobenius norm is not finite: every residual row and the
-    degeneracy floor scale with the norm, and the real form keeps it."""
+def _require_finite_norm(values: np.ndarray, path: str, name="H") -> None:
+    """Reject an operator model's H (as its entries or bands) or P whose
+    squared Frobenius norm is not finite: every residual row and the
+    degeneracy floor scale with the norms, and the real form keeps H's."""
     # vdot sums the squares, as the norm does, and raises no warning
     if not math.isfinite(np.vdot(values, values).real):
-        raise SchemaError("the squared Frobenius norm of H is not finite", path)
+        raise SchemaError(
+            f"the squared Frobenius norm of {name} is not finite", path)
 
 
 def _expression(document: dict, name: str,
@@ -410,7 +410,7 @@ def _sample_parity_pair(exprs: dict, names: tuple[str, str],
     return parts, tuple(tops)
 
 
-def _build_lattice(doc: dict) -> np.ndarray:
+def _lattice_bands(doc: dict) -> tuple:
     n = _as_int(_need(doc, "n", ""), "n")
     if n < 2:
         raise SchemaError("need at least two sites", "n")
@@ -430,7 +430,27 @@ def _build_lattice(doc: dict) -> np.ndarray:
     else:
         diag += 1j * gamma * (-1.0) ** np.arange(n)
     off = np.full(n - 1, coupling, dtype=complex)
-    return tridiagonal(off, diag, off)
+    return off, diag, off
+
+
+def _operator(kind: str, document: dict) -> np.ndarray:
+    """The H of a matrix, lattice or Schroedinger model document, with a
+    finite squared Frobenius norm."""
+    if kind == "matrix":
+        h = _parse_matrix(_need(document, "data", ""), "data")
+        _require_finite_norm(h, "data")
+        return h
+    if kind == "lattice":
+        bands = _lattice_bands(document)
+    else:
+        grid = _parse_grid(_need(document, "grid", ""), "grid", MAX_DENSE_DIM)
+        sampler = Sampler(grid.points)
+        v_re = _expression(document, "V_real", "0").sample(sampler)
+        v_im = _expression(document, "V_imag", "0").sample(sampler)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bands = _hamiltonian_bands(grid, v_re + 1j * v_im)
+    _require_finite_norm(np.concatenate(bands), "")
+    return tridiagonal(*bands)
 
 
 def parse_model(document) -> ModelSpec:
@@ -447,23 +467,7 @@ def parse_model(document) -> ModelSpec:
         raise SchemaError(f"kind must be one of {MODEL_KINDS}", "kind")
 
     payload: dict = {}
-    if kind == "matrix":
-        payload["matrix"] = _parse_matrix(_need(document, "data", ""), "data")
-        _require_finite_norm(payload["matrix"], "data")
-    elif kind == "lattice":
-        payload["matrix"] = _build_lattice(document)
-        _require_finite_norm(payload["matrix"], "")
-    elif kind == "schroedinger":
-        grid = _parse_grid(_need(document, "grid", ""), "grid", MAX_DENSE_DIM)
-        sampler = Sampler(grid.points)
-        v_re = _expression(document, "V_real", "0").sample(sampler)
-        v_im = _expression(document, "V_imag", "0").sample(sampler)
-        payload["grid"] = grid
-        payload["potential"] = v_re + 1j * v_im
-        with np.errstate(over="ignore", invalid="ignore"):
-            bands = _hamiltonian_bands(grid, payload["potential"])
-        _require_finite_norm(np.concatenate(bands), "")
-    else:  # family
+    if kind == "family":
         grid = _parse_grid(_need(document, "grid", ""), "grid")
         # sigma, alpha, S and Lambda share the samples of common subtrees;
         # family check --refine samples only the points each level adds,
@@ -478,24 +482,27 @@ def parse_model(document) -> ModelSpec:
         if "S" in document or "Lambda" in document:
             (payload["s_even"], payload["lam_odd"]), _ = _sample_parity_pair(
                 exprs, ("S", "Lambda"), sampler, document=document)
-
-    if "pseudometric" in document:
-        pchoice = document["pseudometric"]
-        if kind == "family":
+        if "pseudometric" in document:
             raise SchemaError(
                 "a family model takes no pseudometric: P is the index "
                 "reversal of its grid", "pseudometric")
+    else:
+        h = _operator(kind, document)
+        pchoice = document.get("pseudometric", "parity")
+        # the frame of the analysis: the real form of H under a structured
+        # P, H itself under a dense one
         if pchoice in ("parity", "identity"):
-            payload["pseudometric"] = pchoice
+            payload["h"], payload["rotated"] = real_form(h)
+            payload["pseudometric"] = PseudoMetric.structured(pchoice, len(h))
         elif isinstance(pchoice, list):
             pm = _parse_matrix(pchoice, "pseudometric")
-            dim = (payload["matrix"].shape[0] if "matrix" in payload
-                   else payload["grid"].npoints)
-            if pm.shape[0] != dim:
+            if pm.shape != h.shape:
                 raise SchemaError(
-                    f"expected a {dim} x {dim} matrix for a model of "
-                    f"dimension {dim}, got {pm.shape[0]} x {pm.shape[0]}",
+                    f"expected a {len(h)} x {len(h)} matrix for a model of "
+                    f"dimension {len(h)}, got {len(pm)} x {len(pm)}",
                     "pseudometric")
+            _require_finite_norm(pm, "pseudometric", "P")
+            payload["h"], payload["rotated"] = h, False
             payload["pseudometric"] = pm
         else:
             raise SchemaError(
@@ -525,6 +532,7 @@ class _Analysis:
     else B = S^dagger H S (``rotated``).  S is unitary and S^dagger P S = P,
     so every residual, eigenvalue and verdict is that of H; only the
     matrix rows (``model_matrix``) and psi0 cross between the frames.
+    ``parse_model`` builds that frame and keeps it in place of H.
 
     The operator is checked once, where the model was parsed; the tasks
     run the cores of the public functions on it, with its tridiagonal
@@ -536,29 +544,16 @@ class _Analysis:
         self.opts = opts
         self.tol = tol
 
-    @cached_property
-    def _frame(self) -> tuple[np.ndarray, bool]:
-        """The operator the tasks analyze, and whether it is rotated."""
-        payload = self.spec.payload
-        if "matrix" in payload:
-            h = payload["matrix"]
-        elif self.spec.kind == "schroedinger":
-            h = discretize_hamiltonian(payload["grid"], payload["potential"])
-        else:
-            raise SchemaError(
-                f"task needs an operator model, got kind {self.spec.kind!r}")
-        if isinstance(payload.get("pseudometric", "parity"), str):
-            return real_form(h)
-        return h, False
-
     @property
     def h(self) -> np.ndarray:
         """H, or its real form B in the frame of the analysis."""
-        return self._frame[0]
+        if self.spec.kind == "family":
+            raise SchemaError("task needs an operator model, got kind 'family'")
+        return self.spec.payload["h"]
 
     @property
     def rotated(self) -> bool:
-        return self._frame[1]
+        return self.spec.payload["rotated"]
 
     @cached_property
     def bands(self):
@@ -580,10 +575,9 @@ class _Analysis:
 
     @cached_property
     def spectrum(self) -> SpectralData:
-        # under a "parity" or "identity" P, h is its own real form
-        own = isinstance(self.spec.payload.get("pseudometric", "parity"), str)
-        return _eigendecompose(self.h, self.opts.get("gap_floor"),
-                               self.h_norm if own else None)
+        # a real h is its own real form, of norm h_norm
+        norm = None if np.iscomplexobj(self.h) else self.h_norm
+        return _eigendecompose(self.h, self.opts.get("gap_floor"), norm)
 
     @cached_property
     def spectrum_checks(self) -> tuple[float, float]:
@@ -596,11 +590,8 @@ class _Analysis:
 
     @cached_property
     def pseudometric(self) -> PseudoMetric:
-        """Identity and parity are structured: no matrix is built."""
-        choice = self.spec.payload.get("pseudometric", "parity")
-        if not isinstance(choice, str):
-            return as_pseudometric(choice)
-        return PseudoMetric.structured(choice, self.h.shape[0])
+        """A dense P is validated here, on first use."""
+        return as_pseudometric(self.spec.payload["pseudometric"])
 
     @cached_property
     def pt_residual(self) -> float:
@@ -621,8 +612,8 @@ class _Analysis:
     @cached_property
     def triple(self) -> SpaceTriple:
         """``standard_charge`` of H and P, gated before the eigensolve."""
-        pm = self.pseudometric
         require_pseudo_hermitian(self.pt_residual, self.tol)
+        pm = self.pseudometric
         return SpaceTriple(pm, *charge_from_spectrum(self.spectrum, pm,
                                                      reality_tol=self.tol))
 
@@ -663,7 +654,8 @@ def _task_spectrum(a: _Analysis):
         _row("eigenvalues", s.eigenvalues),
         _row("spectrum_real", bool(real)),
         _row("max_imag", max_imag),
-        _row("min_gap", s.min_gap),
+        # a one-state spectrum has no pair
+        _row("min_gap", s.min_gap if s.dim > 1 else None),
         _row("reconstruction_rel", recon_rel,
              recon_rel <= RECONSTRUCTION_TOL, RECONSTRUCTION_TOL),
         _row("biorthonormality_dev", pairing_dev,
@@ -689,11 +681,9 @@ def _task_metric(a: _Analysis):
 
 
 def _task_factorize(a: _Analysis):
-    h = a.h
-    pm = a.pseudometric
     pt_rel = a.pt_residual
     charge, cand = a.triple.C, a.triple.metric
-    qh_abs, qh_rel = _qh_residual(h, a.bands, a.h_norm, cand.theta)
+    qh_abs, qh_rel = _qh_residual(a.h, a.bands, a.h_norm, cand.theta)
     # C of a structured P is a view of Theta; one C-ordered copy serves
     # both operands of the product
     c = np.ascontiguousarray(charge)
@@ -706,9 +696,9 @@ def _task_factorize(a: _Analysis):
         _row("qh_residual_abs", qh_abs),
         _row("theta_positive", bool(cand.positive), bool(cand.positive)),
         _row("theta_eigenvalues", cand.eigenvalues),
-        _row("p_signature", [pm.signature[0], pm.signature[1]]),
+        _row("p_signature", list(a.pseudometric.signature)),
     ]
-    if h.shape[0] <= MATRIX_ROW_DIM_CAP:
+    if len(charge) <= MATRIX_ROW_DIM_CAP:
         rows.append(_row("charge", a.model_matrix(charge)))
         rows.append(_row("theta", a.model_matrix(cand.theta)))
     return rows, None

@@ -77,3 +77,46 @@ def exact(rows):
     bit, the sign of a zero included."""
     return [(name, repr(float(v)) if isinstance(v, (float, np.floating))
              else repr(v)) for name, v in rows]
+
+
+def document_matrix(data) -> np.ndarray:
+    """The complex matrix of a document's rows of numbers or [re, im]
+    pairs."""
+    return np.array([[complex(*v) if isinstance(v, list) else complex(v)
+                      for v in row] for row in data])
+
+
+def lattice_h(doc) -> np.ndarray:
+    """The H of a lattice document, written out entry by entry."""
+    n = doc["n"]
+    gamma = doc.get("gamma", 0.0)
+    coupling = doc.get("coupling", 1.0)
+    h = np.zeros((n, n), dtype=complex)
+    for k in range(n - 1):
+        h[k, k + 1] = coupling
+        h[k + 1, k] = coupling
+    if doc.get("pattern") == "alternating":
+        for k in range(n):
+            h[k, k] += 1j * gamma * (-1.0) ** k
+    else:
+        h[0, 0] = 1j * gamma
+        h[n - 1, n - 1] = -1j * gamma
+    return h
+
+
+def document_h(doc) -> np.ndarray:
+    """The complex H that an operator model document defines, built from
+    the document with the public functions.  A parsed model keeps only the
+    frame of its analysis, which is the real form of H under a "parity" or
+    "identity" P."""
+    from quasiherm.expressions import Sampler, parse_expression
+    from quasiherm.family import discretize_hamiltonian, make_grid
+    if doc["kind"] == "matrix":
+        return document_matrix(doc["data"])
+    if doc["kind"] == "lattice":
+        return lattice_h(doc)
+    grid = make_grid(float(doc["grid"]["L"]), doc["grid"]["N"])
+    sampler = Sampler(grid.points)
+    v_re, v_im = (parse_expression(doc.get(name, "0")).sample(sampler)
+                  for name in ("V_real", "V_imag"))
+    return discretize_hamiltonian(grid, v_re + 1j * v_im)

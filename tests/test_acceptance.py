@@ -16,7 +16,7 @@ from quasiherm import (discretize_hamiltonian, eigendecompose, hermitize,
                        ode_pair_residual)
 from quasiherm.cli import main
 
-from conftest import random_diagonalizable
+from conftest import document_h, random_diagonalizable
 
 MODEL_2X2 = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]]}
 MODEL_BROKEN = {"kind": "matrix", "data": [[[0, 1.2], [1, 0]], [[1, 0], [0, -1.2]]]}
@@ -205,8 +205,7 @@ def test_criterion_7_krein_bookkeeping():
     # indefinite parity composes with the charge into a positive metric
     h = np.array([[0.6j, 1.0], [1.0, -0.6j]])
     _, cand2 = standard_charge(h, parity_matrix(2))
-    lattice = parse_model({"kind": "lattice", "n": 5, "gamma": 0.5})
-    h5 = lattice.payload["matrix"]
+    h5 = document_h({"kind": "lattice", "n": 5, "gamma": 0.5})
     _, cand5 = standard_charge(h5, parity_matrix(5))
     ok = (sig_ok and cand2.positive and cand5.positive
           and signature(parity_matrix(5)) == (3, 2))

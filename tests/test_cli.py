@@ -388,7 +388,7 @@ def test_readme_harmonic_report_passes(model_file, capsys, npoints):
 
 def test_dense_model_at_the_cap_is_accepted():
     spec = parse_model({"kind": "lattice", "n": MAX_DENSE_DIM})
-    assert spec.payload["matrix"].shape == (MAX_DENSE_DIM, MAX_DENSE_DIM)
+    assert spec.payload["h"].shape == (MAX_DENSE_DIM, MAX_DENSE_DIM)
 
 
 def test_non_utf8_model_file_exit_two(tmp_path, capsys):
@@ -551,7 +551,43 @@ def test_overflowing_operator_norm_exit_two(model_file, capsys, case, task):
 def test_largest_finite_norm_is_accepted():
     # a squared norm just below the largest double passes the intake check
     spec = parse_model({"kind": "matrix", "data": [[1.3e154, 0], [0, 0]]})
-    assert spec.payload["matrix"][0, 0] == 1.3e154
+    assert spec.payload["h"][0, 0] == 1.3e154
+    spec = parse_model(dict(MODEL_2X2, pseudometric=[[0, 9e153],
+                                                      [9e153, 0]]))
+    assert spec.payload["pseudometric"][0, 1] == 9e153
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task", ["spectrum", "factorize", "report"])
+def test_overflowing_pseudometric_norm_exit_two(model_file, capsys, task):
+    # finite entries of P whose squared Frobenius norm overflows
+    doc = {"kind": "matrix", "data": [[1, 0], [0, 2]],
+           "pseudometric": [[0, 1e300], [1e300, 0]]}
+    assert main([task, "--model", model_file(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("quasiherm: pseudometric: the squared Frobenius "
+                            "norm of P is not finite\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [0, 1e-300, -2.5])
+@pytest.mark.parametrize("task", ["spectrum", "report"])
+def test_one_state_spectrum_has_no_gap(model_file, capsys, entry, task):
+    # one eigenvalue makes no pair: min_gap is null, not inf
+    path = model_file({"kind": "matrix", "data": [[entry]]})
+    code, doc = run_json(capsys, [task, "--model", path])
+    assert code == 0
+    prefix = "spectrum." if task == "report" else ""
+    rows = {r["name"]: r for r in doc["rows"]}
+    assert rows[prefix + "min_gap"] == {"name": prefix + "min_gap",
+                                        "value": None, "pass": None,
+                                        "tol": None}
+    assert rows[prefix + "eigenvalues"]["value"] == [[entry, 0]]
+    assert main([task, "--model", path, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"{prefix}min_gap,null,," in lines
+    assert not any("inf" in line or "nan" in line for line in lines)
 
 
 @pytest.mark.filterwarnings("error")

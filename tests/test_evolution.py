@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from conftest import document_h
 from quasiherm import (DimensionMismatch, NonFiniteResult, NonHermitianMetric,
                        Trajectory, eigendecompose, hermitize,
-                       norm_trace_columns, norm_traces, parse_model,
-                       propagate, propagate_spectrum, qh_residual,
-                       spectral_metric, standard_charge)
+                       norm_trace_columns, norm_traces, propagate,
+                       propagate_spectrum, qh_residual, spectral_metric,
+                       standard_charge)
 
 
 def closed_form_fnorm(times):
@@ -303,8 +304,8 @@ def test_near_identity_metric_takes_the_product(metric):
 
 
 def _pt_lattice(n, gamma):
-    doc = {"kind": "lattice", "n": n, "gamma": gamma, "pattern": "endpoints"}
-    return parse_model(doc).payload["matrix"]
+    return document_h({"kind": "lattice", "n": n, "gamma": gamma,
+                       "pattern": "endpoints"})
 
 
 def _pt_dimer(gamma):

@@ -110,6 +110,28 @@ def test_standard_charge_pairing_guard(model_h, parity2):
         standard_charge(model_h, parity2, pairing_floor=10.0)
 
 
+P_SCALES = [1e-20, 1e-11, 1e-5, 1.0, 1e5, 1e11, 1e20]
+
+
+@pytest.mark.parametrize("scale", P_SCALES)
+def test_pairing_floor_follows_the_scale_of_p(model_h, parity2, scale):
+    # c_n = <phi_n|P^-1|phi_n> scales as 1/s, and C = P^-1 Theta not at all,
+    # so the guard compares |c_n| with the floor times ||P^-1||_2
+    reference, _ = standard_charge(model_h, parity2)
+    c, cand = standard_charge(model_h, scale * parity2)
+    assert cand.positive
+    assert np.linalg.norm(c - reference) <= 1e-15 * np.linalg.norm(reference)
+    with pytest.raises(ExceptionalPoint):
+        standard_charge(model_h, scale * parity2, pairing_floor=10.0)
+    assert as_pseudometric(scale * parity2).inverse_norm == pytest.approx(
+        1 / scale, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["parity", "identity"])
+def test_structured_pseudometric_keeps_the_absolute_pairing_floor(kind):
+    assert PseudoMetric.structured(kind, 5).inverse_norm == 1.0
+
+
 def test_triple_inner(model_h, parity2):
     c, _ = standard_charge(model_h, parity2)
     t = make_triple(parity2, c)

@@ -111,17 +111,26 @@ def test_evolution_returns_fresh_arrays():
 
 
 # the traced peak of each task after the eigensolve, counting what the
-# run holds (H, its eigenvectors, the parsed model), in float64 N x N
-# arrays; evolve also holds its 200 x N complex trajectory.  The copies
-# numpy makes for LAPACK are not traced.
-TASK_BUDGET = {"metric": 8, "factorize": 8, "table": 8, "evolve": 11}
+# run holds (the frame of H, its eigenvectors, the parsed model), in float64
+# N x N arrays; evolve also holds its 200 x N complex trajectory.  The
+# copies numpy makes for LAPACK are not traced.  The complex spectrum of
+# the broken alternating lattice makes its eigenvectors, and so its
+# budgets, larger; its metric, factorize and table tasks end in one
+# BrokenPhase row.
+TASK_BUDGET = {"metric": 6, "factorize": 6, "table": 6, "evolve": 9}
+BROKEN_BUDGET = {"metric": 5, "factorize": 7, "table": 7, "evolve": 11}
 BUDGET_SLACK = 0.25
 BUDGET_MODELS = {
     "pt-lattice": {"kind": "lattice", "n": 301, "gamma": 0.3,
                    "pattern": "endpoints"},
+    "alternating-lattice": {"kind": "lattice", "n": 300, "gamma": 0.1,
+                            "pattern": "alternating"},
     "harmonic": {"kind": "schroedinger", "grid": {"L": 8, "N": 301},
                  "V_real": "x^2"},
+    "pt-schroedinger": {"kind": "schroedinger", "grid": {"L": 2, "N": 301},
+                        "V_imag": "0.1*x^3"},
 }
+BROKEN_MODELS = {"alternating-lattice"}
 
 
 @pytest.mark.parametrize("task", sorted(TASK_BUDGET))
@@ -137,7 +146,23 @@ def test_task_memory_after_the_eigensolve(model, task):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(r.passed is not False for r in rows)
+    failed = [r.name for r in rows if r.passed is False]
+    broken = model in BROKEN_MODELS
+    assert failed == (["BrokenPhase"] if broken and task != "evolve" else [])
     arrays = peak / (8 * dim * dim)
-    assert arrays <= TASK_BUDGET[task] + BUDGET_SLACK, \
+    budget = (BROKEN_BUDGET if broken else TASK_BUDGET)[task]
+    assert arrays <= budget + BUDGET_SLACK, \
         f"{model} {task} peaks at {arrays:.2f} N^2 float64"
+
+
+@pytest.mark.parametrize("model", ["pt-lattice", "alternating-lattice",
+                                   "pt-schroedinger"])
+def test_rotated_model_keeps_no_complex_h(model):
+    # the parsed model holds the real form B, and not the complex H beside it
+    spec = parse_model(BUDGET_MODELS[model])
+    dim = spec.payload["h"].shape[0]
+    assert spec.payload["rotated"]
+    assert not any(isinstance(v, np.ndarray) and v.shape == (dim, dim)
+                   and np.iscomplexobj(v) for v in spec.payload.values())
+    assert spec.payload["h"].dtype == np.float64
+    assert spec.payload["pseudometric"].entries is None

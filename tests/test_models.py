@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 import quasiherm.errors as errors_module
-from conftest import exact, point_major_csv, render_float
+from conftest import (document_h, document_matrix, exact, lattice_h,
+                      point_major_csv, render_float)
 from quasiherm import (BrokenPhase, ParityViolation, PseudoMetric,
                        QuasihermError, ReportRow, SchemaError, SpaceTriple,
-                       as_pseudometric, charge_from_spectrum,
-                       discretize_hamiltonian, eigendecompose, even_part,
-                       factorization, forward_family, is_real_spectrum,
-                       make_ansatz, make_grid, models, norm_trace_columns,
-                       odd_part, ode_pair_residual, parse_expression,
-                       parse_model, propagate_spectrum, pt_symmetry_residual,
-                       parity_matrix, qh_residual, run_battery, run_scenario,
-                       spectral_metric, verify_table)
+                       as_pseudometric, charge_from_spectrum, eigendecompose,
+                       even_part, factorization, forward_family,
+                       is_real_spectrum, make_ansatz, make_grid, models,
+                       norm_trace_columns, odd_part, ode_pair_residual,
+                       parse_expression, parse_model, propagate_spectrum,
+                       pt_symmetry_residual, parity_matrix, qh_residual,
+                       run_battery, run_scenario, spectral_metric,
+                       verify_table)
 from quasiherm.factorization import require_pseudo_hermitian
 from quasiherm.metrics import frobenius_residual
 from quasiherm.spectral import (matrix_from_real_form, real_form,
@@ -34,10 +35,20 @@ def rows_by_name(report):
     return {r.name: r for r in report.rows}
 
 
+def parsed_h(doc) -> np.ndarray:
+    """The H that parse_model builds for an operator model document: under
+    a dense P, the frame of the analysis is H itself."""
+    n = len(parse_model(doc).payload["h"])
+    return parse_model(dict(doc, pseudometric=np.eye(n).tolist())).payload["h"]
+
+
 def test_parse_matrix_model():
     spec = parse_model(json.dumps(MODEL_2X2))
-    h = spec.payload["matrix"]
-    assert np.array_equal(h, np.array([[0.6j, 1.0], [1.0, -0.6j]]))
+    h = np.array([[0.6j, 1.0], [1.0, -0.6j]])
+    assert np.array_equal(parsed_h(MODEL_2X2), h)
+    # under the default parity P the PT-symmetric H is kept as its real form
+    assert spec.payload["rotated"]
+    assert spec.payload["h"].tobytes() == real_form(h)[0].tobytes()
     assert spec.kind == "matrix"
     assert len(spec.digest) == 64
 
@@ -45,10 +56,12 @@ def test_parse_matrix_model():
 def test_parse_schroedinger_model():
     spec = parse_model({"kind": "schroedinger", "grid": {"L": 8, "N": 401},
                         "V_real": "x^2", "V_imag": "0"})
-    grid = spec.payload["grid"]
-    assert grid.npoints == 401
-    assert grid.spacing == pytest.approx(0.04)
-    v = spec.payload["potential"]
+    # a real H is its own frame: -D2 + diag(V) on the grid of spacing 0.04
+    h = spec.payload["h"]
+    assert h.shape == (401, 401) and not spec.payload["rotated"]
+    assert -1 / np.diag(h, 1)[0] == pytest.approx(0.04 ** 2)
+    grid = make_grid(8.0, 401)
+    v = np.diag(h) - 2 / grid.spacing ** 2
     assert np.abs(v - grid.points ** 2).max() <= 1e-12
 
 
@@ -61,8 +74,7 @@ def test_parse_family_model():
 
 
 def test_parse_lattice_model():
-    spec = parse_model({"kind": "lattice", "n": 5, "gamma": 0.5})
-    h = spec.payload["matrix"]
+    h = parsed_h({"kind": "lattice", "n": 5, "gamma": 0.5})
     assert h[0, 0] == 0.5j and h[4, 4] == -0.5j
     assert h[0, 1] == 1.0
     _, rel = pt_symmetry_residual(h, parity_matrix(5))
@@ -70,9 +82,8 @@ def test_parse_lattice_model():
 
 
 def test_lattice_alternating_parity():
-    spec = parse_model({"kind": "lattice", "n": 4, "gamma": 0.3,
-                        "pattern": "alternating"})
-    h = spec.payload["matrix"]
+    h = parsed_h({"kind": "lattice", "n": 4, "gamma": 0.3,
+                  "pattern": "alternating"})
     _, rel = pt_symmetry_residual(h, parity_matrix(4))
     assert rel <= 1e-14
     with pytest.raises(SchemaError):
@@ -587,7 +598,7 @@ def test_report_scans_the_bands_once_and_takes_the_norm_once(monkeypatch):
                             raising=False)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     spec = parse_model(MODEL_LATTICE)
-    b = real_form(spec.payload["matrix"])[0]
+    b = real_form(document_h(MODEL_LATTICE))[0]
     report = run_battery(spec)
     assert report.all_passed
     assert len(scans) == 1 and np.array_equal(scans[0], b)
@@ -756,6 +767,34 @@ def test_program_built_pseudometric_equals_validated_one(n):
         assert built.signature == validated.signature
 
 
+@pytest.mark.parametrize("task", models.OPERATOR_TASKS + models.FAMILY_TASKS)
+def test_task_of_the_other_kind_is_a_schema_row(task):
+    # an operator task reads H, which a family model has not; a family
+    # task reads the ansatz, which an operator model has not
+    family = task in models.FAMILY_TASKS
+    spec = parse_model(MODEL_2X2 if family else MODEL_FAMILY)
+    need = "a family" if family else "an operator"
+    assert [(r.name, r.value, r.passed) for r in run_scenario(
+        spec, task).rows] == [("SchemaError", f"task needs {need} model, got "
+                               f"kind {spec.kind!r}", False)]
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-11, 1e5, 1e11, 1e20])
+def test_scaled_dense_p_gives_the_verdicts_of_p(scale):
+    # C = P^-1 Theta does not depend on the scale of P: every verdict is
+    # that of P itself, and the charge agrees within roundoff
+    def battery(s):
+        return rows_by_name(run_battery(parse_model(
+            dict(MODEL_2X2, pseudometric=[[0, s], [s, 0]]))))
+    base, scaled = battery(1), battery(scale)
+    assert [(r.name, r.passed) for r in scaled.values()] == [
+        (r.name, r.passed) for r in base.values()]
+    assert all(r.passed is not False for r in scaled.values())
+    c, c_base = (np.array(rows["factorize.charge"].value) @ [1, 1j]
+                 for rows in (scaled, base))
+    assert np.linalg.norm(c - c_base) <= 1e-15 * np.linalg.norm(c_base)
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "lattice", "n": 7, "gamma": 0.4, "coupling": 1.3},
     {"kind": "lattice", "n": 8, "gamma": -0.3, "pattern": "alternating"},
@@ -763,21 +802,10 @@ def test_program_built_pseudometric_equals_validated_one(n):
 ], ids=["endpoints", "alternating", "two-sites"])
 def test_lattice_matches_literal_construction(doc):
     # the assembly through family.tridiagonal is bit-identical to writing
-    # the entries of H one by one
-    n = doc["n"]
-    gamma = doc["gamma"]
-    coupling = doc.get("coupling", 1.0)
-    h = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1):
-        h[k, k + 1] = coupling
-        h[k + 1, k] = coupling
-    if doc.get("pattern") == "alternating":
-        for k in range(n):
-            h[k, k] += 1j * gamma * (-1.0) ** k
-    else:
-        h[0, 0] = 1j * gamma
-        h[n - 1, n - 1] = -1j * gamma
-    assert parse_model(doc).payload["matrix"].tobytes() == h.tobytes()
+    # the entries of H one by one, and the frame is its real form
+    assert parsed_h(doc).tobytes() == lattice_h(doc).tobytes()
+    spec = parse_model(doc)
+    assert spec.payload["h"].tobytes() == real_form(lattice_h(doc))[0].tobytes()
 
 
 def scalar_parse(data) -> np.ndarray:
@@ -897,13 +925,11 @@ def public_task_rows(spec, task, tol=models.DEFAULT_TOL):
     """(name, value) of each row of an operator task, and its series, from
     the public functions on the operator the task analyzes; a domain error
     is one row, as in a report."""
-    payload = spec.payload
-    h = payload.get("matrix")
-    if h is None:
-        h = discretize_hamiltonian(payload["grid"], payload["potential"])
-    if "pseudometric" in payload:  # an explicit P: H in its own frame
+    doc = spec.document
+    h = document_h(doc)
+    if "pseudometric" in doc:  # an explicit P: H in its own frame
         b, rotated = h, False
-        pm = as_pseudometric(payload["pseudometric"])
+        pm = as_pseudometric(document_matrix(doc["pseudometric"]))
     else:
         b, rotated = real_form(h)
         pm = PseudoMetric.structured("parity", len(b))

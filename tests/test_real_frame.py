@@ -6,13 +6,13 @@ the frame."""
 import numpy as np
 import pytest
 
+from conftest import document_h
 from quasiherm import (eigendecompose, models, parse_model, run_battery,
                        run_scenario)
 from quasiherm.evolution import norm_trace_columns, propagate_spectrum
 from quasiherm.factorization import (PseudoMetric, SpaceTriple,
                                      charge_from_spectrum,
                                      pt_symmetry_residual, verify_table)
-from quasiherm.family import discretize_hamiltonian
 from quasiherm.metrics import frobenius_residual, qh_residual, spectral_metric
 from quasiherm.operators import as_operator, parity_matrix
 from quasiherm.spectral import _as_columns, real_form
@@ -51,10 +51,7 @@ for _seed in range(4):
 
 def model_h(spec) -> np.ndarray:
     """H in the frame of the model, as the document defines it."""
-    payload = spec.payload
-    if "matrix" in payload:
-        return payload["matrix"]
-    return discretize_hamiltonian(payload["grid"], payload["potential"])
+    return document_h(spec.document)
 
 
 def library_rows(spec, choice: str) -> tuple[dict, dict, float]:
@@ -176,7 +173,8 @@ def test_dense_pseudometric_is_not_rotated():
     structured = parse_model(dict(doc, pseudometric="parity"))
     a = models._Analysis(dense, {}, models.DEFAULT_TOL)
     assert not a.rotated
-    assert a.h is dense.payload["matrix"]
+    assert a.h is dense.payload["h"]
+    assert a.h.tobytes() == document_h(doc).tobytes()
     assert models._Analysis(structured, {}, models.DEFAULT_TOL).rotated
     rows_dense = run_battery(dense).rows
     rows_structured = run_battery(structured).rows

@@ -7,7 +7,7 @@ from quasiherm import (DegenerateSpectrum, SelfOrthogonal, biorthonormalize,
                        run_scenario, standard_charge)
 from quasiherm import errors, spectral
 
-from conftest import random_diagonalizable
+from conftest import document_h, random_diagonalizable
 
 
 def test_diagonal_matrix_is_exact():
@@ -424,11 +424,9 @@ def test_hermitian_real_form_is_solved_by_eigh(monkeypatch, case):
 
 def broken_schroedinger(npoints):
     """The complex H of the model L = 8, V = 0.1 i x^3 on npoints points."""
-    spec = parse_model({"kind": "schroedinger",
-                        "grid": {"L": 8, "N": npoints},
-                        "V_real": "0", "V_imag": "0.1*x^3"})
-    return discretize_hamiltonian(spec.payload["grid"],
-                                  spec.payload["potential"])
+    return document_h({"kind": "schroedinger",
+                       "grid": {"L": 8, "N": npoints},
+                       "V_real": "0", "V_imag": "0.1*x^3"})
 
 
 def checks(h, s):

@@ -20,8 +20,11 @@ The corpus:
     explicit dense pseudometric;
   - a family whose S and Lambda are finite but whose check residuals
     overflow;
-  - operator models with finite entries whose H has a squared Frobenius
-    norm that overflows (a schema error);
+  - operator models with finite entries whose H, or whose explicit P,
+    has a squared Frobenius norm that overflows (a schema error);
+  - a one-state matrix model, whose spectrum has no gap;
+  - the README 2x2 model with an explicit P of scale 1e11, whose
+    pairings c_n are of order 1e-11;
   - every model of the benchmark workloads (bench/workloads.py, read only)
     at the requested seeds.
 
@@ -86,7 +89,12 @@ OVERFLOW_NORM = {
     "overflow-real": {"kind": "matrix", "data": [[1e308, 2e307], [0, -1e308]]},
     "overflow-potential": {"kind": "schroedinger", "grid": {"L": 1, "N": 5},
                            "V_real": "1e308"},
+    "overflow-p": {"kind": "matrix", "data": [[1, 0], [0, 2]],
+                   "pseudometric": [[0, 1e300], [1e300, 0]]},
 }
+ONE_STATE = {"kind": "matrix", "data": [[0]]}
+SCALED_P = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]],
+            "pseudometric": [[0, 1e11], [1e11, 0]]}
 
 
 def explicit_p_model() -> dict:
@@ -124,6 +132,7 @@ def corpus(seeds) -> list[tuple[str, dict]]:
               ("explicit-p", explicit_p_model()),
               ("overflow-check", OVERFLOW_CHECK)]
     named += list(OVERFLOW_NORM.items())
+    named += [("one-state", ONE_STATE), ("scaled-p", SCALED_P)]
     for workload in WORKLOADS:
         for seed in seeds:
             named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
