@@ -37,8 +37,8 @@ from .metrics import (MetricCandidate, certify_metric, hermitize,
                       spectral_metric)
 from .models import (ModelSpec, Report, ReportRow, parse_model, run_battery,
                      run_scenario)
-from .operators import (adjoint, adjoint_product, adjoint_wrt, as_operator,
-                        as_state, inner, parity_matrix, right_product,
-                        time_reversal)
+from .operators import (CheckedOperator, adjoint, adjoint_product,
+                        adjoint_wrt, as_operator, as_state, checked_operator,
+                        inner, parity_matrix, right_product, time_reversal)
 from .spectral import (SpectralData, biorthonormalize, eigendecompose,
                        is_real_spectrum)

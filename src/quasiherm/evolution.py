@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteResult, NonHermitianMetric
-from .operators import as_operator, as_state, hermitian_part
+from .operators import as_state, checked_operator, hermitian_part
 from .spectral import SpectralData, eigendecompose
 
 TRACE_IMAG_RTOL = 1e-10
@@ -42,10 +42,10 @@ def _check_times(times) -> np.ndarray:
 
 def propagate(h, psi0, times, *, gap_floor: float | None = None) -> Trajectory:
     """psi(t) = sum_n exp(-i lambda_n t) |psi_n> <phi_n|psi0>."""
-    hh = as_operator(h)
-    v0 = as_state(psi0, hh.shape[0])
+    op = checked_operator(h)
+    v0 = as_state(psi0, op.shape[0])
     ts = _check_times(times)
-    return _expand(eigendecompose(hh, gap_floor), v0, ts)
+    return _expand(eigendecompose(op, gap_floor), v0, ts)
 
 
 def propagate_spectrum(s: SpectralData, psi0, times) -> Trajectory:

@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ExceptionalPoint, NonHermitianMetric,
                      NotPTSymmetric, SingularMetric, SingularPseudoMetric)
-from .metrics import (MetricCandidate, _certified, _qh_residual,
-                      _spectral_theta, certify_metric, frobenius_deviation,
-                      frobenius_residual)
-from .operators import (_adjoint_product, _right_product, _tridiagonal_bands,
-                        adjoint_product, as_operator, as_state, hermitian_part,
-                        parity_matrix, require_metric, unaliased)
+from .metrics import (MetricCandidate, _certified, _spectral_theta,
+                      certify_metric, frobenius_deviation, frobenius_residual)
+from .operators import (CheckedOperator, adjoint_product, as_operator,
+                        as_state, checked_operator, parity_matrix,
+                        require_metric, right_product, unaliased)
 from .spectral import (DEFAULT_REALITY_TOL, SpectralData, eigendecompose,
                        require_real_spectrum)
 
@@ -94,7 +93,8 @@ class PseudoMetric:
 
     @cached_property
     def inverse_norm(self) -> float:
-        """||P^-1||_2: 1/min|eig P|, and 1 for parity and identity."""
+        """||P^-1||_2: 1/min|eig P|, and 1 for parity and identity; that of
+        a P from ``as_pseudometric`` is set there, from its eigenvalues."""
         if self.kind == "dense":
             return 1.0 / float(np.abs(np.linalg.eigvalsh(self.entries)).min())
         return 1.0
@@ -126,23 +126,26 @@ class PseudoMetric:
 def signature(p) -> tuple[int, int]:
     """Counts of positive and negative eigenvalues of a Hermitian invertible
     matrix; raises SingularPseudoMetric on a near-null eigenvalue."""
-    mm = hermitian_part(p)
+    return as_pseudometric(p).signature
+
+
+def as_pseudometric(p) -> PseudoMetric:
+    """Validate a matrix into a "dense" PseudoMetric (a PseudoMetric passes
+    through).  Its eigenvalues, taken once, give both its ``signature`` and
+    its ``inverse_norm``."""
+    if isinstance(p, PseudoMetric):
+        return p
+    mm = require_metric(p)
     w = np.linalg.eigvalsh(mm)
     scale = float(np.abs(w).max())
     if scale == 0.0 or np.any(np.abs(w) < PSEUDOMETRIC_NULL_RTOL * scale):
         raise SingularPseudoMetric(
             "pseudometric has an eigenvalue within tolerance of zero")
     pos = int(np.count_nonzero(w > 0))
-    return pos, int(w.size) - pos
-
-
-def as_pseudometric(p) -> PseudoMetric:
-    """Validate a matrix into a "dense" PseudoMetric (a PseudoMetric passes
-    through)."""
-    if isinstance(p, PseudoMetric):
-        return p
-    mm = require_metric(p)
-    return PseudoMetric("dense", mm.shape[0], signature(mm), mm)
+    pm = PseudoMetric("dense", len(mm), (pos, len(mm) - pos), mm)
+    # the cached inverse_norm, read off these eigenvalues, not taken again
+    object.__setattr__(pm, "inverse_norm", 1.0 / float(np.abs(w).min()))
+    return pm
 
 
 @dataclass(frozen=True)
@@ -185,23 +188,18 @@ def make_triple(p, c) -> SpaceTriple:
 
 
 def pt_symmetry_residual(h, p) -> tuple[float, float]:
-    """Residual of the pseudo-Hermiticity relation H^dagger P = P H."""
-    hh = as_operator(h)
+    """Residual of the pseudo-Hermiticity relation H^dagger P = P H, for H
+    a CheckedOperator or a matrix."""
+    op = checked_operator(h)
     pm = as_pseudometric(p)
-    if hh.shape != pm.shape:
+    if op.shape != pm.shape:
         raise DimensionMismatch(
-            f"operator {hh.shape} incompatible with pseudometric {pm.shape}")
-    return _p_residual(hh, pm, float(np.linalg.norm(hh)))
-
-
-def _p_residual(a: np.ndarray, pm: PseudoMetric,
-                a_norm: float) -> tuple[float, float]:
-    """Absolute and relative Frobenius residual of A^dagger P - P A, for a
-    checked A of P's shape and Frobenius norm ``a_norm`` (of a view such as
-    C = P^-1 Theta, the norm takes a copy, so it is taken before the
-    products)."""
-    return frobenius_deviation(pm.apply_right(a.conj().T), pm.apply(a),
-                               a_norm * pm.norm)
+            f"operator {op.shape} incompatible with pseudometric {pm.shape}")
+    # the norm first: that of a view such as C = P^-1 Theta takes a copy,
+    # which is not held with the products
+    denom = op.norm * pm.norm
+    a = op.matrix
+    return frobenius_deviation(pm.apply_right(a.conj().T), pm.apply(a), denom)
 
 
 def charge_from_metric(theta, p) -> np.ndarray:
@@ -235,12 +233,12 @@ def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
     """Conventional involutory charge and its positive metric Theta = P C.
 
     Checks pseudo-Hermiticity, decomposes H, and hands the eigensystem to
-    ``charge_from_spectrum``.
+    ``charge_from_spectrum``; H is checked, and its norm taken, once.
     """
-    hh = as_operator(h)
+    op = checked_operator(h)
     pm = as_pseudometric(p)
-    require_pseudo_hermitian(pt_symmetry_residual(hh, pm)[1], DEFAULT_PT_RTOL)
-    return charge_from_spectrum(eigendecompose(hh, gap_floor), pm,
+    require_pseudo_hermitian(pt_symmetry_residual(op, pm)[1], DEFAULT_PT_RTOL)
+    return charge_from_spectrum(eigendecompose(op, gap_floor), pm,
                                 reality_tol=reality_tol,
                                 pairing_floor=pairing_floor)
 
@@ -313,15 +311,15 @@ def conjugation_in(t: SpaceTriple, space: str, a) -> np.ndarray:
     """
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}, got {space!r}")
-    aa = as_operator(a)
-    if aa.shape != t.P.shape:
+    op = checked_operator(a)
+    if op.shape != t.P.shape:
         raise DimensionMismatch(
-            f"operator {aa.shape} incompatible with triple of dim {t.dim}")
+            f"operator {op.shape} incompatible with triple of dim {t.dim}")
     if space == "F":
-        return np.conj(aa).T
+        return np.conj(op.matrix).T
     if space == "R":
-        return _r_conjugate(t.P, aa)
-    return _theta_solve(t.Theta, adjoint_product(aa, t.Theta))
+        return _r_conjugate(t.P, op.matrix)
+    return _theta_solve(t.Theta, adjoint_product(op, t.Theta))
 
 
 def _r_conjugate(pm: PseudoMetric, a: np.ndarray) -> np.ndarray:
@@ -355,35 +353,33 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     the trailing rows carry positivity and signature diagnostics that
     distinguish the Hilbert and Krein readings (including the deviation of
     H from its R-space conjugate, which vanishes only in special cases and
-    is reported without a verdict).
+    is reported without a verdict).  ``h`` is a CheckedOperator or a
+    matrix.
     """
-    hh = as_operator(h)
-    if hh.shape != t.P.shape:
+    op = checked_operator(h)
+    if op.shape != t.P.shape:
         raise DimensionMismatch(
-            f"operator {hh.shape} incompatible with triple of dim {t.dim}")
-    return _verify_table(t, hh, _tridiagonal_bands(hh),
-                         float(np.linalg.norm(hh)), rtol)
-
-
-def _verify_table(t: SpaceTriple, hh: np.ndarray, bands, nh: float,
-                  rtol: float) -> list[TableRow]:
-    """``verify_table`` of a checked H of the triple's shape, with its
-    ``_tridiagonal_bands`` and Frobenius norm ``nh``."""
+            f"operator {op.shape} incompatible with triple of dim {t.dim}")
+    hh, nh = op.matrix, op.norm
     pm = t.P
-    c = t.C
-    nc = float(np.linalg.norm(c))
+    # C was checked where the triple was built; its bands are not read
+    c_op = CheckedOperator(t.C)
+    c, nc = c_op.matrix, c_op.norm
 
     # each relation's arrays are dropped before the next one is built; H^dagger
     # Theta serves both H^sharp = Theta^-1 H^dagger Theta and H^dagger Theta
     # = Theta H, and is overwritten by the second
-    hd_theta = _adjoint_product(hh, bands, t.Theta)
+    hd_theta = adjoint_product(op, t.Theta)
     h_sharp_dev = frobenius_deviation(_theta_solve(t.Theta, hd_theta), hh, nh)
-    hd_theta_dev = _qh_residual(hh, bands, nh, t.Theta, hd_theta)
+    # qh_residual, without taking H^dagger Theta again
+    hd_theta_dev = frobenius_deviation(
+        hd_theta, right_product(t.Theta, op),
+        nh * float(np.linalg.norm(t.Theta)))
     del hd_theta
     # H^dd C = P^-1 H^dagger (P C): O(N^2) for a structured P and banded H;
     # the residual is taken in the buffer of C H, which is contiguous
-    hdd_c = pm.inverse_apply(_adjoint_product(hh, bands, pm.apply(c)))
-    hdd_c_dev = frobenius_deviation(_right_product(c, hh, bands), hdd_c,
+    hdd_c = pm.inverse_apply(adjoint_product(op, pm.apply(c)))
+    hdd_c_dev = frobenius_deviation(right_product(c, op), hdd_c,
                                     nh * nc)
     del hdd_c
     if pm.kind == "dense":
@@ -394,7 +390,7 @@ def _verify_table(t: SpaceTriple, hh: np.ndarray, bands, nh: float,
     relations = [
         ("H_sharp_eq_H", h_sharp_dev),
         ("Hdd_C_eq_C_H", hdd_c_dev),
-        ("Cd_P_eq_P_C", _p_residual(c, pm, nc)),
+        ("Cd_P_eq_P_C", pt_symmetry_residual(c_op, pm)),
         ("Hd_Theta_eq_Theta_H", hd_theta_dev),
         ("C_eq_Cdd", frobenius_deviation(_r_conjugate(pm, c), c, nc)),
         ("P_eq_Pd", p_dev),

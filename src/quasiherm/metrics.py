@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveWeight, NotPositive
-from .operators import (_adjoint_product, _right_product,
-                        _tridiagonal_bands, as_operator, hermitian_part,
-                        require_metric)
+from .operators import (adjoint_product, as_operator, checked_operator,
+                        hermitian_part, require_metric, right_product)
 from .spectral import DEFAULT_REALITY_TOL, SpectralData, require_real_spectrum
 
 # positive means min_eig > floor * max_eig: scale-invariant certificate
@@ -50,26 +49,16 @@ class MetricCandidate:
 
 
 def qh_residual(h, theta) -> tuple[float, float]:
-    """Absolute and relative Frobenius residual of H^dagger Theta - Theta H;
-    the products go through the bands of a tridiagonal H."""
-    hh = as_operator(h)
+    """Absolute and relative Frobenius residual of H^dagger Theta - Theta H,
+    for H a CheckedOperator or a matrix; the products go through the bands
+    of a tridiagonal H."""
+    op = checked_operator(h)
     tt = as_operator(theta)
-    if hh.shape != tt.shape:
+    if op.shape != tt.shape:
         raise DimensionMismatch(
-            f"operator {hh.shape} incompatible with metric {tt.shape}")
-    return _qh_residual(hh, _tridiagonal_bands(hh), float(np.linalg.norm(hh)),
-                        tt)
-
-
-def _qh_residual(h: np.ndarray, bands, h_norm: float, theta: np.ndarray,
-                 hd_theta: np.ndarray | None = None) -> tuple[float, float]:
-    """``qh_residual`` of a checked H of Frobenius norm ``h_norm``, with
-    its ``_tridiagonal_bands``, and a checked Theta of its shape.  A given
-    product H^dagger Theta is overwritten by the residual."""
-    if hd_theta is None:
-        hd_theta = _adjoint_product(h, bands, theta)
-    return frobenius_deviation(hd_theta, _right_product(theta, h, bands),
-                               h_norm * float(np.linalg.norm(theta)))
+            f"operator {op.shape} incompatible with metric {tt.shape}")
+    return frobenius_deviation(adjoint_product(op, tt), right_product(tt, op),
+                               op.norm * float(np.linalg.norm(tt)))
 
 
 def frobenius_residual(resid: np.ndarray, denom: float) -> tuple[float, float]:
@@ -143,15 +132,6 @@ def _spectral_theta(s: SpectralData, kappa: np.ndarray) -> np.ndarray:
     return hermitian_part((phi * kappa) @ phi.conj().T)
 
 
-def _positive_root_pair(cand: MetricCandidate) -> tuple[np.ndarray, np.ndarray]:
-    """Unique positive Hermitian square root of Theta and its inverse."""
-    w, u = np.linalg.eigh(cand.theta)
-    rt = np.sqrt(w)
-    sqrt_theta = (u * rt) @ u.conj().T
-    inv_sqrt_theta = (u / rt) @ u.conj().T
-    return sqrt_theta, inv_sqrt_theta
-
-
 def hermitize(h, theta) -> np.ndarray:
     """Similarity map Theta^(1/2) H Theta^(-1/2).
 
@@ -167,5 +147,7 @@ def hermitize(h, theta) -> np.ndarray:
     if hh.shape != cand.theta.shape:
         raise DimensionMismatch(
             f"operator {hh.shape} incompatible with metric {cand.theta.shape}")
-    sqrt_theta, inv_sqrt_theta = _positive_root_pair(cand)
-    return sqrt_theta @ hh @ inv_sqrt_theta
+    # the unique positive Hermitian square root of Theta, and its inverse
+    w, u = np.linalg.eigh(cand.theta)
+    rt = np.sqrt(w)
+    return ((u * rt) @ u.conj().T) @ hh @ ((u / rt) @ u.conj().T)

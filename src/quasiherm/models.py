@@ -23,19 +23,19 @@ from .errors import (BrokenPhase, InaccurateEigensystem, QuasihermError,
                      ParityViolation, SchemaError, SigmaVanishes)
 from .evolution import _expand, _norm_trace_columns
 from .expressions import Expression, Sampler, parse_expression
-from .factorization import (PseudoMetric, SpaceTriple, _p_residual,
-                            _verify_table, as_pseudometric,
-                            charge_from_spectrum, require_pseudo_hermitian)
+from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
+                            charge_from_spectrum, pt_symmetry_residual,
+                            require_pseudo_hermitian, verify_table)
 from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
                      _bands_norm, _charge_bands, _coefficient_match,
                      _compatible_split, _compose_residual,
                      _hamiltonian_bands, _ode_pair_residual, _pg_deviation,
                      even_part, forward_family, inverse_family, make_grid,
                      odd_part, parity_deviation, tridiagonal)
-from .metrics import (MetricCandidate, _certified, _qh_residual,
-                      _spectral_theta, frobenius_residual)
-from .operators import _tridiagonal_bands
-from .spectral import (SpectralData, _eigendecompose, is_real_spectrum,
+from .metrics import (MetricCandidate, _certified, _spectral_theta,
+                      frobenius_residual, qh_residual)
+from .operators import CheckedOperator
+from .spectral import (SpectralData, eigendecompose, is_real_spectrum,
                        matrix_from_real_form, real_form,
                        require_real_spectrum, state_to_real_form)
 
@@ -534,9 +534,13 @@ class _Analysis:
     matrix rows (``model_matrix``) and psi0 cross between the frames.
     ``parse_model`` builds that frame and keeps it in place of H.
 
-    The operator is checked once, where the model was parsed; the tasks
-    run the cores of the public functions on it, with its tridiagonal
-    bands (``bands``) and Frobenius norm (``h_norm``), each taken once.
+    The operator is checked once, where the model was parsed, and held in
+    one ``CheckedOperator`` (``op``), so that its tridiagonal bands and its
+    Frobenius norm are each taken once per analysis; the tasks hand it to
+    the public operator functions.  Theta is built and certified by the
+    cores of ``spectral_metric``, and evolve runs those of ``propagate``
+    and ``norm_trace_columns``, so that Theta is neither symmetrized nor
+    certified again.
     """
 
     def __init__(self, spec: ModelSpec, opts: dict, tol: float):
@@ -556,15 +560,11 @@ class _Analysis:
         return self.spec.payload["rotated"]
 
     @cached_property
-    def bands(self):
-        """The ``_tridiagonal_bands`` of ``h``, or None."""
-        return _tridiagonal_bands(self.h)
-
-    @cached_property
-    def h_norm(self) -> float:
-        """The Frobenius norm of ``h``; ``parse_model`` requires that of H
-        finite, and the real form keeps it up to roundoff."""
-        return float(np.linalg.norm(self.h))
+    def op(self) -> CheckedOperator:
+        """The record of ``h``: ``parse_model`` checked it, and required its
+        squared Frobenius norm finite, which the real form keeps up to
+        roundoff."""
+        return CheckedOperator(self.h)
 
     def model_matrix(self, x: np.ndarray) -> np.ndarray:
         """A matrix of the analysis as a complex matrix in the frame of the
@@ -575,9 +575,7 @@ class _Analysis:
 
     @cached_property
     def spectrum(self) -> SpectralData:
-        # a real h is its own real form, of norm h_norm
-        norm = None if np.iscomplexobj(self.h) else self.h_norm
-        return _eigendecompose(self.h, self.opts.get("gap_floor"), norm)
+        return eigendecompose(self.op, self.opts.get("gap_floor"))
 
     @cached_property
     def spectrum_checks(self) -> tuple[float, float]:
@@ -585,7 +583,7 @@ class _Analysis:
         two N^3 products taken once per analysis."""
         s = self.spectrum
         _, recon_rel = frobenius_residual(self.h - s.reconstruction(),
-                                          self.h_norm)
+                                          self.op.norm)
         return recon_rel, float(np.linalg.norm(_minus_identity(s.pairing())))
 
     @cached_property
@@ -595,7 +593,7 @@ class _Analysis:
 
     @cached_property
     def pt_residual(self) -> float:
-        return _p_residual(self.h, self.pseudometric, self.h_norm)[1]
+        return pt_symmetry_residual(self.op, self.pseudometric)[1]
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -666,7 +664,7 @@ def _task_spectrum(a: _Analysis):
 
 def _task_metric(a: _Analysis):
     cand = a.metric
-    qh_abs, qh_rel = _qh_residual(a.h, a.bands, a.h_norm, cand.theta)
+    qh_abs, qh_rel = qh_residual(a.op, cand.theta)
     rows = [
         _row("qh_residual_rel", qh_rel, qh_rel <= a.tol, a.tol),
         _row("qh_residual_abs", qh_abs),
@@ -683,7 +681,7 @@ def _task_metric(a: _Analysis):
 def _task_factorize(a: _Analysis):
     pt_rel = a.pt_residual
     charge, cand = a.triple.C, a.triple.metric
-    qh_abs, qh_rel = _qh_residual(a.h, a.bands, a.h_norm, cand.theta)
+    qh_abs, qh_rel = qh_residual(a.op, cand.theta)
     # C of a structured P is a view of Theta; one C-ordered copy serves
     # both operands of the product
     c = np.ascontiguousarray(charge)
@@ -707,7 +705,7 @@ def _task_factorize(a: _Analysis):
 def _task_table(a: _Analysis):
     triple = a.triple
     rows = [_row("mode", triple.mode)]
-    for trow in _verify_table(triple, a.h, a.bands, a.h_norm, a.tol):
+    for trow in verify_table(triple, a.op, rtol=a.tol):
         rel = trow.rel_residual
         value = trow.abs_residual if rel is None else rel
         row_tol = None if trow.passed is None or rel is None else a.tol

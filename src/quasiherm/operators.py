@@ -5,17 +5,22 @@ which pins down the antilinear time reversal as plain entrywise
 conjugation.  Every function is pure and never mutates its arguments.
 ``as_operator`` and ``hermitian_part`` hand back an ndarray argument of
 their dtype as it is, so that a check costs no copy; every other function
-returns a fresh array, never a view of an argument.  Products with a
-Hamiltonian go through its three bands when it is tridiagonal
-(``adjoint_product``, ``right_product``), in O(N^2) instead of an N^3
-matrix product.
+returns a fresh array, never a view of an argument.  The operator
+functions take H as an array or as a ``CheckedOperator``, which holds it
+checked, with its norm and bands each taken once (``checked_operator``).
+Products with a Hamiltonian go through its three bands when it is
+tridiagonal, in O(N^2) instead of an N^3 matrix product.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianMetric, SingularMetric
+from .errors import (DimensionMismatch, NonFiniteResult, NonHermitianMetric,
+                     SingularMetric)
 
 # Relative Frobenius drift accepted before a metric is rejected as
 # non-Hermitian; accepted metrics are symmetrized to remove roundoff.
@@ -77,12 +82,17 @@ def _has_negative_zero(m: np.ndarray) -> bool:
 
 def hermitian_part(m) -> np.ndarray:
     """Validate Hermiticity of a metric and return its symmetrized form
-    (M + M^dagger)/2, a C-ordered array.  A C-ordered ndarray that equals
+    (M + M^dagger)/2, a C-ordered array; NonFiniteResult for an M whose
+    squared Frobenius norm is not finite.  A C-ordered ndarray that equals
     its adjoint is returned itself, not copied: the symmetrized form
     equals it bit for bit then, unless an entry holds a -0.0, which the
     sum may turn into +0.0."""
     mm = as_operator(m)
-    scale = max(np.linalg.norm(mm), np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        scale = max(np.linalg.norm(mm), np.finfo(float).tiny)
+    if scale == np.inf:  # every residual relative to M would read 0
+        raise NonFiniteResult(
+            "the squared Frobenius norm of the metric is not finite")
     diff = mm - mm.conj().T
     drift = np.linalg.norm(diff)
     if drift > METRIC_HERMITICITY_RTOL * scale:
@@ -137,6 +147,36 @@ def parity_matrix(n: int) -> np.ndarray:
     return np.fliplr(np.eye(int(n))).copy()
 
 
+@dataclass(frozen=True, eq=False)
+class CheckedOperator:
+    """A square finite matrix, as ``as_operator`` gives it, with its
+    Frobenius ``norm`` and its ``_tridiagonal_bands`` (None for a matrix
+    that is not tridiagonal), each taken on first use and kept.
+    ``np.shape`` of a record is the shape of its matrix."""
+
+    matrix: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    @cached_property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.matrix))
+
+    @cached_property
+    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        return _tridiagonal_bands(self.matrix)
+
+
+def checked_operator(a) -> CheckedOperator:
+    """The record of ``as_operator(a)``, which raises what it raises; a
+    CheckedOperator passes through unchanged."""
+    if isinstance(a, CheckedOperator):
+        return a
+    return CheckedOperator(as_operator(a))
+
+
 def _tridiagonal_bands(a: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(lower, diag, upper) of a square matrix whose nonzero entries all lie
@@ -156,30 +196,23 @@ def _tridiagonal_times(bands, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjoint_product(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H^dagger X for square matrices; through the bands of a tridiagonal
-    H, otherwise the dense product."""
-    return _adjoint_product(h, _tridiagonal_bands(h), x)
-
-
-def _adjoint_product(h: np.ndarray, bands, x: np.ndarray) -> np.ndarray:
-    """``adjoint_product`` through H's ``_tridiagonal_bands``, taken once."""
-    if bands is None:
-        return h.conj().T @ x
-    lower, diag, upper = bands
+def adjoint_product(h, x: np.ndarray) -> np.ndarray:
+    """H^dagger X for a square H (a CheckedOperator, or a matrix taken as
+    it is, unchecked); through the bands of a tridiagonal H, otherwise the
+    dense product."""
+    op = h if isinstance(h, CheckedOperator) else CheckedOperator(h)
+    if op.bands is None:
+        return op.matrix.conj().T @ x
+    lower, diag, upper = op.bands
     return _tridiagonal_times((upper.conj(), diag.conj(), lower.conj()), x)
 
 
-def right_product(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """X H for square matrices; through the bands of a tridiagonal H,
-    otherwise the dense product."""
-    return _right_product(x, h, _tridiagonal_bands(h))
-
-
-def _right_product(x: np.ndarray, h: np.ndarray, bands) -> np.ndarray:
-    """``right_product`` through H's ``_tridiagonal_bands``, taken once."""
-    if bands is None:
-        return x @ h
-    lower, diag, upper = bands
+def right_product(x: np.ndarray, h) -> np.ndarray:
+    """X H for a square H, as ``adjoint_product`` takes it; through the
+    bands of a tridiagonal H, otherwise the dense product."""
+    op = h if isinstance(h, CheckedOperator) else CheckedOperator(h)
+    if op.bands is None:
+        return x @ op.matrix
+    lower, diag, upper = op.bands
     # X H = (H^T X^T)^T, and H^T has the bands of H swapped
     return _tridiagonal_times((upper, diag, lower), x.T).T

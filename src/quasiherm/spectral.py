@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (BrokenPhase, DegenerateSpectrum, DimensionMismatch,
                      NonConvergence, SelfOrthogonal)
-from .operators import as_operator
+from .operators import checked_operator
 
 # Above this 1-norm condition number of the right-eigenvector matrix, a
 # real form with B^T = J B J takes the left vectors J conj(W) in place of
@@ -90,12 +90,6 @@ def biorthonormalize(right, left) -> tuple[np.ndarray, np.ndarray]:
     if r.shape != l.shape:
         raise DimensionMismatch(
             f"right system {r.shape} does not match left system {l.shape}")
-    return _biorthonormalize(r, l)
-
-
-def _biorthonormalize(r: np.ndarray, l: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """``biorthonormalize`` of float or complex columns of one shape."""
     rnorm = np.linalg.norm(r, axis=0)
     lnorm = np.linalg.norm(l, axis=0)
     if np.any(rnorm == 0) or np.any(lnorm == 0):
@@ -242,21 +236,17 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     opposite parity sectors, and exactly conjugate eigenvalues of a real
     b.  A ``gap_floor`` replaces the bound by a fixed floor; pass 0 to
     disable the check.  ``min_gap`` is the smallest gap of all pairs.
+
+    ``a`` is a CheckedOperator or a matrix.  A real matrix is its own real
+    form, and the bound reads the record's norm; a complex one's real form
+    takes its own.
     """
-    return _eigendecompose(as_operator(a), gap_floor)
-
-
-def _eigendecompose(m: np.ndarray, gap_floor: float | None,
-                    b_norm: float | None = None) -> SpectralData:
-    """``eigendecompose`` of a checked m; given ``b_norm``, m is its own
-    ``real_form`` b, of that Frobenius norm."""
+    op = checked_operator(a)
     if gap_floor is not None and gap_floor < 0:
         raise ValueError("gap_floor must be nonnegative")
-    if b_norm is None:
-        b, rotated = real_form(m)
-        b_norm = float(np.linalg.norm(b))
-    else:
-        b, rotated = m, False
+    b, rotated = real_form(op.matrix)
+    b_norm = (float(np.linalg.norm(b)) if np.iscomplexobj(op.matrix)
+              else op.norm)
     hermitian = np.array_equal(b, b.conj().T)
     try:
         vals, w, odd = (_hermitian_eig(b) if hermitian
@@ -304,7 +294,7 @@ def _eigendecompose(m: np.ndarray, gap_floor: float | None,
     # the vectors are scaled without the distances and b
     del b, dist
     if not hermitian:
-        right, left = _biorthonormalize(right, left)
+        right, left = biorthonormalize(right, left)
     return SpectralData(vals, right, left, min_gap)
 
 

@@ -558,6 +558,24 @@ def test_largest_finite_norm_is_accepted():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task", ["factorize", "table", "report"])
+def test_overflowing_theta_norm_is_one_failed_row(model_file, capsys, task):
+    # P passes the intake check, but the triple's Theta = P C scales with
+    # P and its squared Frobenius norm overflows: its residuals would read 0
+    doc = dict(MODEL_2X2, pseudometric=[[0, 9e153], [9e153, 0]])
+    code, report = run_json(capsys, [task, "--model", model_file(doc)])
+    assert code == 1
+    failed = [r for r in report["rows"] if r["pass"] is False]
+    prefixes = ["factorize.", "table."] if task == "report" else [""]
+    assert failed == [
+        {"name": f"{prefix}NonFiniteResult",
+         "value": "the squared Frobenius norm of the metric is not finite",
+         "pass": False, "tol": None} for prefix in prefixes]
+    if task != "report":
+        assert len(report["rows"]) == 1
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("task", ["spectrum", "factorize", "report"])
 def test_overflowing_pseudometric_norm_exit_two(model_file, capsys, task):
     # finite entries of P whose squared Frobenius norm overflows

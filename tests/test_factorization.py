@@ -9,6 +9,7 @@ from quasiherm import (BrokenPhase, DimensionMismatch, ExceptionalPoint,
                        parity_matrix, pt_symmetry_residual, qh_residual,
                        signature, spectral_metric, standard_charge,
                        triple_inner, verify_table)
+from quasiherm.models import parse_model, run_scenario
 
 RELATION_ROWS = ("H_sharp_eq_H", "Hdd_C_eq_C_H", "Cd_P_eq_P_C",
                  "Hd_Theta_eq_Theta_H", "C_eq_Cdd", "P_eq_Pd")
@@ -403,6 +404,32 @@ def test_structured_and_dense_pseudometrics_give_the_same_triple(model_h):
     assert structured[1].theta.tobytes() == explicit[1].theta.tobytes()
     assert pt_symmetry_residual(model_h, PseudoMetric.structured(
         "parity", 2)) == pt_symmetry_residual(model_h, parity_matrix(2))
+
+
+def test_dense_pseudometric_takes_its_eigenvalues_once(monkeypatch):
+    # the signature and ||P^-1||_2 read one eigvalsh of P; factorize takes
+    # one more, of Theta
+    p = np.array([[0.0, 1.0], [1.0, 0.0]])
+    expected = 1.0 / float(np.abs(np.linalg.eigvalsh(p)).min())
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    pm = as_pseudometric(p)
+    assert pm.signature == (1, 1)
+    assert repr(pm.inverse_norm) == repr(expected)
+    assert len(calls) == 1
+    calls.clear()
+    doc = {"kind": "matrix",
+           "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]],
+           "pseudometric": p.tolist()}
+    report = run_scenario(parse_model(doc), "factorize")
+    assert report.all_passed
+    assert len(calls) == 2
+    assert sum(np.array_equal(a, p) for a in calls) == 1
 
 
 @pytest.mark.parametrize("kind", ["parity", "identity"])

@@ -20,7 +20,9 @@ from quasiherm import (BrokenPhase, ParityViolation, PseudoMetric,
                        run_battery, run_scenario, spectral_metric,
                        verify_table)
 from quasiherm.factorization import require_pseudo_hermitian
-from quasiherm.metrics import frobenius_residual
+from quasiherm.metrics import certify_metric, frobenius_residual
+from quasiherm.operators import (adjoint_product, checked_operator,
+                                 right_product)
 from quasiherm.spectral import (matrix_from_real_form, real_form,
                                 state_to_real_form)
 
@@ -579,6 +581,19 @@ def test_battery_checks_the_eigensystem_once(monkeypatch):
     assert len(recon) == 1 and len(pairing) == 1
 
 
+def test_battery_runs_the_public_operator_functions(monkeypatch):
+    # the tasks call the public functions as bound in models, so that a
+    # wrapper put there (as the benchmark tracer puts one) sees each call
+    names = ("eigendecompose", "qh_residual", "pt_symmetry_residual",
+             "verify_table")
+    calls = {name: count_calls(monkeypatch, models, name) for name in names}
+    report = run_battery(parse_model(MODEL_LATTICE))
+    assert report.all_passed
+    assert {name: len(c) for name, c in calls.items()} == {
+        "eigendecompose": 1, "qh_residual": 2, "pt_symmetry_residual": 1,
+        "verify_table": 1}
+
+
 def test_report_scans_the_bands_once_and_takes_the_norm_once(monkeypatch):
     # every product with B and every residual denominator reads the bands
     # and the Frobenius norm that the analysis took once
@@ -1032,3 +1047,31 @@ def test_operator_rows_equal_the_public_functions(model):
                 (name, v.tobytes()) for name, v in series[1]]
     assert exact((r.name, r.value) for r in run_battery(spec).rows) == exact(
         jsonable_rows(battery))
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_operator_functions_give_a_record_what_they_give_its_array(model):
+    # H, and the real form the analysis holds, each as an array and as a
+    # CheckedOperator: every operator function returns the same bytes
+    doc = ORACLE_MODELS[model]
+    h = document_h(doc)
+    n = len(h)
+    pm = (as_pseudometric(document_matrix(doc["pseudometric"]))
+          if "pseudometric" in doc else PseudoMetric.structured("parity", n))
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    theta = x @ x.conj().T
+    # a triple whose relations need not hold: Theta = P C = 1
+    triple = SpaceTriple(pm, pm.inverse, certify_metric(np.eye(n)))
+
+    def results(a):
+        s = eigendecompose(a)
+        return [s.eigenvalues.tobytes(), s.right_vectors.tobytes(),
+                s.left_vectors.tobytes(), repr(s.min_gap),
+                repr(qh_residual(a, theta)),
+                repr(pt_symmetry_residual(a, pm)),
+                repr(verify_table(triple, a)),
+                adjoint_product(a, x).tobytes(),
+                right_product(x, a).tobytes()]
+    for a in (h, real_form(h)[0]):
+        assert results(checked_operator(a)) == results(a)

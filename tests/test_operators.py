@@ -6,6 +6,7 @@ from quasiherm import (DimensionMismatch, NonHermitianMetric, SingularMetric,
                        first_difference, parity_matrix, right_product,
                        time_reversal)
 from quasiherm import operators
+from quasiherm.operators import CheckedOperator, as_operator, checked_operator
 from quasiherm.metrics import certify_metric
 
 
@@ -170,6 +171,10 @@ def test_banded_products_match_dense(n, zero_bands):
     bound_right = 8 * eps * (np.abs(x) @ np.abs(h))
     assert np.all(np.abs(adjoint_product(h, x) - hd @ x) <= bound_left)
     assert np.all(np.abs(right_product(x, h) - x @ h) <= bound_right)
+    # a CheckedOperator gives the products of its array, bit for bit
+    op = checked_operator(h)
+    assert adjoint_product(op, x).tobytes() == adjoint_product(h, x).tobytes()
+    assert right_product(x, op).tobytes() == right_product(x, h).tobytes()
 
 
 @pytest.mark.parametrize("n,corner", [(3, 0.5), (4, 1e-300), (9, 2.0j)])
@@ -184,3 +189,48 @@ def test_non_tridiagonal_operator_takes_the_dense_product(monkeypatch, n,
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     assert adjoint_product(h, x).tobytes() == (h.conj().T @ x).tobytes()
     assert right_product(x, h).tobytes() == (x @ h).tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones(3), np.ones((2, 3)), np.ones((0, 0)), np.ones((2, 2, 2)),
+    [[np.inf]], [[1.0, np.nan], [0.0, 1.0]], [[1j * np.inf, 0], [0, 1]],
+    [["a"]], [[1, 2], [3]], None,
+])
+def test_intake_rejects_what_as_operator_rejects(bad):
+    with pytest.raises(Exception) as expected:
+        as_operator(bad)
+    with pytest.raises(type(expected.value)) as got:
+        checked_operator(bad)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("a", [
+    [[1, 2], [3, 4]], [[1j, 2], [3, 4]], np.arange(9.0).reshape(3, 3),
+    np.eye(4, dtype=complex), np.arange(16.0).reshape(4, 4).T,
+])
+def test_intake_keeps_the_matrix_as_operator_gives(a):
+    op = checked_operator(a)
+    m = as_operator(a)
+    assert isinstance(op, CheckedOperator)
+    assert op.matrix.dtype == m.dtype and op.matrix.tobytes() == m.tobytes()
+    if isinstance(a, np.ndarray):
+        assert op.matrix is a
+    assert np.shape(op) == op.shape == m.shape
+    assert checked_operator(op) is op
+
+
+def test_record_takes_its_norm_and_bands_once(monkeypatch):
+    scans, norms = [], []
+    scan, norm = operators._tridiagonal_bands, np.linalg.norm
+    monkeypatch.setattr(operators, "_tridiagonal_bands",
+                        lambda a: scans.append(a) or scan(a))
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda x, *args, **kw: norms.append(x) or norm(x, *args, **kw))
+    h = first_difference(make_grid(1.0, 9))
+    op = checked_operator(h)
+    assert scans == [] and norms == []
+    for _ in range(2):
+        assert op.norm == norm(h)
+        assert [b.tobytes() for b in op.bands] == [
+            b.tobytes() for b in scan(h)]
+    assert len(scans) == 1 and len(norms) == 1

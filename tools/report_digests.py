@@ -25,6 +25,9 @@ The corpus:
   - a one-state matrix model, whose spectrum has no gap;
   - the README 2x2 model with an explicit P of scale 1e11, whose
     pairings c_n are of order 1e-11;
+  - the README 2x2 model with an explicit P of scale 9e153, which passes
+    the intake check but whose triple's Theta has a squared Frobenius
+    norm that overflows;
   - every model of the benchmark workloads (bench/workloads.py, read only)
     at the requested seeds.
 
@@ -95,6 +98,7 @@ OVERFLOW_NORM = {
 ONE_STATE = {"kind": "matrix", "data": [[0]]}
 SCALED_P = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]],
             "pseudometric": [[0, 1e11], [1e11, 0]]}
+EDGE_P = dict(SCALED_P, pseudometric=[[0, 9e153], [9e153, 0]])
 
 
 def explicit_p_model() -> dict:
@@ -132,7 +136,8 @@ def corpus(seeds) -> list[tuple[str, dict]]:
               ("explicit-p", explicit_p_model()),
               ("overflow-check", OVERFLOW_CHECK)]
     named += list(OVERFLOW_NORM.items())
-    named += [("one-state", ONE_STATE), ("scaled-p", SCALED_P)]
+    named += [("one-state", ONE_STATE), ("scaled-p", SCALED_P),
+              ("edge-p", EDGE_P)]
     for workload in WORKLOADS:
         for seed in seeds:
             named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
