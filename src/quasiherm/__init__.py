@@ -25,13 +25,13 @@ from .factorization import (PseudoMetric, SpaceTriple, TableRow,
                             charge_from_spectrum, conjugation_in, make_triple, pt_symmetry_residual,
                             signature, standard_charge, triple_inner,
                             verify_table)
-from .family import (ChargeAnsatz, CoefficientResiduals, Grid, PotentialSplit,
-                     charge_norm, charge_pg_hermiticity, coefficient_match,
-                     compatible_split, compose_pct_residual, discretize_charge,
+from .family import (ChargeAnsatz, CheckedAnsatz, CheckedSplit,
+                     CoefficientResiduals, Grid, PotentialSplit, charge_norm,
+                     charge_pg_hermiticity, coefficient_match, compatible_split,
+                     compose_pct_residual, discretize_charge,
                      discretize_hamiltonian, even_part, first_difference,
                      forward_family, inverse_family, make_ansatz, make_grid,
-                     make_split, odd_part, ode_pair_residual,
-                     second_difference)
+                     make_split, odd_part, ode_pair_residual, second_difference)
 from .metrics import (MetricCandidate, certify_metric, hermitize,
                       observability_check, positivity_certificate, qh_residual,
                       spectral_metric)

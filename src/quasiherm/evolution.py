@@ -13,7 +13,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteResult, NonHermitianMetric
-from .operators import as_state, checked_operator, hermitian_part
+from .metrics import MetricCandidate
+from .operators import as_state, hermitian_part
 from .spectral import SpectralData, eigendecompose
 
 TRACE_IMAG_RTOL = 1e-10
@@ -31,29 +32,20 @@ class Trajectory:
         return int(self.states.shape[1])
 
 
-def _check_times(times) -> np.ndarray:
-    ts = np.asarray(times, dtype=float).ravel()
-    if ts.size < 1:
-        raise ValueError("need at least one time sample")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be strictly increasing")
-    return ts
-
-
 def propagate(h, psi0, times, *, gap_floor: float | None = None) -> Trajectory:
     """psi(t) = sum_n exp(-i lambda_n t) |psi_n> <phi_n|psi0>."""
-    op = checked_operator(h)
-    v0 = as_state(psi0, op.shape[0])
-    ts = _check_times(times)
-    return _expand(eigendecompose(op, gap_floor), v0, ts)
+    return propagate_spectrum(eigendecompose(h, gap_floor), psi0, times)
 
 
 def propagate_spectrum(s: SpectralData, psi0, times) -> Trajectory:
     """Same as ``propagate``, from an existing eigendecomposition of H."""
-    return _expand(s, as_state(psi0, s.dim), _check_times(times))
-
-
-def _expand(s: SpectralData, v0: np.ndarray, ts: np.ndarray) -> Trajectory:
+    v0 = as_state(psi0, s.dim)
+    ts = np.asarray(times, dtype=float).ravel()
+    if ts.size < 1:
+        raise ValueError("need at least one time sample")
+    # compared as views: np.diff would hold a float copy of the times
+    if (ts[1:] <= ts[:-1]).any():
+        raise ValueError("times must be strictly increasing")
     amps = s.left_vectors.conj().T @ v0
     # a broken phase may overflow exp(-i lambda t); checked right below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -75,14 +67,15 @@ def _is_identity(m: np.ndarray | None) -> bool:
 
 
 def norm_trace_columns(traj: Trajectory,
-                       metrics: Mapping[str, np.ndarray | None]
+                       metrics: Mapping[str, MetricCandidate | np.ndarray | None]
                        ) -> dict[str, np.ndarray]:
     """<psi(t)|M|psi(t)> at every time of the trajectory, per metric name.
 
-    Each metric must be Hermitian; the traces are then real up to
-    roundoff, which is verified before the imaginary parts are dropped.
-    A metric given as None is the identity.  Each metric costs one
-    (T x N)(N x N) product; the identity none.  The first offending
+    Each metric must be Hermitian: a MetricCandidate is taken as checked,
+    and a matrix is checked by ``hermitian_part``.  The traces are then
+    real up to roundoff, which is verified before the imaginary parts are
+    dropped.  A metric given as None is the identity.  Each metric costs
+    one (T x N)(N x N) product; the identity none.  The first offending
     (time, metric) pair, in time-major order, raises: NonFiniteResult for
     a trace that overflows, NonHermitianMetric for one with an imaginary
     part.
@@ -90,19 +83,11 @@ def norm_trace_columns(traj: Trajectory,
     checked = {}
     for name, m in metrics.items():
         if m is not None:
-            m = hermitian_part(m)
+            m = m.theta if isinstance(m, MetricCandidate) else hermitian_part(m)
             if m.shape[0] != traj.dim:
                 raise DimensionMismatch(
                     f"metric {name!r} has wrong dimension for the trajectory")
         checked[name] = m
-    return _norm_trace_columns(traj, checked)
-
-
-def _norm_trace_columns(traj: Trajectory,
-                        checked: Mapping[str, np.ndarray | None]
-                        ) -> dict[str, np.ndarray]:
-    """``norm_trace_columns`` of metrics that are already symmetrized, of
-    the trajectory's dimension, or None."""
     with np.errstate(over="ignore", invalid="ignore"):
         traces = {}
         for name, m in checked.items():

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ExceptionalPoint, NonHermitianMetric,
                      NotPTSymmetric, SingularMetric, SingularPseudoMetric)
-from .metrics import (MetricCandidate, _certified, _spectral_theta,
-                      certify_metric, frobenius_deviation, frobenius_residual)
+from .metrics import (MetricCandidate, certify_metric, frobenius_deviation,
+                      frobenius_residual, spectral_metric)
 from .operators import (CheckedOperator, adjoint_product, as_operator,
                         as_state, checked_operator, parity_matrix,
                         require_metric, right_product, unaliased)
@@ -281,8 +281,7 @@ def charge_from_spectrum(s: SpectralData, p, *,
         raise ExceptionalPoint(
             f"pairing |c_n| below {floor:g}; eigensystem degenerating")
 
-    # the weights are positive, and the spectrum was found real above
-    cand = _certified(_spectral_theta(s, 1.0 / np.abs(c)))
+    cand = spectral_metric(s, 1.0 / np.abs(c), reality_tol=reality_tol)
     return pm.inverse_apply(cand.theta), cand
 
 

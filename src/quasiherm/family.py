@@ -11,9 +11,9 @@ effective hard walls sit one spacing outside the sampled extent.
 Every operator is held as its three stencil bands (lower, diagonal,
 upper), and P acts as a plain reversal, so the family checks run in O(N).
 Dense matrices are assembled from the same bands only for callers that
-need them, such as the Schroedinger eigensolve.  A public function checks
-its arrays and calls a private core, which the model path, its arrays
-checked where they enter, calls directly.
+need them, such as the Schroedinger eigensolve.  The family functions
+check their arrays, but take a record (``CheckedAnsatz``, ``CheckedSplit``)
+as it is: the model path builds them from arrays checked where they enter.
 
 The forward map from a charge ansatz to the potential reads, per sample,
 
@@ -35,6 +35,7 @@ the only sign that round-trips the forward map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,29 +185,60 @@ def second_difference(grid: Grid) -> np.ndarray:
     return tridiagonal(*_d2_bands(grid))
 
 
-def _hamiltonian_bands(grid: Grid, v: np.ndarray) -> tuple:
-    """(lower, diag, upper) of H = -D2 + diag(v), v checked complex samples."""
+def hamiltonian_bands(grid: Grid, v: np.ndarray) -> tuple:
+    """(lower, diag, upper) of H = -D2 + diag(v), v taken as it is."""
     lower, diag, upper = _d2_bands(grid)
     return -lower, v - diag, -upper
 
 
-def _charge_bands(grid: Grid, sigma: np.ndarray, alpha: np.ndarray) -> tuple:
-    """(lower, diag, upper) of C = D1 + diag(sigma + i alpha), for checked
-    samples."""
-    lower, diag, upper = _d1_bands(grid)
-    return lower, diag + (sigma + 1j * alpha), upper
+@dataclass(frozen=True, eq=False)
+class CheckedAnsatz:
+    """A ChargeAnsatz whose sigma and alpha are float arrays checked on
+    ``grid`` (its length, finite entries), with the bands of its charge C
+    taken on first use and kept; a family function takes it with that grid."""
+
+    ansatz: ChargeAnsatz
+    grid: Grid
+
+    @cached_property
+    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lower, diag, upper = _d1_bands(self.grid)
+        return lower, diag + self.ansatz.w, upper
+
+
+@dataclass(frozen=True, eq=False)
+class CheckedSplit:
+    """The potential of a PotentialSplit, a complex array checked on the
+    grid that a family function takes it with."""
+
+    potential: np.ndarray
+
+
+def _checked(a, grid: Grid) -> CheckedAnsatz:
+    """A CheckedAnsatz as it is, or an ansatz checked on ``grid``."""
+    if isinstance(a, CheckedAnsatz):
+        return a
+    sigma, alpha = _samples(grid, sigma=a.sigma, alpha=a.alpha)
+    return CheckedAnsatz(ChargeAnsatz(sigma, alpha, a.omega), grid)
+
+
+def _potential(ps, grid: Grid) -> np.ndarray:
+    """The potential of a CheckedSplit, or of a split checked on ``grid``."""
+    if isinstance(ps, CheckedSplit):
+        return ps.potential
+    return _samples(grid, complex, potential=ps.potential())[0]
 
 
 def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
     """H = -D2 + diag(V) with zero (Dirichlet) samples beyond the ends."""
     (v,) = _samples(grid, complex, potential=np.ravel(potential))
-    return tridiagonal(*_hamiltonian_bands(grid, v))
+    return tridiagonal(*hamiltonian_bands(grid, v))
 
 
 def discretize_charge(grid: Grid, sigma, alpha) -> np.ndarray:
     """C = D1 + diag(sigma + i alpha) with Dirichlet ends."""
-    return tridiagonal(*_charge_bands(grid, *_samples(
-        grid, sigma=np.ravel(sigma), alpha=np.ravel(alpha))))
+    return tridiagonal(*_checked(
+        ChargeAnsatz(np.ravel(sigma), np.ravel(alpha), 0.0), grid).bands)
 
 
 def _reflected_adjoint(bands) -> tuple:
@@ -243,7 +275,8 @@ def forward_family(a: ChargeAnsatz) -> tuple[np.ndarray, np.ndarray]:
     return s_even, lam_odd
 
 
-def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
+def compatible_split(a: ChargeAnsatz | CheckedAnsatz, grid: Grid
+                     ) -> PotentialSplit:
     """Full four-component potential split compatible with the ansatz.
 
     Besides the pointwise S and Lambda, the first-order coefficient of the
@@ -253,19 +286,15 @@ def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
     one-sided end stencils are not mirror images in floating point, so the
     derivatives are projected onto their parity (sigma' odd, alpha' even);
     the interior differences already have it exactly and do not change.
+    ``make_split`` checks the split of an ansatz, not of a CheckedAnsatz.
     """
-    _samples(grid, sigma=a.sigma, alpha=a.alpha)
-    ps = _compatible_split(a, grid.spacing)
-    return make_split(grid, ps.real_even, ps.real_odd, ps.imag_even,
-                      ps.imag_odd)
-
-
-def _compatible_split(a: ChargeAnsatz, h: float) -> PotentialSplit:
-    """compatible_split of a checked ansatz on a grid of spacing h."""
-    s_even, lam_odd = forward_family(a)
-    ds = odd_part(np.gradient(a.sigma, h, edge_order=2))
-    da = even_part(np.gradient(a.alpha, h, edge_order=2))
-    return PotentialSplit(s_even, -ds, -da, lam_odd)
+    rec = _checked(a, grid)
+    s_even, lam_odd = forward_family(rec.ansatz)
+    ds = odd_part(np.gradient(rec.ansatz.sigma, grid.spacing, edge_order=2))
+    da = even_part(np.gradient(rec.ansatz.alpha, grid.spacing, edge_order=2))
+    if rec is a:
+        return PotentialSplit(s_even, -ds, -da, lam_odd)
+    return make_split(grid, s_even, -ds, -da, lam_odd)
 
 
 def _finite(value, what: str):
@@ -285,8 +314,8 @@ def _central2(f: np.ndarray, h: float) -> np.ndarray:
     return (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
 
 
-def ode_pair_residual(a: ChargeAnsatz, s_even, lam_odd, grid: Grid
-                      ) -> tuple[float, float]:
+def ode_pair_residual(a: ChargeAnsatz | CheckedAnsatz, s_even, lam_odd,
+                      grid: Grid) -> tuple[float, float]:
     """Max-norm residuals of the differentiated compatibility pair
 
         S' = 2 sigma' sigma - 2 alpha' alpha
@@ -294,15 +323,12 @@ def ode_pair_residual(a: ChargeAnsatz, s_even, lam_odd, grid: Grid
 
     with central differences on interior points; O(h^2) for smooth data
     produced by forward_family.  NonFiniteResult when either overflows.
+    S and Lambda passed with a CheckedAnsatz are taken as checked too.
     """
-    return _ode_pair_residual(*_samples(
-        grid, sigma=a.sigma, alpha=a.alpha, s_even=s_even, lam_odd=lam_odd),
-        grid.spacing)
-
-
-def _ode_pair_residual(sigma, alpha, s_arr, lam_arr, h: float
-                       ) -> tuple[float, float]:
-    """ode_pair_residual of checked samples on a grid of spacing h."""
+    rec = _checked(a, grid)
+    sigma, alpha, h = rec.ansatz.sigma, rec.ansatz.alpha, grid.spacing
+    s_arr, lam_arr = (s_even, lam_odd) if rec is a else _samples(
+        grid, s_even=s_even, lam_odd=lam_odd)
     sig_i = sigma[1:-1]
     alp_i = alpha[1:-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,7 +379,8 @@ def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
     return make_ansatz(grid, sigma, alpha, omega)
 
 
-def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
+def compose_pct_residual(a: ChargeAnsatz | CheckedAnsatz,
+                         ps: PotentialSplit | CheckedSplit, grid: Grid
                          ) -> float:
     """Largest entry of H^dagger (P C) - (P C) H away from the boundary.
 
@@ -366,15 +393,10 @@ def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
     is taken over (P H^dagger P) C - C H, a pentadiagonal difference of
     two tridiagonal products.  NonFiniteResult when it overflows.
     """
-    (v,) = _samples(grid, complex, potential=ps.potential())
-    return _compose_residual(_hamiltonian_bands(grid, v), _charge_bands(
-        grid, *_samples(grid, sigma=a.sigma, alpha=a.alpha)))
-
-
-def _compose_residual(hb, cb) -> float:
-    """compose_pct_residual of Hamiltonian bands hb and charge bands cb."""
+    hb = hamiltonian_bands(grid, _potential(ps, grid))
+    cb = _checked(a, grid).bands
     m = BOUNDARY_MARGIN
-    n = cb[1].size
+    n = grid.npoints
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _product_diagonals(_reflected_adjoint(hb), cb)
         rhs = _product_diagonals(cb, hb)
@@ -410,7 +432,8 @@ def odd_part(f: np.ndarray) -> np.ndarray:
     return 0.5 * (f - f[::-1])
 
 
-def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
+def coefficient_match(a: ChargeAnsatz | CheckedAnsatz,
+                      ps: PotentialSplit | CheckedSplit, grid: Grid
                       ) -> CoefficientResiduals:
     """Coefficient-level comparison of H^dagger (P C) against (P C) H.
 
@@ -435,13 +458,8 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
     real_odd = -sigma' and imag_even = -alpha'.  NonFiniteResult when a
     residual overflows.
     """
-    (v,) = _samples(grid, complex, potential=ps.potential())
-    _samples(grid, sigma=a.sigma, alpha=a.alpha)
-    return _coefficient_match(a.w, v, grid)
-
-
-def _coefficient_match(w, v, grid: Grid) -> CoefficientResiduals:
-    """coefficient_match of checked w = sigma + i alpha and potential v."""
+    v = _potential(ps, grid)
+    w = _checked(a, grid).ansatz.w
     h = grid.spacing
     n = grid.npoints
     u = np.conj(v)[::-1]
@@ -472,7 +490,8 @@ def _coefficient_match(w, v, grid: Grid) -> CoefficientResiduals:
         )
 
 
-def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
+def charge_pg_hermiticity(a: ChargeAnsatz | CheckedAnsatz, grid: Grid
+                          ) -> float:
     """Frobenius deviation of P C from Hermiticity.
 
     P D1 and P diag(w) are individually Hermitian exactly when the grid is
@@ -480,21 +499,12 @@ def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
     machine zero.  P (P C - (P C)^dagger) = C - P C^dagger P has the same
     norm and stays tridiagonal.
     """
-    return _pg_deviation(_charge_bands(
-        grid, *_samples(grid, sigma=a.sigma, alpha=a.alpha)))
+    cb = _checked(a, grid).bands
+    return float(np.linalg.norm(np.concatenate(
+        [c - g for c, g in zip(cb, _reflected_adjoint(cb))])))
 
 
-def _pg_deviation(cb) -> float:
-    """charge_pg_hermiticity from the charge bands cb."""
-    return _bands_norm([c - g for c, g in zip(cb, _reflected_adjoint(cb))])
-
-
-def charge_norm(a: ChargeAnsatz, grid: Grid) -> float:
+def charge_norm(a: ChargeAnsatz | CheckedAnsatz, grid: Grid) -> float:
     """Frobenius norm of C, equal to that of P C."""
-    return _bands_norm(_charge_bands(
-        grid, *_samples(grid, sigma=a.sigma, alpha=a.alpha)))
-
-
-def _bands_norm(bands) -> float:
-    """Frobenius norm of the matrix with these bands."""
-    return float(np.linalg.norm(np.concatenate(bands)))
+    return float(np.linalg.norm(np.concatenate(
+        _checked(a, grid).bands)))

@@ -9,6 +9,7 @@ observability residual live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,11 +24,14 @@ POSITIVITY_FLOOR_FACTOR = 1e-12
 
 @dataclass(frozen=True)
 class MetricCandidate:
-    """Hermitian candidate metric with its ascending eigenvalues, from
-    which the positivity certificate is read."""
+    """A checked metric, Theta as ``hermitian_part`` gives it, whose ascending
+    eigenvalues (the positivity certificate) are taken on first read."""
 
     theta: np.ndarray
-    eigenvalues: np.ndarray
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.theta)
 
     @property
     def min_eig(self) -> float:
@@ -94,12 +98,7 @@ def positivity_certificate(m) -> tuple[float, bool]:
 
 def certify_metric(theta) -> MetricCandidate:
     """Symmetrize, certify, and package an explicit candidate metric."""
-    return _certified(require_metric(theta))
-
-
-def _certified(theta: np.ndarray) -> MetricCandidate:
-    """The candidate of a symmetrized Theta, with its eigenvalues."""
-    return MetricCandidate(theta, np.linalg.eigvalsh(theta))
+    return MetricCandidate(require_metric(theta))
 
 
 def spectral_metric(s: SpectralData, weights=None, *,
@@ -120,16 +119,9 @@ def spectral_metric(s: SpectralData, weights=None, *,
             f"need {s.dim} weights, got shape {kappa.shape}")
     if not np.all(kappa > 0):
         raise NonPositiveWeight("metric weights must be strictly positive")
-    return _certified(_spectral_theta(s, kappa))
-
-
-def _spectral_theta(s: SpectralData, kappa: np.ndarray) -> np.ndarray:
-    """The Theta of ``spectral_metric`` for checked weights, symmetrized
-    after its Hermiticity drift check, but not certified: its eigenvalues
-    are taken only by ``_certified``."""
     phi = s.left_vectors
     # the product is a fresh array, so no copy is needed of what is kept
-    return hermitian_part((phi * kappa) @ phi.conj().T)
+    return MetricCandidate(hermitian_part((phi * kappa) @ phi.conj().T))
 
 
 def hermitize(h, theta) -> np.ndarray:

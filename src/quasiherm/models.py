@@ -21,23 +21,22 @@ import numpy as np
 from . import __version__
 from .errors import (BrokenPhase, InaccurateEigensystem, QuasihermError,
                      ParityViolation, SchemaError, SigmaVanishes)
-from .evolution import _expand, _norm_trace_columns
+from .evolution import norm_trace_columns, propagate_spectrum
 from .expressions import Expression, Sampler, parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
                             charge_from_spectrum, pt_symmetry_residual,
                             require_pseudo_hermitian, verify_table)
-from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
-                     _bands_norm, _charge_bands, _coefficient_match,
-                     _compatible_split, _compose_residual,
-                     _hamiltonian_bands, _ode_pair_residual, _pg_deviation,
-                     even_part, forward_family, inverse_family, make_grid,
-                     odd_part, parity_deviation, tridiagonal)
-from .metrics import (MetricCandidate, _certified, _spectral_theta,
-                      frobenius_residual, qh_residual)
+from .family import (SIGMA_FLOOR, ChargeAnsatz, CheckedAnsatz, CheckedSplit,
+                     Grid, PotentialSplit, charge_norm, charge_pg_hermiticity,
+                     coefficient_match, compatible_split, compose_pct_residual,
+                     even_part, forward_family, hamiltonian_bands,
+                     inverse_family, make_grid, ode_pair_residual, odd_part,
+                     parity_deviation, tridiagonal)
+from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
+                      spectral_metric)
 from .operators import CheckedOperator
 from .spectral import (SpectralData, eigendecompose, is_real_spectrum,
-                       matrix_from_real_form, real_form,
-                       require_real_spectrum, state_to_real_form)
+                       matrix_from_real_form, real_form, state_to_real_form)
 
 DEFAULT_TOL = 1e-10
 
@@ -435,11 +434,12 @@ def _lattice_bands(doc: dict) -> tuple:
 
 def _operator(kind: str, document: dict) -> np.ndarray:
     """The H of a matrix, lattice or Schroedinger model document, with a
-    finite squared Frobenius norm."""
+    finite squared Frobenius norm; that of a matrix document of real
+    entries is real, under any P."""
     if kind == "matrix":
         h = _parse_matrix(_need(document, "data", ""), "data")
         _require_finite_norm(h, "data")
-        return h
+        return h if h.imag.any() else np.ascontiguousarray(h.real)
     if kind == "lattice":
         bands = _lattice_bands(document)
     else:
@@ -448,7 +448,7 @@ def _operator(kind: str, document: dict) -> np.ndarray:
         v_re = _expression(document, "V_real", "0").sample(sampler)
         v_im = _expression(document, "V_imag", "0").sample(sampler)
         with np.errstate(over="ignore", invalid="ignore"):
-            bands = _hamiltonian_bands(grid, v_re + 1j * v_im)
+            bands = hamiltonian_bands(grid, v_re + 1j * v_im)
     _require_finite_norm(np.concatenate(bands), "")
     return tridiagonal(*bands)
 
@@ -537,10 +537,8 @@ class _Analysis:
     The operator is checked once, where the model was parsed, and held in
     one ``CheckedOperator`` (``op``), so that its tridiagonal bands and its
     Frobenius norm are each taken once per analysis; the tasks hand it to
-    the public operator functions.  Theta is built and certified by the
-    cores of ``spectral_metric``, and evolve runs those of ``propagate``
-    and ``norm_trace_columns``, so that Theta is neither symmetrized nor
-    certified again.
+    the public operator functions, as they do the ``metric`` (certified
+    where its eigenvalues are read) and a family model's ``ansatz`` record.
     """
 
     def __init__(self, spec: ModelSpec, opts: dict, tol: float):
@@ -596,16 +594,9 @@ class _Analysis:
         return pt_symmetry_residual(self.op, self.pseudometric)[1]
 
     @cached_property
-    def theta(self) -> np.ndarray:
-        """The default-weight spectral metric Theta, symmetrized after its
-        Hermiticity drift check; requires a real spectrum."""
-        require_real_spectrum(self.spectrum, self.tol)
-        return _spectral_theta(self.spectrum, np.ones(self.spectrum.dim))
-
-    @cached_property
     def metric(self) -> MetricCandidate:
-        """``theta`` with its eigenvalues, which certify it."""
-        return _certified(self.theta)
+        """The default-weight spectral metric; requires a real spectrum."""
+        return spectral_metric(self.spectrum, reality_tol=self.tol)
 
     @cached_property
     def triple(self) -> SpaceTriple:
@@ -616,10 +607,16 @@ class _Analysis:
                                                      reality_tol=self.tol))
 
     @cached_property
+    def ansatz(self) -> CheckedAnsatz:
+        """A family model's ansatz, checked where ``parse_model`` sampled it."""
+        kind, payload = self.spec.kind, self.spec.payload
+        if kind != "family":
+            raise SchemaError(f"task needs a family model, got kind {kind!r}")
+        return CheckedAnsatz(payload["ansatz"], payload["grid"])
+
+    @cached_property
     def split(self) -> PotentialSplit:
-        # the parsed ansatz was checked where it was sampled
-        grid, ansatz = _family_parts(self.spec)
-        return _compatible_split(ansatz, grid.spacing)
+        return compatible_split(self.ansatz, self.ansatz.grid)
 
     @property
     def potential(self) -> tuple[np.ndarray, np.ndarray]:
@@ -628,7 +625,7 @@ class _Analysis:
         has built it, and no derivative is taken for them alone."""
         if "split" in self.__dict__:  # where cached_property keeps it
             return self.split.real_even, self.split.imag_odd
-        return forward_family(_family_parts(self.spec)[1])
+        return forward_family(self.ansatz.ansatz)
 
 
 def _minus_identity(x: np.ndarray) -> np.ndarray:
@@ -769,14 +766,13 @@ def _task_evolve(a: _Analysis):
         raise SchemaError(
             f"the times of t_max = {t_max!r} in {steps} steps are not "
             "strictly increasing", "evolve")
-    # psi0 and the times are checked, and Theta was where it was built
-    traj = _expand(a.spectrum, psi0, times)
+    traj = propagate_spectrum(a.spectrum, psi0, times)
 
     metrics = {"identity": None}
     real, max_imag = is_real_spectrum(a.spectrum, a.tol)
     if real:
-        metrics["theta"] = a.theta
-    traces = _norm_trace_columns(traj, metrics)
+        metrics["theta"] = a.metric
+    traces = norm_trace_columns(traj, metrics)
 
     ident = traces["identity"]
     rows = [
@@ -797,14 +793,8 @@ def _task_evolve(a: _Analysis):
     return rows, (traj.times, list(traces.items()))
 
 
-def _family_parts(spec: ModelSpec) -> tuple[Grid, ChargeAnsatz]:
-    if spec.kind != "family":
-        raise SchemaError(f"task needs a family model, got kind {spec.kind!r}")
-    return spec.payload["grid"], spec.payload["ansatz"]
-
-
 def _task_family_forward(a: _Analysis):
-    grid, ansatz = _family_parts(a.spec)
+    grid, ansatz = a.ansatz.grid, a.ansatz.ansatz
     split = a.split
     s_even, lam_odd = split.real_even, split.imag_odd
     s_parity = parity_deviation(s_even, +1)
@@ -825,7 +815,7 @@ def _task_family_forward(a: _Analysis):
 
 def _task_family_inverse(a: _Analysis):
     spec = a.spec
-    grid, ansatz = _family_parts(spec)
+    grid, ansatz = a.ansatz.grid, a.ansatz.ansatz
     branch = int(a.opts.get("branch", +1))
     if branch not in (+1, -1):
         raise SchemaError(f"need branch +1 or -1, got {branch}", "branch")
@@ -859,7 +849,7 @@ def _task_family_inverse(a: _Analysis):
 
 def _task_family_check(a: _Analysis):
     spec = a.spec
-    grid, ansatz = _family_parts(spec)
+    grid, ansatz = a.ansatz.grid, a.ansatz.ansatz
     levels = int(a.opts.get("refine", 0))
     # min() keeps 2**levels small; any level above 64 is over the cap
     if levels < 0 or ((grid.npoints - 1) * 2 ** min(levels, 64) + 1
@@ -867,22 +857,20 @@ def _task_family_check(a: _Analysis):
         raise SchemaError(
             f"need refine >= 0 and at most {MAX_REFINED_POINTS} points on "
             f"the finest grid, got refine {levels}", "refine")
-    # the family functions' cores on arrays checked where they entered: the
-    # charge bands are built once, the Hamiltonian bands once per split
-    full = a.split
+    # records of arrays checked where they entered: the charge bands are
+    # built once, the Hamiltonian bands once per split
+    rec, full = a.ansatz, a.split
     zeros = np.zeros(grid.npoints)
-    partial = replace(full, real_odd=zeros, imag_even=zeros)
-    v_full = full.potential()
-    cb = _charge_bands(grid, ansatz.sigma, ansatz.alpha)
+    v_full = CheckedSplit(full.potential())
+    v_partial = CheckedSplit(
+        replace(full, real_odd=zeros, imag_even=zeros).potential())
 
-    cm = _coefficient_match(ansatz.w, v_full, grid)
-    pg = _pg_deviation(cb)
-    pc_scale = _bands_norm(cb)
-    r1, r2 = _ode_pair_residual(ansatz.sigma, ansatz.alpha, full.real_even,
-                                full.imag_odd, grid.spacing)
-    compose_full = _compose_residual(_hamiltonian_bands(grid, v_full), cb)
-    compose_partial = _compose_residual(
-        _hamiltonian_bands(grid, partial.potential()), cb)
+    cm = coefficient_match(rec, v_full, grid)
+    pg = charge_pg_hermiticity(rec, grid)
+    pc_scale = charge_norm(rec, grid)
+    r1, r2 = ode_pair_residual(rec, full.real_even, full.imag_odd, grid)
+    compose_full = compose_pct_residual(rec, v_full, grid)
+    compose_partial = compose_pct_residual(rec, v_partial, grid)
 
     d3, d2 = cm.sup(3), cm.sup(2)
     rows = [
@@ -917,8 +905,9 @@ def _task_family_check(a: _Analysis):
             for row, old, add in zip(fine_samples, samples, new):
                 row[0::2], row[1::2] = old, add
             samples = fine_samples
-            fs, fl = forward_family(ChargeAnsatz(*samples, ansatz.omega))
-            fr1, fr2 = _ode_pair_residual(*samples, fs, fl, fine.spacing)
+            fine_ansatz = ChargeAnsatz(*samples, ansatz.omega)
+            fr1, fr2 = ode_pair_residual(CheckedAnsatz(fine_ansatz, fine),
+                                         *forward_family(fine_ansatz), fine)
             rows.append(_row(f"ode_residual_S_level{k}", fr1))
             rows.append(_row(f"ode_residual_Lambda_level{k}", fr2))
             floor = 100 * np.finfo(float).eps

@@ -166,3 +166,21 @@ def test_certificate_keeps_every_eigenvalue():
     assert cand.min_eig == cand.eigenvalues[0]
     assert cand.max_eig == cand.eigenvalues[-1]
     assert cand.positive
+
+
+def test_eigenvalues_are_taken_once_on_first_read(monkeypatch):
+    # a candidate is its checked Theta; the certificate's eigvalsh runs when
+    # the eigenvalues are first read, and only then
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cand = certify_metric(np.diag([1.0, 4.0]))
+    assert calls == []
+    first = cand.eigenvalues
+    assert cand.eigenvalues is first
+    assert (cand.min_eig, cand.max_eig, cand.positive) == (1.0, 4.0, True)
+    assert len(calls) == 1

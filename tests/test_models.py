@@ -523,7 +523,7 @@ def test_battery_rows_equal_fresh_scenarios(doc, failing):
 
 def test_family_battery_builds_the_split_once(monkeypatch):
     from quasiherm import family
-    splits = count_calls(monkeypatch, models, "_compatible_split")
+    splits = count_calls(monkeypatch, models, "compatible_split")
     forwards = count_calls(monkeypatch, models, "forward_family")
     parity = count_calls(monkeypatch, family, "parity_deviation")
     report = run_battery(parse_model(MODEL_FAMILY))
@@ -592,6 +592,35 @@ def test_battery_runs_the_public_operator_functions(monkeypatch):
     assert {name: len(c) for name, c in calls.items()} == {
         "eigendecompose": 1, "qh_residual": 2, "pt_symmetry_residual": 1,
         "verify_table": 1}
+
+
+def test_family_check_runs_the_public_family_functions(monkeypatch):
+    # as for the operator functions: the family check and its refine levels
+    # call the public family functions as bound in models, with records of
+    # arrays checked where they entered, so that none is scanned again, the
+    # charge bands are built once and each split's Hamiltonian bands once;
+    # an operator report builds Theta, evolves and traces through public
+    # names
+    from quasiherm import family
+    names = ("compatible_split", "coefficient_match", "compose_pct_residual",
+             "charge_pg_hermiticity", "charge_norm", "ode_pair_residual")
+    calls = {name: count_calls(monkeypatch, models, name) for name in names}
+    samples = count_calls(monkeypatch, family, "_samples")
+    d1 = count_calls(monkeypatch, family, "_d1_bands")
+    d2 = count_calls(monkeypatch, family, "_d2_bands")
+    report = run_scenario(parse_model(MODEL_FAMILY), "family-check",
+                          {"refine": 2})
+    assert report.all_passed
+    assert {name: len(c) for name, c in calls.items()} == {
+        "compatible_split": 1, "coefficient_match": 1,
+        "compose_pct_residual": 2, "charge_pg_hermiticity": 1,
+        "charge_norm": 1, "ode_pair_residual": 3}
+    assert samples == [] and len(d1) == 1 and len(d2) == 2
+    names = ("spectral_metric", "propagate_spectrum", "norm_trace_columns")
+    calls = {name: count_calls(monkeypatch, models, name) for name in names}
+    assert run_battery(parse_model(MODEL_LATTICE)).all_passed
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(
+        names, 1)
 
 
 def test_report_scans_the_bands_once_and_takes_the_norm_once(monkeypatch):
@@ -808,6 +837,24 @@ def test_scaled_dense_p_gives_the_verdicts_of_p(scale):
     c, c_base = (np.array(rows["factorize.charge"].value) @ [1, 1j]
                  for rows in (scaled, base))
     assert np.linalg.norm(c - c_base) <= 1e-15 * np.linalg.norm(c_base)
+
+
+def test_real_matrix_stays_real_under_a_dense_p():
+    # H = P^-1 M, M = [[2, 1], [1, 3]]: a real H and an indefinite dense P
+    doc = {"kind": "matrix", "data": [[2, 1], [-1, -3]],
+           "pseudometric": [[1, 0], [0, -1]]}
+    spec = parse_model(doc)
+    h = spec.payload["h"]
+    assert h.dtype == np.float64 and h.flags.c_contiguous
+    assert parse_model(dict(doc, pseudometric="parity")).payload["h"].dtype \
+        == np.float64
+    # the run on the same H held complex has the same rows and verdicts
+    held_complex = replace(spec, payload=dict(spec.payload,
+                                              h=h.astype(complex)))
+    real, cplx = run_battery(spec), run_battery(held_complex)
+    assert real.all_passed and cplx.all_passed
+    assert [(r.name, r.passed) for r in real.rows] == [
+        (r.name, r.passed) for r in cplx.rows]
 
 
 @pytest.mark.parametrize("doc", [

@@ -28,6 +28,8 @@ The corpus:
   - the README 2x2 model with an explicit P of scale 9e153, which passes
     the intake check but whose triple's Theta has a squared Frobenius
     norm that overflows;
+  - a matrix model of real entries with an explicit indefinite P, whose
+    H stays real;
   - every model of the benchmark workloads (bench/workloads.py, read only)
     at the requested seeds.
 
@@ -99,6 +101,10 @@ ONE_STATE = {"kind": "matrix", "data": [[0]]}
 SCALED_P = {"kind": "matrix", "data": [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]],
             "pseudometric": [[0, 1e11], [1e11, 0]]}
 EDGE_P = dict(SCALED_P, pseudometric=[[0, 9e153], [9e153, 0]])
+# H = P^-1 M with M = [[2, 1], [1, 3]] positive definite: real, and
+# P-pseudo-Hermitian with a real simple spectrum
+REAL_DENSE_P = {"kind": "matrix", "data": [[2, 1], [-1, -3]],
+                "pseudometric": [[1, 0], [0, -1]]}
 
 
 def explicit_p_model() -> dict:
@@ -137,7 +143,7 @@ def corpus(seeds) -> list[tuple[str, dict]]:
               ("overflow-check", OVERFLOW_CHECK)]
     named += list(OVERFLOW_NORM.items())
     named += [("one-state", ONE_STATE), ("scaled-p", SCALED_P),
-              ("edge-p", EDGE_P)]
+              ("edge-p", EDGE_P), ("real-dense-p", REAL_DENSE_P)]
     for workload in WORKLOADS:
         for seed in seeds:
             named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
