@@ -2,7 +2,10 @@
 
 Propagation goes through the biorthogonal eigenexpansion rather than time
 stepping, so unitarity violations in any monitored inner product come
-from the operator itself, not from integrator error.
+from the operator itself, not from integrator error.  Trajectories and
+norm traces are fresh arrays, never views of an argument; a norm trace
+under the identity is asked for as None, the one metric that costs no
+product with the states.
 """
 
 from __future__ import annotations
@@ -60,12 +63,6 @@ def propagate_spectrum(s: SpectralData, psi0, times) -> Trajectory:
     return Trajectory(ts.copy(), states)
 
 
-def _is_identity(m: np.ndarray | None) -> bool:
-    """Whether ``m`` is None or the identity matrix, entry for entry."""
-    return m is None or (np.count_nonzero(m) == len(m)
-                         and bool((m.diagonal() == 1).all()))
-
-
 def norm_trace_columns(traj: Trajectory,
                        metrics: Mapping[str, MetricCandidate | np.ndarray | None]
                        ) -> dict[str, np.ndarray]:
@@ -74,11 +71,11 @@ def norm_trace_columns(traj: Trajectory,
     Each metric must be Hermitian: a MetricCandidate is taken as checked,
     and a matrix is checked by ``hermitian_part``.  The traces are then
     real up to roundoff, which is verified before the imaginary parts are
-    dropped.  A metric given as None is the identity.  Each metric costs
-    one (T x N)(N x N) product; the identity none.  The first offending
-    (time, metric) pair, in time-major order, raises: NonFiniteResult for
-    a trace that overflows, NonHermitianMetric for one with an imaginary
-    part.
+    dropped.  A metric given as None is the identity, and costs no
+    product; every other metric, an identity matrix too, costs one
+    (T x N)(N x N) product.  The first offending (time, metric) pair, in
+    time-major order, raises: NonFiniteResult for a trace that overflows,
+    NonHermitianMetric for one with an imaginary part.
     """
     checked = {}
     for name, m in metrics.items():
@@ -93,7 +90,7 @@ def norm_trace_columns(traj: Trajectory,
         for name, m in checked.items():
             # the product before the conjugate states, so that they are not
             # held together with the product's cast of a real M
-            m_psi = traj.states if _is_identity(m) else traj.states @ m.T
+            m_psi = traj.states if m is None else traj.states @ m.T
             traces[name] = np.einsum("ti,ti->t", traj.states.conj(), m_psi)
         finite = {name: np.isfinite(v) for name, v in traces.items()}
         real = {name: np.abs(v.imag)

@@ -22,8 +22,8 @@ from .errors import (DimensionMismatch, ExceptionalPoint, NonHermitianMetric,
 from .metrics import (MetricCandidate, certify_metric, frobenius_deviation,
                       frobenius_residual, spectral_metric)
 from .operators import (CheckedOperator, adjoint_product, as_operator,
-                        as_state, checked_operator, parity_matrix,
-                        require_metric, right_product, unaliased)
+                        as_state, checked_operator, hermitian_part,
+                        parity_matrix, right_product)
 from .spectral import (DEFAULT_REALITY_TOL, SpectralData, eigendecompose,
                        require_real_spectrum)
 
@@ -135,7 +135,7 @@ def as_pseudometric(p) -> PseudoMetric:
     its ``inverse_norm``."""
     if isinstance(p, PseudoMetric):
         return p
-    mm = require_metric(p)
+    mm = hermitian_part(p)
     w = np.linalg.eigvalsh(mm)
     scale = float(np.abs(w).max())
     if scale == 0.0 or np.any(np.abs(w) < PSEUDOMETRIC_NULL_RTOL * scale):
@@ -174,7 +174,7 @@ class SpaceTriple:
 def make_triple(p, c) -> SpaceTriple:
     """Compose Theta = P C and certify it as a Hermitian metric."""
     pm = as_pseudometric(p)
-    cc = unaliased(as_operator(c), c)
+    cc = as_operator(c).copy()
     if cc.shape != pm.shape:
         raise DimensionMismatch(
             f"charge {cc.shape} incompatible with pseudometric {pm.shape}")
@@ -210,7 +210,7 @@ def charge_from_metric(theta, p) -> np.ndarray:
     fresh array.
     """
     pm = as_pseudometric(p)
-    tt = require_metric(theta)
+    tt = hermitian_part(theta)
     if tt.shape != pm.shape:
         raise DimensionMismatch(
             f"metric {tt.shape} incompatible with pseudometric {pm.shape}")
@@ -366,21 +366,20 @@ def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
     c, nc = c_op.matrix, c_op.norm
 
     # each relation's arrays are dropped before the next one is built; H^dagger
-    # Theta serves both H^sharp = Theta^-1 H^dagger Theta and H^dagger Theta
-    # = Theta H, and is overwritten by the second
+    # Theta serves H^sharp = Theta^-1 H^dagger Theta, H^dd C = P^-1 H^dagger
+    # Theta (Theta = P C) and H^dagger Theta = Theta H, and is overwritten
+    # by the last
     hd_theta = adjoint_product(op, t.Theta)
     h_sharp_dev = frobenius_deviation(_theta_solve(t.Theta, hd_theta), hh, nh)
+    # the residual is taken in the buffer of C H, which is contiguous; P^-1
+    # H^dagger Theta is a view of H^dagger Theta for a structured P
+    hdd_c_dev = frobenius_deviation(right_product(c, op),
+                                    pm.inverse_apply(hd_theta), nh * nc)
     # qh_residual, without taking H^dagger Theta again
     hd_theta_dev = frobenius_deviation(
         hd_theta, right_product(t.Theta, op),
         nh * float(np.linalg.norm(t.Theta)))
     del hd_theta
-    # H^dd C = P^-1 H^dagger (P C): O(N^2) for a structured P and banded H;
-    # the residual is taken in the buffer of C H, which is contiguous
-    hdd_c = pm.inverse_apply(adjoint_product(op, pm.apply(c)))
-    hdd_c_dev = frobenius_deviation(right_product(c, op), hdd_c,
-                                    nh * nc)
-    del hdd_c
     if pm.kind == "dense":
         p_dev = frobenius_residual(pm.entries - pm.entries.conj().T, pm.norm)
     else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveWeight, NotPositive
 from .operators import (adjoint_product, as_operator, checked_operator,
-                        hermitian_part, require_metric, right_product)
+                        hermitian_part, right_product)
 from .spectral import DEFAULT_REALITY_TOL, SpectralData, require_real_spectrum
 
 # positive means min_eig > floor * max_eig: scale-invariant certificate
@@ -98,7 +98,7 @@ def positivity_certificate(m) -> tuple[float, bool]:
 
 def certify_metric(theta) -> MetricCandidate:
     """Symmetrize, certify, and package an explicit candidate metric."""
-    return MetricCandidate(require_metric(theta))
+    return MetricCandidate(hermitian_part(theta))
 
 
 def spectral_metric(s: SpectralData, weights=None, *,
@@ -120,7 +120,6 @@ def spectral_metric(s: SpectralData, weights=None, *,
     if not np.all(kappa > 0):
         raise NonPositiveWeight("metric weights must be strictly positive")
     phi = s.left_vectors
-    # the product is a fresh array, so no copy is needed of what is kept
     return MetricCandidate(hermitian_part((phi * kappa) @ phi.conj().T))
 
 

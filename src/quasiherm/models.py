@@ -106,15 +106,16 @@ def _float_row(items: list | tuple) -> str | None:
     return None if "n" in text else text
 
 
-def canonical_json(obj, sort_keys: bool = False) -> str:
-    """Minimal deterministic JSON writer with fixed float rendering."""
+def canonical_json(obj) -> str:
+    """Minimal deterministic JSON writer with fixed float rendering and
+    sorted dict keys."""
     if type(obj) is float:  # the most common leaf, then containers, first
         return format_float(obj)
     if isinstance(obj, (list, tuple)):
         row = _float_row(obj)
         if row is not None:
             return row
-        items = [canonical_json(v, sort_keys) for v in obj]
+        items = [canonical_json(v) for v in obj]
         return "[" + ",".join(items) + "]"
     if obj is None:
         return "null"
@@ -127,10 +128,9 @@ def canonical_json(obj, sort_keys: bool = False) -> str:
     if isinstance(obj, str):  # as json.dumps quotes a str
         return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        keys = sorted(obj) if sort_keys else list(obj)
         return "{" + ",".join(
-            encode_basestring_ascii(str(k)) + ":"
-            + canonical_json(obj[k], sort_keys) for k in keys) + "}"
+            encode_basestring_ascii(str(k)) + ":" + canonical_json(obj[k])
+            for k in sorted(obj)) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -434,23 +434,25 @@ def _lattice_bands(doc: dict) -> tuple:
 
 def _operator(kind: str, document: dict) -> np.ndarray:
     """The H of a matrix, lattice or Schroedinger model document, with a
-    finite squared Frobenius norm; that of a matrix document of real
-    entries is real, under any P."""
+    finite squared Frobenius norm; an H with no imaginary part is real,
+    under any P."""
     if kind == "matrix":
         h = _parse_matrix(_need(document, "data", ""), "data")
         _require_finite_norm(h, "data")
-        return h if h.imag.any() else np.ascontiguousarray(h.real)
-    if kind == "lattice":
-        bands = _lattice_bands(document)
     else:
-        grid = _parse_grid(_need(document, "grid", ""), "grid", MAX_DENSE_DIM)
-        sampler = Sampler(grid.points)
-        v_re = _expression(document, "V_real", "0").sample(sampler)
-        v_im = _expression(document, "V_imag", "0").sample(sampler)
-        with np.errstate(over="ignore", invalid="ignore"):
-            bands = hamiltonian_bands(grid, v_re + 1j * v_im)
-    _require_finite_norm(np.concatenate(bands), "")
-    return tridiagonal(*bands)
+        if kind == "lattice":
+            bands = _lattice_bands(document)
+        else:
+            grid = _parse_grid(_need(document, "grid", ""), "grid",
+                               MAX_DENSE_DIM)
+            sampler = Sampler(grid.points)
+            v_re = _expression(document, "V_real", "0").sample(sampler)
+            v_im = _expression(document, "V_imag", "0").sample(sampler)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bands = hamiltonian_bands(grid, v_re + 1j * v_im)
+        _require_finite_norm(np.concatenate(bands), "")
+        h = tridiagonal(*bands)
+    return h if h.imag.any() else np.ascontiguousarray(h.real)
 
 
 def parse_model(document) -> ModelSpec:
@@ -510,7 +512,7 @@ def parse_model(document) -> ModelSpec:
                 "pseudometric")
 
     digest = hashlib.sha256(
-        canonical_json(document, sort_keys=True).encode()).hexdigest()
+        canonical_json(document).encode()).hexdigest()
     return ModelSpec(kind, payload, document, digest)
 
 

@@ -3,11 +3,13 @@
 All values live in a fixed working basis (the standard coordinate basis),
 which pins down the antilinear time reversal as plain entrywise
 conjugation.  Every function is pure and never mutates its arguments.
-``as_operator`` and ``hermitian_part`` hand back an ndarray argument of
-their dtype as it is, so that a check costs no copy; every other function
-returns a fresh array, never a view of an argument.  The operator
-functions take H as an array or as a ``CheckedOperator``, which holds it
-checked, with its norm and bands each taken once (``checked_operator``).
+One aliasing rule holds: ``as_operator`` hands back an ndarray argument
+of its dtype as it is, so that a check costs no copy, and every other
+function returns a fresh array, never a view of an argument;
+``hermitian_part`` too, for a metric that is already exactly Hermitian.
+The operator functions take H as an array or as a ``CheckedOperator``,
+which holds it checked, with its norm and bands each taken once
+(``checked_operator``).
 Products with a Hamiltonian go through its three bands when it is
 tridiagonal, in O(N^2) instead of an N^3 matrix product.
 """
@@ -34,7 +36,7 @@ METRIC_CONDITION_CAP = 1e12
 def as_operator(a) -> np.ndarray:
     """Coerce to a finite square float or complex matrix, as the input is
     real or complex; an ndarray of that dtype is returned itself, not
-    copied (see ``unaliased``)."""
+    copied."""
     m = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -55,14 +57,6 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     return w
 
 
-def unaliased(out: np.ndarray, arg) -> np.ndarray:
-    """``out``, copied when it may share memory with the argument ``arg``:
-    what a function returns or keeps of an argument is a fresh array."""
-    if isinstance(arg, np.ndarray) and np.may_share_memory(out, arg):
-        return out.copy()
-    return out
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose in the working basis."""
     return np.conj(as_operator(a)).T
@@ -74,19 +68,10 @@ def time_reversal(a) -> np.ndarray:
     return np.conj(as_operator(a))
 
 
-def _has_negative_zero(m: np.ndarray) -> bool:
-    """Whether the real or imaginary part of an entry of m is -0.0."""
-    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
-    return any(bool((np.signbit(x) & (x == 0)).any()) for x in parts)
-
-
 def hermitian_part(m) -> np.ndarray:
     """Validate Hermiticity of a metric and return its symmetrized form
-    (M + M^dagger)/2, a C-ordered array; NonFiniteResult for an M whose
-    squared Frobenius norm is not finite.  A C-ordered ndarray that equals
-    its adjoint is returned itself, not copied: the symmetrized form
-    equals it bit for bit then, unless an entry holds a -0.0, which the
-    sum may turn into +0.0."""
+    (M + M^dagger)/2, a fresh C-ordered array; NonFiniteResult for an M
+    whose squared Frobenius norm is not finite."""
     mm = as_operator(m)
     with np.errstate(over="ignore"):
         scale = max(np.linalg.norm(mm), np.finfo(float).tiny)
@@ -100,18 +85,10 @@ def hermitian_part(m) -> np.ndarray:
             f"metric deviates from Hermiticity by {drift:.3e} "
             f"(relative cap {METRIC_HERMITICITY_RTOL:g})"
         )
-    if (mm.flags.c_contiguous and not diff.any()
-            and not _has_negative_zero(mm)):
-        return mm
     # 0.5 * (mm + mm^dagger), in the buffer of the difference
     np.add(mm, mm.conj().T, out=diff)
     diff *= 0.5
     return diff
-
-
-def require_metric(m) -> np.ndarray:
-    """``hermitian_part`` as a fresh array."""
-    return unaliased(hermitian_part(m), m)
 
 
 def adjoint_wrt(a, m) -> np.ndarray:

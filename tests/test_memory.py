@@ -18,12 +18,12 @@ from quasiherm import (PseudoMetric, Trajectory, adjoint, as_pseudometric,
                        propagate, propagate_spectrum, spectral_metric,
                        standard_charge, time_reversal)
 from quasiherm import models
-from quasiherm.operators import require_metric
+from quasiherm.operators import hermitian_part
 
 RNG = np.random.default_rng(7)
 REAL = RNG.normal(size=(4, 4))
 COMPLEX = REAL + 1j * RNG.normal(size=(4, 4))
-# exactly Hermitian, with no -0.0 entry: require_metric keeps their values
+# exactly Hermitian, with no -0.0 entry: hermitian_part keeps their values
 SYMMETRIC = REAL + REAL.T + 8 * np.eye(4)
 HERMITIAN = COMPLEX + COMPLEX.conj().T + 8 * np.eye(4)
 DENSE_P = np.diag([1.0, 2.0, -1.5, 3.0])
@@ -59,9 +59,10 @@ def test_conjugations_return_fresh_arrays(a):
     SYMMETRIC, HERMITIAN, SYMMETRIC + 1e-14 * REAL,
 ], ids=["symmetric", "hermitian", "near-symmetric"])
 def test_metric_validation_returns_fresh_arrays(m):
-    out = _call_keeps_arguments(require_metric, m)
+    # an exactly Hermitian metric too is returned as a new array, which
+    # keeps its values bit for bit
+    out = _call_keeps_arguments(hermitian_part, m)
     _assert_unaliased([out], [m])
-    # an exactly Hermitian metric keeps its values bit for bit
     if np.array_equal(m, m.conj().T):
         assert out.tobytes() == m.tobytes()
     cand = _call_keeps_arguments(certify_metric, m)

@@ -156,6 +156,8 @@ def test_certify_metric_condition():
     cand = certify_metric(np.diag([1.0, 4.0]))
     assert cand.condition == pytest.approx(4.0)
     assert cand.max_eig == 4.0
+    # an indefinite Theta has no finite condition number
+    assert certify_metric(np.diag([-1.0, 4.0])).condition == float("inf")
 
 
 def test_certificate_keeps_every_eigenvalue():

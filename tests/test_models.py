@@ -839,22 +839,33 @@ def test_scaled_dense_p_gives_the_verdicts_of_p(scale):
     assert np.linalg.norm(c - c_base) <= 1e-15 * np.linalg.norm(c_base)
 
 
-def test_real_matrix_stays_real_under_a_dense_p():
+REAL_DENSE_P_MODELS = [
     # H = P^-1 M, M = [[2, 1], [1, 3]]: a real H and an indefinite dense P
-    doc = {"kind": "matrix", "data": [[2, 1], [-1, -3]],
-           "pseudometric": [[1, 0], [0, -1]]}
-    spec = parse_model(doc)
-    h = spec.payload["h"]
-    assert h.dtype == np.float64 and h.flags.c_contiguous
-    assert parse_model(dict(doc, pseudometric="parity")).payload["h"].dtype \
-        == np.float64
-    # the run on the same H held complex has the same rows and verdicts
-    held_complex = replace(spec, payload=dict(spec.payload,
-                                              h=h.astype(complex)))
-    real, cplx = run_battery(spec), run_battery(held_complex)
-    assert real.all_passed and cplx.all_passed
-    assert [(r.name, r.passed) for r in real.rows] == [
-        (r.name, r.passed) for r in cplx.rows]
+    {"kind": "matrix", "data": [[2, 1], [-1, -3]],
+     "pseudometric": [[1, 0], [0, -1]]},
+    # real symmetric H that commute with the flip, under the flip and the
+    # identity given as dense matrices
+    {"kind": "lattice", "n": 4, "gamma": 0.0,
+     "pseudometric": np.fliplr(np.eye(4)).tolist()},
+    {"kind": "schroedinger", "grid": {"L": 8, "N": 21}, "V_real": "x^2",
+     "pseudometric": np.eye(21).tolist()},
+]
+
+
+def test_real_matrix_stays_real_under_a_dense_p():
+    for doc in REAL_DENSE_P_MODELS:
+        spec = parse_model(doc)
+        h = spec.payload["h"]
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+        assert parse_model(dict(doc, pseudometric="parity")).payload[
+            "h"].dtype == np.float64
+        # the run on the same H held complex has the same rows and verdicts
+        held_complex = replace(spec, payload=dict(spec.payload,
+                                                  h=h.astype(complex)))
+        real, cplx = run_battery(spec), run_battery(held_complex)
+        assert real.all_passed and cplx.all_passed
+        assert [(r.name, r.passed) for r in real.rows] == [
+            (r.name, r.passed) for r in cplx.rows]
 
 
 @pytest.mark.parametrize("doc", [
@@ -864,8 +875,12 @@ def test_real_matrix_stays_real_under_a_dense_p():
 ], ids=["endpoints", "alternating", "two-sites"])
 def test_lattice_matches_literal_construction(doc):
     # the assembly through family.tridiagonal is bit-identical to writing
-    # the entries of H one by one, and the frame is its real form
-    assert parsed_h(doc).tobytes() == lattice_h(doc).tobytes()
+    # the entries of H one by one, and the frame is its real form; an H
+    # with no gain or loss is parsed as its real part
+    literal = lattice_h(doc)
+    if not literal.imag.any():
+        literal = np.ascontiguousarray(literal.real)
+    assert parsed_h(doc).tobytes() == literal.tobytes()
     spec = parse_model(doc)
     assert spec.payload["h"].tobytes() == real_form(lattice_h(doc))[0].tobytes()
 
@@ -887,8 +902,9 @@ def scalar_parse(data) -> np.ndarray:
     [[[0, 0.6], [1, 0]], [[1, 0], [0, -0.6]]],
     [[[-0.0, -0.0], [1e-310, 2 ** 70 + 1]], [[3, -0.0], [0.1, 7]]],
     matrix_data(M_HPD),
+    [[1, [0, -0.5]], [[2, 0.25], -0.0]],
 ], ids=["1x1", "ints", "signed-zero-big-ints", "readme-pairs",
-        "pairs-subnormal", "hpd-4x4"])
+        "pairs-subnormal", "hpd-4x4", "scalars-and-pairs"])
 def test_array_wise_parse_equals_the_scalar_loop(data):
     parsed = models._parse_matrix(data, "data")
     assert parsed.tobytes() == scalar_parse(data).tobytes()

@@ -1,10 +1,21 @@
 """Print a digest of every CLI output over a fixed corpus of models.
 
-Usage: python tools/report_digests.py [--workload-seeds 1 2] > digests.txt
+Usage: python tools/report_digests.py [--workload-seeds 1 2] [--verdicts]
+           > digests.txt
 
 For each (model, invocation, format) one line is printed:
 
     <exit code> <sha256 of stdout + stderr + warnings> <model> <argv...>
+
+With ``--verdicts`` only the JSON calls run, and each line holds the
+verdicts of its call in place of the digest: its exit code and, for each
+report row, the row's name and pass flag.
+
+    <exit code> <model> <argv...> <row name>=<true|false|null> ...
+
+The rows' values are left out, so the verdict lines do not depend on the
+last digits that the BLAS thread count moves; the errors of a model that
+fails are rows named by their error code.
 
 Every call runs ``quasiherm.cli.main`` in process on a model file in a
 temporary directory.  Warnings raised during a call are hashed by category
@@ -166,35 +177,51 @@ def nonfinite_output(stdout: str, fmt: str) -> bool:
     return bool(stdout) and _scan_json(json.loads(stdout)["rows"])
 
 
-def digest_call(argv: list[str], fmt: str) -> tuple[int, str, bool, bool]:
-    """Exit code, digest, whether the output holds a non-finite value, and
-    whether the call raised a warning."""
+def run_call(argv: list[str], fmt: str
+             ) -> tuple[int, str, str, bool, bool]:
+    """Exit code, stdout, the digest of what a user sees, whether the
+    output holds a non-finite value, and whether the call raised a
+    warning."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
-    text = out.getvalue() + err.getvalue() + "".join(
+    stdout = out.getvalue()
+    text = stdout + err.getvalue() + "".join(
         f"{w.category.__name__}: {w.message}\n" for w in caught)
-    return (code, hashlib.sha256(text.encode()).hexdigest(),
-            nonfinite_output(out.getvalue(), fmt), bool(caught))
+    return (code, stdout, hashlib.sha256(text.encode()).hexdigest(),
+            nonfinite_output(stdout, fmt), bool(caught))
 
 
-def main_digests(seeds) -> int:
+def verdicts(stdout: str) -> str:
+    """The name and pass flag of each row of a JSON report, or "" for a
+    call that printed none."""
+    rows = json.loads(stdout)["rows"] if stdout else []
+    return "".join(f" {row['name']}={json.dumps(row['pass'])}"
+                   for row in rows)
+
+
+def main_digests(seeds, verdict_mode: bool = False) -> int:
     internal = nonfinite = warned = 0
+    formats = ("json",) if verdict_mode else FORMATS
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "model.json")
         for label, doc in corpus(seeds):
             Path(path).write_text(json.dumps(doc), encoding="utf-8")
             for task in TASKS:
-                for fmt in FORMATS:
+                for fmt in formats:
                     argv = task + ["--model", path, "--format", fmt]
-                    code, digest, bad, warning = digest_call(argv, fmt)
+                    code, stdout, digest, bad, warning = run_call(argv, fmt)
                     internal += code == 3
                     nonfinite += bad
                     warned += warning
                     shown = " ".join(task + ["--format", fmt])
-                    print(f"{code} {digest} {label} {shown}", flush=True)
+                    if verdict_mode:
+                        print(f"{code} {label} {shown}{verdicts(stdout)}",
+                              flush=True)
+                    else:
+                        print(f"{code} {digest} {label} {shown}", flush=True)
     print(f"{internal} internal errors", file=sys.stderr)
     print(f"{nonfinite} outputs with a non-finite value", file=sys.stderr)
     print(f"{warned} calls that raised a warning", file=sys.stderr)
@@ -205,4 +232,8 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload-seeds", type=int, nargs="*",
                         default=[1, 2])
-    raise SystemExit(main_digests(parser.parse_args().workload_seeds))
+    parser.add_argument("--verdicts", action="store_true",
+                        help="print each JSON call's exit code and row "
+                        "verdicts in place of the digests")
+    args = parser.parse_args()
+    raise SystemExit(main_digests(args.workload_seeds, args.verdicts))
