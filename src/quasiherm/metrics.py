@@ -119,8 +119,12 @@ def spectral_metric(s: SpectralData, weights=None, *,
             f"need {s.dim} weights, got shape {kappa.shape}")
     if not np.all(kappa > 0):
         raise NonPositiveWeight("metric weights must be strictly positive")
-    phi = s.left_vectors
-    return MetricCandidate(hermitian_part((phi * kappa) @ phi.conj().T))
+    # X X^dagger, X = Phi sqrt(kappa): ndarray.conj returns a real X itself,
+    # and numpy takes the product of a buffer and its transpose as a SYRK
+    x = s.left_vectors * np.sqrt(kappa)
+    theta = x @ x.conj().T
+    del x  # so that hermitian_part's result can take its memory
+    return MetricCandidate(hermitian_part(theta))
 
 
 def hermitize(h, theta) -> np.ndarray:

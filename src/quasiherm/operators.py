@@ -7,6 +7,9 @@ One aliasing rule holds: ``as_operator`` hands back an ndarray argument
 of its dtype as it is, so that a check costs no copy, and every other
 function returns a fresh array, never a view of an argument;
 ``hermitian_part`` too, for a metric that is already exactly Hermitian.
+``spectral.real_form`` has the two other pass-throughs, each sparing an
+N^2 copy: a real C-ordered argument is its own real form, and a complex
+one with no real form comes back as it is.
 The operator functions take H as an array or as a ``CheckedOperator``,
 which holds it checked, with its norm and bands each taken once
 (``checked_operator``).

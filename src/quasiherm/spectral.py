@@ -6,7 +6,9 @@ The right system diagonalizes A, the left system diagonalizes A^dagger
 PT-symmetric matrices are solved in real arithmetic (``real_form``), and
 a real matrix with a real spectrum keeps real eigenvectors.  A Hermitian
 real form is solved by ``eigh``, by parity sector when it commutes with
-the flip, and its left vectors are its right vectors.
+the flip, and its left vectors are its right vectors.  Any other form's
+left vectors are the rows of W^-1, one Newton step from a start that
+needs no factorization when b^T = J b J, as for every PT model.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ DEFAULT_REALITY_TOL = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,9 @@ def biorthonormalize(right, left) -> tuple[np.ndarray, np.ndarray]:
 
 def real_form(m: np.ndarray) -> tuple[np.ndarray, bool]:
     """A real matrix unitarily similar to the square m, and whether m was
-    rotated to get it; (m, False) when this test finds none.
+    rotated to get it; (m, False) when this test finds none.  A real
+    C-ordered m and a complex m with no real form are handed back
+    themselves, uncopied; every other result is a new array.
 
     A real m (no imaginary part) is its own real form.  A PT-symmetric m,
     J conj(m) J = m with J the flip, is similar to the real
@@ -174,29 +179,42 @@ def _hermitian_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return np.concatenate((vals_even, vals_odd)), w, np.arange(n) >= ne
 
 
-def _left_from_inverse(right: np.ndarray, w: np.ndarray,
-                       rotated: bool) -> tuple[np.ndarray, float]:
-    """Left vectors as the rows of V^-1, V = S W when ``rotated`` else W,
-    and the 1-norm condition number ||V||_1 ||V^-1||_1.  W^-1 is taken in
-    W's own (real or complex) arithmetic: the rows of V^-1 = W^-1 S^dagger
-    are S (W^-1)^dagger.  Linearly dependent eigenvectors, a singular W or
-    an inverse that overflows, raise DegenerateSpectrum."""
-    try:
-        inv = np.linalg.inv(w)
-    except np.linalg.LinAlgError:
-        raise DegenerateSpectrum(
-            "the eigenvectors are linearly dependent") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.iscomplexobj(inv):
-            # a real inverse pairs with W about 1.4 times worse than a
-            # complex one (||W^-1 W - 1||_F 1.2e-13 against 8.9e-14 on the
-            # README harmonic model); one Newton step X -= X (W X - 1), two
-            # real products, brings it to 1.5e-14
-            resid = w @ inv
-            resid.flat[::len(w) + 1] -= 1.0
-            inv -= inv @ resid
-            del resid
-        left = inv.conj().T
+def _left_from_inverse(right: np.ndarray, w: np.ndarray, rotated: bool,
+                       flip: bool) -> tuple[np.ndarray, float]:
+    """Left vectors as the rows of V^-1, V = S W when ``rotated`` else W
+    (the rows of W^-1 S^dagger are S (W^-1)^dagger), and the 1-norm
+    condition number ||V||_1 ||V^-1||_1.
+
+    W^-1 is one Newton step X -= X (W X - 1), in W's own arithmetic, from
+    the LU inverse or, for ``flip``, from the J-pairing D^-1 (J W)^T,
+    D = diag(w_n^T J w_n), when ||W X - 1||_F < sqrt(eps): the step squares
+    that residual.  b^T = J b J gives (lambda_m - lambda_n) w_m^T J w_n = 0,
+    a pairing with no conjugate, so it holds for a complex W too.  Linearly
+    dependent eigenvectors, a singular W or an inverse that overflows,
+    raise DegenerateSpectrum."""
+    def residual(x):
+        r = w @ x
+        r.flat[::len(w) + 1] -= 1.0
+        return r
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = None
+        if flip:
+            x = w[::-1].T / np.einsum("ij,ij->j", w[::-1], w)[:, None]
+            resid = residual(x)
+            # a zero w_n^T J w_n fails the test as a NaN or an inf
+            if not np.linalg.norm(resid) < _SQRT_EPS:
+                x = None
+        if x is None:
+            try:
+                x = np.linalg.inv(w)
+            except np.linalg.LinAlgError:
+                raise DegenerateSpectrum(
+                    "the eigenvectors are linearly dependent") from None
+            resid = residual(x)
+        x -= x @ resid
+        del resid
+        left = x.conj().T
         if rotated:
             left = _from_real_form(left)
         # ||V^-1||_1 = ||(V^-1)^dagger||_inf
@@ -224,7 +242,8 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     The matrix is solved in its ``real_form`` b.  A Hermitian b goes to
     ``eigh`` (by parity sector when b commutes with the flip) and its left
     vectors are its right vectors.  Any other b goes to ``eig``, once, and
-    its left vectors are the rows of V^-1; when cond_1(V) exceeds
+    its left vectors are the rows of V^-1, one Newton step from the
+    J-pairing of W or from the LU inverse; when cond_1(V) exceeds
     LEFT_FROM_FLIP_COND and b^T = J b J, they are J conj(W) instead.  When
     b was rotated, the eigenvectors come back as S W.
 
@@ -262,8 +281,9 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     if hermitian:
         left, kappa_max = right, 1.0
     else:
-        left, cond = _left_from_inverse(right, w, rotated)
-        if cond > LEFT_FROM_FLIP_COND and np.array_equal(b.T, b[::-1, ::-1]):
+        flip = np.array_equal(b.T, b[::-1, ::-1])
+        left, cond = _left_from_inverse(right, w, rotated, flip)
+        if cond > LEFT_FROM_FLIP_COND and flip:
             left = _left_from_flip(w, rotated)
         # kappa_n <= cond_2(V) <= N cond_1(V)
         kappa_max = vals.size * cond

@@ -10,6 +10,7 @@ from quasiherm import (BrokenPhase, DimensionMismatch, ExceptionalPoint,
                        signature, spectral_metric, standard_charge,
                        triple_inner, verify_table)
 from quasiherm.models import parse_model, run_scenario
+from quasiherm.spectral import real_form
 
 RELATION_ROWS = ("H_sharp_eq_H", "Hdd_C_eq_C_H", "Cd_P_eq_P_C",
                  "Hd_Theta_eq_Theta_H", "C_eq_Cdd", "P_eq_Pd")
@@ -333,21 +334,28 @@ def test_gate_and_table_property(monkeypatch):
 
 
 def test_charge_from_spectrum_matches_dyad_sum():
-    # reference: Theta = sum_n |phi_n><phi_n| / |c_n|, symmetrized, and
-    # C = P^-1 Theta, written out without the library's helpers
-    h = np.array([[0.6j, 1.0], [1.0, -0.6j]])
-    p = parity_matrix(2)
-    s = eigendecompose(h)
-    charge, cand = charge_from_spectrum(s, p)
-    phi = s.left_vectors
-    c = np.einsum("ij,ij->j", phi.conj(), np.linalg.solve(p, phi)).real
-    theta = (phi * (1.0 / np.abs(c))) @ phi.conj().T
-    theta = 0.5 * (theta + theta.conj().T)
-    assert np.array_equal(cand.theta, theta)
-    assert np.array_equal(charge, np.linalg.solve(p, theta))
-    via_h, via_h_cand = standard_charge(h, p)
-    assert charge.tobytes() == via_h.tobytes()
-    assert cand.theta.tobytes() == via_h_cand.theta.tobytes()
+    # reference: Theta = X X^dagger with X = Phi |c|^(-1/2), the dyad sum
+    # sum_n |phi_n><phi_n| / |c_n|, symmetrized, and C = P^-1 Theta,
+    # written out without the library's helpers; for the complex H and for
+    # the real form of a PT chain, whose real Phi takes a symmetric rank-k
+    # update
+    chain = (np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+             + np.diag(0.3j * (-1.0) ** np.arange(6)))
+    for h in (np.array([[0.6j, 1.0], [1.0, -0.6j]]), real_form(chain)[0]):
+        p = parity_matrix(len(h))
+        s = eigendecompose(h)
+        charge, cand = charge_from_spectrum(s, p)
+        phi = s.left_vectors
+        assert np.iscomplexobj(phi) == np.iscomplexobj(h)
+        c = np.einsum("ij,ij->j", phi.conj(), np.linalg.solve(p, phi)).real
+        x = phi * np.sqrt(1.0 / np.abs(c))
+        theta = x @ x.conj().T
+        theta = 0.5 * (theta + theta.conj().T)
+        assert np.array_equal(cand.theta, theta)
+        assert np.array_equal(charge, np.linalg.solve(p, theta))
+        via_h, via_h_cand = standard_charge(h, p)
+        assert charge.tobytes() == via_h.tobytes()
+        assert cand.theta.tobytes() == via_h_cand.theta.tobytes()
     with pytest.raises(DimensionMismatch):
         charge_from_spectrum(s, parity_matrix(3))
 

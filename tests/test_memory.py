@@ -1,9 +1,10 @@
 """What the operator layers return, and how much memory a task holds.
 
 The no-aliasing test pins the promise of the ``operators`` docstring:
-``as_operator`` does not copy an ndarray of its dtype, so every public
-function that returns or keeps an argument must copy it, and no function
-mutates an argument.  The memory test bounds the traced peak of each task
+``as_operator`` does not copy an ndarray of its dtype, nor does
+``real_form`` a real C-ordered one or a complex one with no real form, so
+every other public function that returns or keeps an argument must copy
+it, and no function mutates an argument.  The memory test bounds the traced peak of each task
 after the eigensolve, in units of one float64 N x N array.
 """
 
@@ -19,6 +20,7 @@ from quasiherm import (PseudoMetric, Trajectory, adjoint, as_pseudometric,
                        standard_charge, time_reversal)
 from quasiherm import models
 from quasiherm.operators import hermitian_part
+from quasiherm.spectral import real_form
 
 RNG = np.random.default_rng(7)
 REAL = RNG.normal(size=(4, 4))
@@ -87,6 +89,22 @@ def test_factorization_returns_fresh_arrays(p):
     p2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     c, cand = _call_keeps_arguments(standard_charge, h, p2)
     _assert_unaliased([c, cand.theta], [h, p2])
+
+
+def test_real_form_hands_back_only_its_two_pass_throughs():
+    # a real C-ordered m and a complex m with no real form come back
+    # themselves, uncopied; every other argument as a new array
+    not_pt = COMPLEX.copy()
+    assert not np.array_equal(not_pt[::-1, ::-1], not_pt.conj())
+    pt = np.array([[0.5j, 1.0], [1.0, -0.5j]])
+    for m, rotated in ((REAL, False), (not_pt, False)):
+        out = _call_keeps_arguments(real_form, m)
+        assert out[0] is m and out[1] is rotated
+    for m, rotated in ((REAL.T, False), (REAL.astype(complex), False),
+                       (pt, True)):
+        out = _call_keeps_arguments(real_form, m)
+        assert out[1] is rotated
+        _assert_unaliased([out[0]], [m])
 
 
 def test_evolution_returns_fresh_arrays():

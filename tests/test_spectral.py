@@ -230,6 +230,9 @@ def test_real_matrix_keeps_real_eigenvectors():
 
 
 def test_unbroken_pt_matrix_inverts_in_real_arithmetic(monkeypatch):
+    # the real form of the PT lattice has B^T = J B J, so its left vectors
+    # start from the flip pairing and no LU inverse runs; a PT matrix whose
+    # real form lacks that symmetry inverts its real W
     inverted = []
     original = np.linalg.inv
 
@@ -238,6 +241,10 @@ def test_unbroken_pt_matrix_inverts_in_real_arithmetic(monkeypatch):
         return original(m)
     monkeypatch.setattr(np.linalg, "inv", recorded)
     eigendecompose(lattice(8, 0.3))
+    assert inverted == []
+    b = np.array([[1.0, 2.0], [0.0, -1.0]])
+    assert not np.array_equal(b.T, b[::-1, ::-1])
+    eigendecompose(from_real_form(b))
     assert inverted == [np.dtype(float)]
 
 
@@ -485,6 +492,82 @@ def test_flip_left_vectors_match_the_inverse(monkeypatch, kind):
     assert np.array_equal(s.eigenvalues, ref.eigenvalues)
     assert np.abs(s.left_vectors - ref.left_vectors).max() <= 1e-12
     assert np.abs(s.pairing() - np.eye(7)).max() <= 1e-13
+
+
+def left_from_lu(monkeypatch, h):
+    """The eigensystem of h with every left system started from the LU
+    inverse: no start passes a residual test against 0."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_SQRT_EPS", 0.0)
+        return eigendecompose(h)
+
+
+@pytest.mark.parametrize("case", ["lattice", "schroedinger", "matrix"])
+def test_pt_left_vectors_start_from_the_flip_pairing(monkeypatch, case):
+    # the real form of each has B^T = J B J: its left vectors start from
+    # D^-1 (J W)^T, no LU inverse runs, and after the Newton step they are
+    # those of the LU start to rounding
+    h = {"lattice": lattice(40, 0.3),
+         "schroedinger": document_h({"kind": "schroedinger",
+                                     "grid": {"L": 4, "N": 101},
+                                     "V_real": "x^2", "V_imag": "0.1*x^3"}),
+         "matrix": pt_hamiltonian(np.random.default_rng(1), 12, 0.05)}[case]
+    b, rotated = spectral.real_form(h)
+    assert rotated and np.array_equal(b.T, b[::-1, ::-1])
+    ref = left_from_lu(monkeypatch, h)
+    inverted = record(monkeypatch, "inv")
+    s = eigendecompose(h)
+    assert inverted == []
+    assert np.array_equal(s.right_vectors, ref.right_vectors)
+    assert (np.abs(s.left_vectors - ref.left_vectors).max()
+            <= 8 * s.dim * EPS * np.abs(ref.left_vectors).max())
+
+
+def test_repeated_eigenvalue_of_a_flip_symmetric_form_falls_back_to_lu(
+        monkeypatch):
+    # b = W diag(d) W^-1 with W^T J W = diag(+-1), so that b^T = J b J, and
+    # d repeats 2: eig picks some basis of that eigenspace, whose bilinear
+    # J-pairing is not diagonal, so the flip start misses sqrt(eps) and the
+    # left vectors come from the LU inverse
+    n = 6
+    signs, u = np.linalg.eigh(np.eye(n)[::-1])
+    signs = np.sign(signs)
+    # the Cayley transform of a diag(signs)-skew A keeps diag(signs)
+    k = np.random.default_rng(0).normal(size=(n, n))
+    a = signs[:, None] * 0.3 * (k - k.T)
+    w = u @ np.linalg.solve(np.eye(n) - a, np.eye(n) + a)
+    d = np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0])
+    # b = M J with M = W D diag(signs) W^T, made exactly symmetric
+    m = (w * (d * signs)) @ w.T
+    b = (0.5 * (m + m.T))[:, ::-1]
+    assert np.array_equal(b.T, b[::-1, ::-1])
+    assert not np.array_equal(b, b.T)
+    inverted = record(monkeypatch, "inv")
+    s = eigendecompose(b, gap_floor=0.0)
+    assert len(inverted) == 1
+    assert np.abs(s.eigenvalues - d).max() <= 1e-13
+    assert np.abs(s.pairing() - np.eye(n)).max() <= 1e-13
+
+
+def test_broken_lattice_pairs_to_rounding():
+    # the broken alternating lattice of the benchmark: its real form has
+    # conjugate eigenvalue pairs and a complex W, whose LU inverse, without
+    # a Newton step, pairs to 5.8e-14; the step from the flip start pairs
+    # at least 3 times better
+    n = 250
+    k = np.pi * np.arange(1, n + 1) / (n + 1)
+    gamma = 4.0 * np.abs(2.0 * np.cos(k)).min()
+    h = document_h({"kind": "lattice", "n": n, "gamma": gamma,
+                    "pattern": "alternating"})
+    s = eigendecompose(h)
+    assert np.abs(s.eigenvalues.imag).max() > 1e-2
+    v = s.right_vectors
+    lu = spectral.SpectralData(
+        s.eigenvalues, *biorthonormalize(v, np.linalg.inv(v).conj().T),
+        s.min_gap)
+    dev = np.linalg.norm(s.pairing() - np.eye(n))
+    assert 3 * dev <= np.linalg.norm(lu.pairing() - np.eye(n))
+    assert dev <= 1.5e-14
 
 
 # --- the degeneracy rule: conditioning, parity sectors, conjugate pairs ---

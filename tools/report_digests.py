@@ -1,7 +1,8 @@
 """Print a digest of every CLI output over a fixed corpus of models.
 
-Usage: python tools/report_digests.py [--workload-seeds 1 2] [--verdicts]
-           > digests.txt
+Usage: python tools/report_digests.py [--workload-seeds 1 2]
+           [--verdicts | --values] > digests.txt
+       python tools/report_digests.py --compare values-a.txt values-b.txt
 
 For each (model, invocation, format) one line is printed:
 
@@ -16,6 +17,17 @@ report row, the row's name and pass flag.
 The rows' values are left out, so the verdict lines do not depend on the
 last digits that the BLAS thread count moves; the errors of a model that
 fails are rows named by their error code.
+
+With ``--values`` only the JSON calls run too, and each report row gets a
+line of its own, a JSON list:
+
+    [<model>, <argv...>, <row name>, <value>, <tol>, <pass>]
+
+``--compare A B`` reads two such outputs and prints the largest
+|value_A - value_B| / tol over the rows with a tol (over every entry of a
+list value), once over all of them and once over the rows that pass on at
+least one side, so that a row failing by far at both does not hide the
+rest; it always exits 0.
 
 Every call runs ``quasiherm.cli.main`` in process on a model file in a
 temporary directory.  Warnings raised during a call are hashed by category
@@ -202,9 +214,70 @@ def verdicts(stdout: str) -> str:
                    for row in rows)
 
 
-def main_digests(seeds, verdict_mode: bool = False) -> int:
+def values(label: str, shown: str, stdout: str) -> list[str]:
+    """One JSON line per row of a JSON report: the call, the row's name,
+    value, tol and pass flag."""
+    rows = json.loads(stdout)["rows"] if stdout else []
+    return [json.dumps([label, shown, row["name"], row["value"], row["tol"],
+                        row["pass"]]) for row in rows]
+
+
+def _numbers(value) -> list[float] | None:
+    """The numbers of a row value, nested lists flattened; None for a value
+    that holds anything else (a string, a flag, null)."""
+    if isinstance(value, list):
+        parts = [_numbers(v) for v in value]
+        if any(part is None for part in parts):
+            return None
+        return [x for part in parts for x in part]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [float(value)]
+    return None
+
+
+def compare_values(path_a: str, path_b: str) -> int:
+    """Print the largest |Delta value| / tol between two ``--values``
+    outputs, over all rows with a tol and over those that pass on either
+    side."""
+    def read(path):
+        out, seen = {}, {}
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            label, shown, name, value, tol, passed = json.loads(line)
+            key = (label, shown, name)
+            seen[key] = seen.get(key, -1) + 1
+            out[key + (seen[key],)] = (value, tol, passed)
+        return out
+
+    a, b = read(path_a), read(path_b)
+    worst = dict.fromkeys(("all rows", "rows passing on either side"),
+                          (0.0, None))
+    compared = moved = 0
+    for key in sorted(a.keys() & b.keys()):
+        (va, tol, pa), (vb, _, pb) = a[key], b[key]
+        xa, xb = _numbers(va), _numbers(vb)
+        if not tol or xa is None or xb is None or len(xa) != len(xb):
+            continue
+        compared += 1
+        delta = max((abs(p - q) for p, q in zip(xa, xb)), default=0.0)
+        moved += delta != 0.0
+        for scope, passing in (("all rows", True),
+                               ("rows passing on either side", pa or pb)):
+            if passing and delta / tol > worst[scope][0]:
+                worst[scope] = (delta / tol, (key, va, vb))
+    print(f"{compared} rows with a tol compared, {moved} moved; "
+          f"{len(a.keys() ^ b.keys())} rows in one output only")
+    for scope, (ratio, where) in worst.items():
+        print(f"largest |delta value|/tol over {scope}: {ratio:.3g}")
+        if where is not None:
+            (label, shown, name, _), va, vb = where
+            print(f"  {label} {shown} {name}: {json.dumps(va)} "
+                  f"against {json.dumps(vb)}")
+    return 0
+
+
+def main_digests(seeds, mode: str = "digests") -> int:
     internal = nonfinite = warned = 0
-    formats = ("json",) if verdict_mode else FORMATS
+    formats = FORMATS if mode == "digests" else ("json",)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "model.json")
         for label, doc in corpus(seeds):
@@ -217,9 +290,12 @@ def main_digests(seeds, verdict_mode: bool = False) -> int:
                     nonfinite += bad
                     warned += warning
                     shown = " ".join(task + ["--format", fmt])
-                    if verdict_mode:
+                    if mode == "verdicts":
                         print(f"{code} {label} {shown}{verdicts(stdout)}",
                               flush=True)
+                    elif mode == "values":
+                        for line in values(label, shown, stdout):
+                            print(line, flush=True)
                     else:
                         print(f"{code} {digest} {label} {shown}", flush=True)
     print(f"{internal} internal errors", file=sys.stderr)
@@ -232,8 +308,20 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload-seeds", type=int, nargs="*",
                         default=[1, 2])
-    parser.add_argument("--verdicts", action="store_true",
-                        help="print each JSON call's exit code and row "
-                        "verdicts in place of the digests")
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--verdicts", action="store_true",
+                       help="print each JSON call's exit code and row "
+                       "verdicts in place of the digests")
+    modes.add_argument("--values", action="store_true",
+                       help="print each JSON row's name, value, tol and "
+                       "pass flag, one JSON line per row")
+    modes.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                       help="print the largest |delta value|/tol between "
+                       "two --values outputs")
     args = parser.parse_args()
-    raise SystemExit(main_digests(args.workload_seeds, args.verdicts))
+    if args.compare:
+        raise SystemExit(compare_values(*args.compare))
+    raise SystemExit(main_digests(
+        args.workload_seeds,
+        "verdicts" if args.verdicts else "values" if args.values
+        else "digests"))
