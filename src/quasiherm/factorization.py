@@ -44,13 +44,16 @@ class PseudoMetric:
     first two hold no matrix: P X and X P are a reversal or a copy, P^-1 X
     is a view of X, all equal bit for bit to the dense products, and their
     inertia is closed form.  A "dense" P holds its validated ``entries``
-    and is inverted once, on first use of ``inverse``.
+    and is inverted once, on first use of ``inverse``.  ``inverse_norm``
+    is ||P^-1||_2, 1/min|eig P|: 1 for parity and identity, and set by
+    ``as_pseudometric`` for a dense P.
     """
 
     kind: str
     dim: int
     signature: tuple[int, int]
     entries: np.ndarray | None = None
+    inverse_norm: float = 1.0
 
     @classmethod
     def structured(cls, kind: str, n: int) -> "PseudoMetric":
@@ -90,14 +93,6 @@ class PseudoMetric:
         if self.kind == "dense":
             return float(np.linalg.norm(self.entries))
         return math.sqrt(self.dim)
-
-    @cached_property
-    def inverse_norm(self) -> float:
-        """||P^-1||_2: 1/min|eig P|, and 1 for parity and identity; that of
-        a P from ``as_pseudometric`` is set there, from its eigenvalues."""
-        if self.kind == "dense":
-            return 1.0 / float(np.abs(np.linalg.eigvalsh(self.entries)).min())
-        return 1.0
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P X: reverses the rows (the entries of a vector) for parity."""
@@ -142,10 +137,8 @@ def as_pseudometric(p) -> PseudoMetric:
         raise SingularPseudoMetric(
             "pseudometric has an eigenvalue within tolerance of zero")
     pos = int(np.count_nonzero(w > 0))
-    pm = PseudoMetric("dense", len(mm), (pos, len(mm) - pos), mm)
-    # the cached inverse_norm, read off these eigenvalues, not taken again
-    object.__setattr__(pm, "inverse_norm", 1.0 / float(np.abs(w).min()))
-    return pm
+    return PseudoMetric("dense", len(mm), (pos, len(mm) - pos), mm,
+                        1.0 / float(np.abs(w).min()))
 
 
 @dataclass(frozen=True)

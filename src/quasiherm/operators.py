@@ -131,8 +131,10 @@ def parity_matrix(n: int) -> np.ndarray:
 class CheckedOperator:
     """A square finite matrix, as ``as_operator`` gives it, with its
     Frobenius ``norm`` and its ``_tridiagonal_bands`` (None for a matrix
-    that is not tridiagonal), each taken on first use and kept.
-    ``np.shape`` of a record is the shape of its matrix."""
+    that is not tridiagonal), each taken on first use and kept; the norm
+    raises NonFiniteResult when its square is not finite, as every
+    residual relative to it would read 0.  ``np.shape`` of a record is the
+    shape of its matrix."""
 
     matrix: np.ndarray
 
@@ -142,7 +144,12 @@ class CheckedOperator:
 
     @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.matrix))
+        if norm == np.inf:
+            raise NonFiniteResult(
+                "the squared Frobenius norm of the operator is not finite")
+        return norm
 
     @cached_property
     def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

@@ -8,7 +8,8 @@ a real matrix with a real spectrum keeps real eigenvectors.  A Hermitian
 real form is solved by ``eigh``, by parity sector when it commutes with
 the flip, and its left vectors are its right vectors.  Any other form's
 left vectors are the rows of W^-1, one Newton step from a start that
-needs no factorization when b^T = J b J, as for every PT model.
+needs no factorization when b^T = J b J, as for every PT model.  All of
+it runs in b's frame; a rotated system crosses back once, at the end.
 """
 
 from __future__ import annotations
@@ -179,17 +180,19 @@ def _hermitian_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return np.concatenate((vals_even, vals_odd)), w, np.arange(n) >= ne
 
 
-def _left_from_inverse(right: np.ndarray, w: np.ndarray, rotated: bool,
-                       flip: bool) -> tuple[np.ndarray, float]:
-    """Left vectors as the rows of V^-1, V = S W when ``rotated`` else W
-    (the rows of W^-1 S^dagger are S (W^-1)^dagger), and the 1-norm
-    condition number ||V||_1 ||V^-1||_1.
+def _left_vectors(w: np.ndarray, flip: bool) -> tuple[np.ndarray, float]:
+    """Left vectors of a non-Hermitian b in its frame, and cond_1(W) =
+    ||W||_1 ||W^-1||_1 of its right-eigenvector matrix W.
 
-    W^-1 is one Newton step X -= X (W X - 1), in W's own arithmetic, from
-    the LU inverse or, for ``flip``, from the J-pairing D^-1 (J W)^T,
-    D = diag(w_n^T J w_n), when ||W X - 1||_F < sqrt(eps): the step squares
-    that residual.  b^T = J b J gives (lambda_m - lambda_n) w_m^T J w_n = 0,
-    a pairing with no conjugate, so it holds for a complex W too.  Linearly
+    They are the rows of W^-1, one Newton step X -= X (W X - 1), in W's own
+    arithmetic, from the LU inverse or, for ``flip`` (b^T = J b J, J the
+    flip), from the J-pairing D^-1 (J W)^T, D = diag(w_n^T J w_n), when
+    ||W X - 1||_F < sqrt(eps): the step squares that residual.
+    b^T = J b J gives (lambda_m - lambda_n) w_m^T J w_n = 0, a pairing with
+    no conjugate, so it holds for a complex W too.  When ``flip`` holds and
+    cond_1(W) exceeds LEFT_FROM_FLIP_COND they are J conj(W) instead: from
+    b w = lambda w follows b^dagger J conj(w) = conj(lambda) J conj(w),
+    column by column, so no eigenvalue matching is needed.  Linearly
     dependent eigenvectors, a singular W or an inverse that overflows,
     raise DegenerateSpectrum."""
     def residual(x):
@@ -215,57 +218,46 @@ def _left_from_inverse(right: np.ndarray, w: np.ndarray, rotated: bool,
         x -= x @ resid
         del resid
         left = x.conj().T
-        if rotated:
-            left = _from_real_form(left)
-        # ||V^-1||_1 = ||(V^-1)^dagger||_inf
-        cond = float(np.linalg.norm(right, 1) * np.linalg.norm(left, np.inf))
+        # ||W^-1||_1 = ||(W^-1)^dagger||_inf
+        cond = float(np.linalg.norm(w, 1) * np.linalg.norm(left, np.inf))
     if not math.isfinite(cond):
         raise DegenerateSpectrum(
             f"the eigenvectors are linearly dependent (cond_1 {cond})")
+    if flip and cond > LEFT_FROM_FLIP_COND:
+        left = w[::-1].conj()
     return left, cond
-
-
-def _left_from_flip(w: np.ndarray, rotated: bool) -> np.ndarray:
-    """Left vectors J conj(W), mapped by S when ``rotated``, of a b with
-    b^T = J b J, J the flip (as for the real form of any
-    parity-pseudo-Hermitian H).
-
-    From b w = lambda w follows b^dagger J conj(w) = conj(lambda) J conj(w),
-    column by column, so no eigenvalue matching is needed."""
-    left = w[::-1].conj()
-    return _from_real_form(left) if rotated else left
 
 
 def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     """Biorthogonal eigendecomposition with a degeneracy guard.
 
-    The matrix is solved in its ``real_form`` b.  A Hermitian b goes to
-    ``eigh`` (by parity sector when b commutes with the flip) and its left
-    vectors are its right vectors.  Any other b goes to ``eig``, once, and
-    its left vectors are the rows of V^-1, one Newton step from the
-    J-pairing of W or from the LU inverse; when cond_1(V) exceeds
-    LEFT_FROM_FLIP_COND and b^T = J b J, they are J conj(W) instead.  When
-    b was rotated, the eigenvectors come back as S W.
+    The matrix is solved in its ``real_form`` b, and every decision is
+    taken in b's frame.  A Hermitian b goes to ``eigh`` (by parity sector
+    when b commutes with the flip) and its left vectors are its right
+    vectors.  Any other b goes to ``eig``, once, and its left vectors are
+    the rows of W^-1, one Newton step from the J-pairing of W or from the
+    LU inverse; when cond_1(W) exceeds LEFT_FROM_FLIP_COND and
+    b^T = J b J, they are J conj(W) instead.  When b was rotated, both
+    systems cross to the frame of the matrix once, as S W, at the end.
 
     The guard raises DegenerateSpectrum for a pair of eigenvalues closer
     than (kappa_i + kappa_j) N eps ||b||_F, where kappa_n =
     ||phi_n|| ||psi_n|| / |<phi_n|psi_n>| (1 for a Hermitian b): roundoff
     can move the two that far, so the eigensystem does not resolve them.
-    Pairs that an exact symmetry keeps apart are exempt: vectors of
-    opposite parity sectors, and exactly conjugate eigenvalues of a real
-    b.  A ``gap_floor`` replaces the bound by a fixed floor; pass 0 to
-    disable the check.  ``min_gap`` is the smallest gap of all pairs.
+    S is unitary, so ||b||_F is the record's norm and kappa_n is the same
+    in either frame.  Pairs that an exact symmetry keeps apart are exempt:
+    vectors of opposite parity sectors, and exactly conjugate eigenvalues
+    of a real b.  A floor that overflows is inf.  A ``gap_floor`` replaces
+    the bound by a fixed floor; pass 0 to disable the check.  ``min_gap``
+    is the smallest gap of all pairs.
 
-    ``a`` is a CheckedOperator or a matrix.  A real matrix is its own real
-    form, and the bound reads the record's norm; a complex one's real form
-    takes its own.
+    ``a`` is a CheckedOperator or a matrix; the guard raises
+    NonFiniteResult for one whose squared Frobenius norm is not finite.
     """
     op = checked_operator(a)
     if gap_floor is not None and gap_floor < 0:
         raise ValueError("gap_floor must be nonnegative")
     b, rotated = real_form(op.matrix)
-    b_norm = (float(np.linalg.norm(b)) if np.iscomplexobj(op.matrix)
-              else op.norm)
     hermitian = np.array_equal(b, b.conj().T)
     try:
         vals, w, odd = (_hermitian_eig(b) if hermitian
@@ -277,45 +269,43 @@ def eigendecompose(a, gap_floor: float | None = None) -> SpectralData:
     order = np.lexsort((np.arange(vals.size), vals.imag, vals.real))
     vals = vals[order]
     w = w[:, order]
-    right = _from_real_form(w) if rotated else w
     if hermitian:
-        left, kappa_max = right, 1.0
+        left, kappa_max = w, 1.0
     else:
-        flip = np.array_equal(b.T, b[::-1, ::-1])
-        left, cond = _left_from_inverse(right, w, rotated, flip)
-        if cond > LEFT_FROM_FLIP_COND and flip:
-            left = _left_from_flip(w, rotated)
-        # kappa_n <= cond_2(V) <= N cond_1(V)
+        left, cond = _left_vectors(w, np.array_equal(b.T, b[::-1, ::-1]))
+        # kappa_n <= cond_2(W) <= N cond_1(W)
         kappa_max = vals.size * cond
-    del w
 
     dist = np.abs(vals[:, None] - vals[None, :])
     np.fill_diagonal(dist, np.inf)
     min_gap = float(dist.min())
-    unit = vals.size * _EPS * b_norm
-    floor = 2 * kappa_max * unit if gap_floor is None else gap_floor
-    if min_gap < floor:
-        if gap_floor is None and not hermitian:
-            with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
+        unit = vals.size * _EPS * op.norm
+        floor = 2 * kappa_max * unit if gap_floor is None else gap_floor
+        if min_gap < floor:
+            if gap_floor is None and not hermitian:
                 kappa = (np.linalg.norm(left, axis=0)
-                         * np.linalg.norm(right, axis=0)
-                         / np.abs(np.einsum("ij,ij->j", left.conj(), right)))
-            floor = (kappa[:, None] + kappa) * unit
-        close = dist < floor
-        if odd is not None:
-            close &= odd[order][:, None] == odd[order]
-        if not np.iscomplexobj(b):
-            close &= ~((vals[:, None] == vals.conj()) & (vals.imag != 0))
-        if close.any():
-            i, j = np.argwhere(close)[0]
-            raise DegenerateSpectrum(
-                f"eigenvalues {i} and {j}: gap {dist[i, j]:.3e} below floor "
-                f"{np.broadcast_to(floor, dist.shape)[i, j]:.3e}")
-    # the vectors are scaled without the distances and b
+                         * np.linalg.norm(w, axis=0)
+                         / np.abs(np.einsum("ij,ij->j", left.conj(), w)))
+                floor = (kappa[:, None] + kappa) * unit
+            close = dist < floor
+            if odd is not None:
+                close &= odd[order][:, None] == odd[order]
+            if not np.iscomplexobj(b):
+                close &= ~((vals[:, None] == vals.conj()) & (vals.imag != 0))
+            if close.any():
+                i, j = np.argwhere(close)[0]
+                raise DegenerateSpectrum(
+                    f"eigenvalues {i} and {j}: gap {dist[i, j]:.3e} below "
+                    f"floor {np.broadcast_to(floor, dist.shape)[i, j]:.3e}")
+    # the vectors are mapped and scaled without the distances and b
     del b, dist
+    if rotated:
+        w = _from_real_form(w)
+        left = w if hermitian else _from_real_form(left)
     if not hermitian:
-        right, left = biorthonormalize(right, left)
-    return SpectralData(vals, right, left, min_gap)
+        w, left = biorthonormalize(w, left)
+    return SpectralData(vals, w, left, min_gap)
 
 
 def is_real_spectrum(s: SpectralData, tol: float) -> tuple[bool, float]:

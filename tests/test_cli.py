@@ -558,6 +558,22 @@ def test_largest_finite_norm_is_accepted():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("task", ["spectrum", "report"])
+def test_overflowing_degeneracy_floor_is_inf(model_file, capsys, task):
+    # a Jordan block that passes the intake check, whose (kappa_i +
+    # kappa_j) N eps ||H||_F overflows: the floor reads inf, with no warning
+    path = model_file({"kind": "matrix", "data": [[1, 1.3e154], [0, 1]]})
+    code, report = run_json(capsys, [task, "--model", path])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    prefix = "spectrum." if task == "report" else ""
+    assert {"name": f"{prefix}DegenerateSpectrum",
+            "value": "eigenvalues 0 and 1: gap 0.000e+00 below floor inf",
+            "pass": False, "tol": None} in report["rows"]
+    assert not any(r["pass"] for r in report["rows"])
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("task", ["factorize", "table", "report"])
 def test_overflowing_theta_norm_is_one_failed_row(model_file, capsys, task):
     # P passes the intake check, but the triple's Theta = P C scales with

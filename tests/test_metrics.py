@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from quasiherm import (BrokenPhase, NonHermitianMetric, NonPositiveWeight,
-                       NotPositive, certify_metric, eigendecompose, hermitize,
-                       observability_check, positivity_certificate, qh_residual,
-                       spectral_metric)
+from quasiherm import (BrokenPhase, NonFiniteResult, NonHermitianMetric,
+                       NonPositiveWeight, NotPositive, certify_metric,
+                       eigendecompose, hermitize, observability_check,
+                       parity_matrix, positivity_certificate,
+                       pt_symmetry_residual, qh_residual, spectral_metric)
+from quasiherm.operators import checked_operator
 
 from conftest import random_diagonalizable
 
@@ -21,6 +23,22 @@ def test_qh_residual_model(model_h, golden_theta):
         abs_res, rel_res = qh_residual(model_h, theta)
         assert abs_res <= 1e-14
         assert rel_res <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_operator_norm_is_not_finite():
+    # ||H||_F^2 overflows: every residual relative to ||H||_F would read 0,
+    # as that of this non-Hermitian H under the identity did
+    h = np.array([[1e300, 1.0], [0.0, 1e300]])
+    for call in (lambda: checked_operator(h).norm,
+                 lambda: qh_residual(h, np.eye(2)),
+                 lambda: pt_symmetry_residual(h, parity_matrix(2)),
+                 lambda: eigendecompose(np.diag([1e300, -1e300]), 0.0)):
+        with pytest.raises(NonFiniteResult,
+                           match="norm of the operator is not finite"):
+            call()
+    # a square just below the largest double is finite
+    assert checked_operator([[1.3e154, 0.0], [0.0, 0.0]]).norm == 1.3e154
 
 
 def test_qh_residual_hermitian_identity():

@@ -443,20 +443,21 @@ def checks(h, s):
 
 @pytest.mark.parametrize("npoints", [101, 201, 301])
 def test_flip_left_vectors_match_the_adjoint_route(monkeypatch, npoints):
-    # cond(V) > 1e8, and the real form B of this parity-pseudo-Hermitian H
-    # has B^T = J B J, so its left vectors are J conj(W) in place of the
-    # rows of V^-1, and no second eigensolve runs
+    # cond_1(W) > 1e8, and the real form B of this parity-pseudo-Hermitian
+    # H has B^T = J B J, so its left vectors are J conj(W) in place of the
+    # rows of W^-1: those of a threshold of 0, not those of one of inf; and
+    # no second eigensolve runs
     h = broken_schroedinger(npoints)
+    routes = {}
+    for threshold in (0.0, np.inf):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "LEFT_FROM_FLIP_COND", threshold)
+            routes[threshold] = eigendecompose(h, gap_floor=0.0).left_vectors
     eigs = record(monkeypatch, "eig")
-    routes = []
-    original = spectral._left_from_flip
-
-    def recorded(w, rotated):
-        routes.append(True)
-        return original(w, rotated)
-    monkeypatch.setattr(spectral, "_left_from_flip", recorded)
     s = eigendecompose(h, gap_floor=0.0)
-    assert routes == [True] and len(eigs) == 1
+    assert len(eigs) == 1
+    assert np.array_equal(s.left_vectors, routes[0.0])
+    assert not np.array_equal(s.left_vectors, routes[np.inf])
     monkeypatch.undo()
     # the oracle: left vectors from a second eigensolve, of H^dagger, each
     # matched to the nearest free conj(lambda)
@@ -492,6 +493,63 @@ def test_flip_left_vectors_match_the_inverse(monkeypatch, kind):
     assert np.array_equal(s.eigenvalues, ref.eigenvalues)
     assert np.abs(s.left_vectors - ref.left_vectors).max() <= 1e-12
     assert np.abs(s.pairing() - np.eye(7)).max() <= 1e-13
+
+
+def record_left_vectors(monkeypatch):
+    """Record, for each call of the left-vector helper, cond_1(W) and
+    whether it returned J conj(W)."""
+    calls = []
+    original = spectral._left_vectors
+
+    def recorded(w, flip):
+        left, cond = original(w, flip)
+        calls.append((cond, np.array_equal(left, w[::-1].conj())))
+        return left, cond
+    monkeypatch.setattr(spectral, "_left_vectors", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["scaled-p", "broken-schroedinger"])
+def test_rotated_h_and_its_real_form_take_one_route(monkeypatch, case):
+    # H and its real form B = S^dagger H S are solved alike, in B's frame:
+    # the same cond_1(W), read from W and not from S W, and the same route;
+    # H's systems are B's, mapped by S, up to the roundoff of the pairing
+    # <phi_n|psi_n>, whose relative size is 1/kappa_n = 1/||phi_n||
+    h = {"scaled-p": np.array([[0.6j, 1.0], [1.0, -0.6j]]),
+         "broken-schroedinger": broken_schroedinger(101)}[case]
+    b, rotated = spectral.real_form(h)
+    assert rotated
+    calls = record_left_vectors(monkeypatch)
+    s_h = eigendecompose(h, gap_floor=0.0)
+    s_b = eigendecompose(b, gap_floor=0.0)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    cond, flipped = calls[0]
+    if case == "scaled-p":
+        # cond_1(S W) is 2.5 here
+        assert cond == pytest.approx(3.0, rel=1e-12) and not flipped
+    else:
+        assert cond > spectral.LEFT_FROM_FLIP_COND and flipped
+    assert np.array_equal(s_h.eigenvalues, s_b.eigenvalues)
+    kappa = np.linalg.norm(s_b.left_vectors, axis=0)
+    for mapped, vectors in ((s_h.right_vectors, s_b.right_vectors),
+                            (s_h.left_vectors, s_b.left_vectors)):
+        err = np.abs(spectral.state_to_real_form(mapped) - vectors)
+        assert (err.max(axis=0) <= 8 * s_h.dim * EPS * kappa
+                * np.abs(vectors).max(axis=0)).all()
+
+
+@pytest.mark.parametrize("case", ["jordan-3", "overflow"])
+def test_dependent_eigenvectors_are_degenerate(case):
+    # the nilpotent 3x3 Jordan block gives an exactly singular W, and
+    # [[1, 1e300], [0, 1]] a W^-1 whose 1-norm is not finite
+    h, message = {"jordan-3": (np.eye(3, k=1),
+                               "the eigenvectors are linearly dependent"),
+                  "overflow": (np.array([[1.0, 1e300], [0.0, 1.0]]),
+                               "the eigenvectors are linearly dependent "
+                               "(cond_1 nan)")}[case]
+    with pytest.raises(DegenerateSpectrum) as err:
+        eigendecompose(h)
+    assert str(err.value) == message
 
 
 def left_from_lu(monkeypatch, h):

@@ -53,6 +53,11 @@ The corpus:
     norm that overflows;
   - a matrix model of real entries with an explicit indefinite P, whose
     H stays real;
+  - the broken-phase Schroedinger model with the flip as an explicit
+    dense P, so that its complex H is solved through the rotated real
+    form and its left vectors are J conj(W), mapped by S;
+  - a Jordan block that passes the intake check but whose degeneracy
+    floor overflows;
   - every model of the benchmark workloads (bench/workloads.py, read only)
     at the requested seeds.
 
@@ -128,6 +133,8 @@ EDGE_P = dict(SCALED_P, pseudometric=[[0, 9e153], [9e153, 0]])
 # P-pseudo-Hermitian with a real simple spectrum
 REAL_DENSE_P = {"kind": "matrix", "data": [[2, 1], [-1, -3]],
                 "pseudometric": [[1, 0], [0, -1]]}
+FLIP_P = dict(BROKEN_EVOLVE, pseudometric=np.fliplr(np.eye(201)).tolist())
+JORDAN_EDGE = {"kind": "matrix", "data": [[1, 1.3e154], [0, 1]]}
 
 
 def explicit_p_model() -> dict:
@@ -166,7 +173,8 @@ def corpus(seeds) -> list[tuple[str, dict]]:
               ("overflow-check", OVERFLOW_CHECK)]
     named += list(OVERFLOW_NORM.items())
     named += [("one-state", ONE_STATE), ("scaled-p", SCALED_P),
-              ("edge-p", EDGE_P), ("real-dense-p", REAL_DENSE_P)]
+              ("edge-p", EDGE_P), ("real-dense-p", REAL_DENSE_P),
+              ("broken-evolve-flip-p", FLIP_P), ("jordan-edge", JORDAN_EDGE)]
     for workload in WORKLOADS:
         for seed in seeds:
             named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
