@@ -220,7 +220,6 @@ def require_pseudo_hermitian(rel: float, pt_rtol: float) -> None:
 
 
 def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
-                    pairing_floor: float = PAIRING_FLOOR,
                     gap_floor: float | None = None
                     ) -> tuple[np.ndarray, MetricCandidate]:
     """Conventional involutory charge and its positive metric Theta = P C.
@@ -232,13 +231,11 @@ def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
     pm = as_pseudometric(p)
     require_pseudo_hermitian(pt_symmetry_residual(op, pm)[1], DEFAULT_PT_RTOL)
     return charge_from_spectrum(eigendecompose(op, gap_floor), pm,
-                                reality_tol=reality_tol,
-                                pairing_floor=pairing_floor)
+                                reality_tol=reality_tol)
 
 
 def charge_from_spectrum(s: SpectralData, p, *,
-                         reality_tol: float = DEFAULT_REALITY_TOL,
-                         pairing_floor: float = PAIRING_FLOOR
+                         reality_tol: float = DEFAULT_REALITY_TOL
                          ) -> tuple[np.ndarray, MetricCandidate]:
     """Standard charge C and metric Theta = P C from the eigensystem of H.
 
@@ -248,7 +245,7 @@ def charge_from_spectrum(s: SpectralData, p, *,
     definite while C = P^-1 Theta squares to the identity and commutes
     with H.  For a structured P, C is a view of Theta (``inverse_apply``).
     c_n scales as P^-1 and C not at all, so a pairing below
-    ``pairing_floor`` ||P^-1||_2 raises ExceptionalPoint.
+    PAIRING_FLOOR ||P^-1||_2 raises ExceptionalPoint.
     """
     pm = as_pseudometric(p)
     if s.dim != pm.dim:
@@ -269,7 +266,7 @@ def charge_from_spectrum(s: SpectralData, p, *,
             "left-eigenvector pairings acquired imaginary parts; "
             "H is not consistently pseudo-Hermitian w.r.t. P")
     c = c.real
-    floor = pairing_floor * pm.inverse_norm
+    floor = PAIRING_FLOOR * pm.inverse_norm
     if np.any(np.abs(c) < floor):
         raise ExceptionalPoint(
             f"pairing |c_n| below {floor:g}; eigensystem degenerating")

@@ -12,8 +12,9 @@ Every operator is held as its three stencil bands (lower, diagonal,
 upper), and P acts as a plain reversal, so the family checks run in O(N).
 Dense matrices are assembled from the same bands only for callers that
 need them, such as the Schroedinger eigensolve.  The family functions
-check their arrays, but take a record (``CheckedAnsatz``, ``CheckedSplit``)
-as it is: the model path builds them from arrays checked where they enter.
+check their arrays, but take a ``ChargeAnsatz`` or a ``PotentialSplit`` as
+it is when its ``grid`` is the grid they are handed: the model path builds
+them on their grid from arrays checked where they enter.
 
 The forward map from a charge ansatz to the potential reads, per sample,
 
@@ -109,15 +110,25 @@ def _samples(grid: Grid, dtype=float, **named) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ChargeAnsatz:
-    """Sampled first-order charge data: even sigma, odd alpha, constant omega."""
+    """Sampled first-order charge data: even sigma, odd alpha, constant omega.
+
+    ``grid``, when set, is the grid on which sigma and alpha are float
+    arrays checked (their length, finite entries), and the bands of the
+    charge C on it are taken on first use and kept."""
 
     sigma: np.ndarray
     alpha: np.ndarray
     omega: float
+    grid: Grid | None = None
 
     @property
     def w(self) -> np.ndarray:
         return self.sigma + 1j * self.alpha
+
+    @cached_property
+    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lower, diag, upper = _d1_bands(self.grid)
+        return lower, diag + self.w, upper
 
 
 def make_ansatz(grid: Grid, sigma, alpha, omega: float = 0.0) -> ChargeAnsatz:
@@ -130,12 +141,14 @@ def make_ansatz(grid: Grid, sigma, alpha, omega: float = 0.0) -> ChargeAnsatz:
 @dataclass(frozen=True)
 class PotentialSplit:
     """Potential split by reality and parity:
-    V = real_even + real_odd + i*(imag_even + imag_odd)."""
+    V = real_even + real_odd + i*(imag_even + imag_odd); ``grid``, when set,
+    is the grid on which its potential is a checked complex array."""
 
     real_even: np.ndarray
     real_odd: np.ndarray
     imag_even: np.ndarray
     imag_odd: np.ndarray
+    grid: Grid | None = None
 
     def potential(self) -> np.ndarray:
         return (self.real_even + self.real_odd
@@ -191,42 +204,18 @@ def hamiltonian_bands(grid: Grid, v: np.ndarray) -> tuple:
     return -lower, v - diag, -upper
 
 
-@dataclass(frozen=True, eq=False)
-class CheckedAnsatz:
-    """A ChargeAnsatz whose sigma and alpha are float arrays checked on
-    ``grid`` (its length, finite entries), with the bands of its charge C
-    taken on first use and kept; a family function takes it with that grid."""
-
-    ansatz: ChargeAnsatz
-    grid: Grid
-
-    @cached_property
-    def bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lower, diag, upper = _d1_bands(self.grid)
-        return lower, diag + self.ansatz.w, upper
-
-
-@dataclass(frozen=True, eq=False)
-class CheckedSplit:
-    """The potential of a PotentialSplit, a complex array checked on the
-    grid that a family function takes it with."""
-
-    potential: np.ndarray
-
-
-def _checked(a, grid: Grid) -> CheckedAnsatz:
-    """A CheckedAnsatz as it is, or an ansatz checked on ``grid``."""
-    if isinstance(a, CheckedAnsatz):
+def _checked(a: ChargeAnsatz, grid: Grid) -> ChargeAnsatz:
+    """``a`` as it is on its own ``grid``, else its arrays checked there."""
+    if a.grid is grid:
         return a
     sigma, alpha = _samples(grid, sigma=a.sigma, alpha=a.alpha)
-    return CheckedAnsatz(ChargeAnsatz(sigma, alpha, a.omega), grid)
+    return ChargeAnsatz(sigma, alpha, a.omega, grid)
 
 
-def _potential(ps, grid: Grid) -> np.ndarray:
-    """The potential of a CheckedSplit, or of a split checked on ``grid``."""
-    if isinstance(ps, CheckedSplit):
-        return ps.potential
-    return _samples(grid, complex, potential=ps.potential())[0]
+def _potential(ps: PotentialSplit, grid: Grid) -> np.ndarray:
+    """The potential of ``ps``, checked unless ``ps`` is on ``grid``."""
+    v = ps.potential()
+    return v if ps.grid is grid else _samples(grid, complex, potential=v)[0]
 
 
 def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
@@ -275,8 +264,7 @@ def forward_family(a: ChargeAnsatz) -> tuple[np.ndarray, np.ndarray]:
     return s_even, lam_odd
 
 
-def compatible_split(a: ChargeAnsatz | CheckedAnsatz, grid: Grid
-                     ) -> PotentialSplit:
+def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
     """Full four-component potential split compatible with the ansatz.
 
     Besides the pointwise S and Lambda, the first-order coefficient of the
@@ -286,14 +274,15 @@ def compatible_split(a: ChargeAnsatz | CheckedAnsatz, grid: Grid
     one-sided end stencils are not mirror images in floating point, so the
     derivatives are projected onto their parity (sigma' odd, alpha' even);
     the interior differences already have it exactly and do not change.
-    ``make_split`` checks the split of an ansatz, not of a CheckedAnsatz.
+    The split of an ansatz on ``grid`` is on ``grid`` too; that of any
+    other ansatz is checked by ``make_split``, and has no grid.
     """
     rec = _checked(a, grid)
-    s_even, lam_odd = forward_family(rec.ansatz)
-    ds = odd_part(np.gradient(rec.ansatz.sigma, grid.spacing, edge_order=2))
-    da = even_part(np.gradient(rec.ansatz.alpha, grid.spacing, edge_order=2))
+    s_even, lam_odd = forward_family(rec)
+    ds = odd_part(np.gradient(rec.sigma, grid.spacing, edge_order=2))
+    da = even_part(np.gradient(rec.alpha, grid.spacing, edge_order=2))
     if rec is a:
-        return PotentialSplit(s_even, -ds, -da, lam_odd)
+        return PotentialSplit(s_even, -ds, -da, lam_odd, grid)
     return make_split(grid, s_even, -ds, -da, lam_odd)
 
 
@@ -314,8 +303,8 @@ def _central2(f: np.ndarray, h: float) -> np.ndarray:
     return (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
 
 
-def ode_pair_residual(a: ChargeAnsatz | CheckedAnsatz, s_even, lam_odd,
-                      grid: Grid) -> tuple[float, float]:
+def ode_pair_residual(a: ChargeAnsatz, s_even, lam_odd, grid: Grid
+                      ) -> tuple[float, float]:
     """Max-norm residuals of the differentiated compatibility pair
 
         S' = 2 sigma' sigma - 2 alpha' alpha
@@ -323,10 +312,10 @@ def ode_pair_residual(a: ChargeAnsatz | CheckedAnsatz, s_even, lam_odd,
 
     with central differences on interior points; O(h^2) for smooth data
     produced by forward_family.  NonFiniteResult when either overflows.
-    S and Lambda passed with a CheckedAnsatz are taken as checked too.
+    S and Lambda passed with an ansatz on ``grid`` are taken as checked too.
     """
     rec = _checked(a, grid)
-    sigma, alpha, h = rec.ansatz.sigma, rec.ansatz.alpha, grid.spacing
+    sigma, alpha, h = rec.sigma, rec.alpha, grid.spacing
     s_arr, lam_arr = (s_even, lam_odd) if rec is a else _samples(
         grid, s_even=s_even, lam_odd=lam_odd)
     sig_i = sigma[1:-1]
@@ -379,8 +368,7 @@ def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
     return make_ansatz(grid, sigma, alpha, omega)
 
 
-def compose_pct_residual(a: ChargeAnsatz | CheckedAnsatz,
-                         ps: PotentialSplit | CheckedSplit, grid: Grid
+def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
                          ) -> float:
     """Largest entry of H^dagger (P C) - (P C) H away from the boundary.
 
@@ -432,8 +420,7 @@ def odd_part(f: np.ndarray) -> np.ndarray:
     return 0.5 * (f - f[::-1])
 
 
-def coefficient_match(a: ChargeAnsatz | CheckedAnsatz,
-                      ps: PotentialSplit | CheckedSplit, grid: Grid
+def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
                       ) -> CoefficientResiduals:
     """Coefficient-level comparison of H^dagger (P C) against (P C) H.
 
@@ -459,7 +446,7 @@ def coefficient_match(a: ChargeAnsatz | CheckedAnsatz,
     residual overflows.
     """
     v = _potential(ps, grid)
-    w = _checked(a, grid).ansatz.w
+    w = _checked(a, grid).w
     h = grid.spacing
     n = grid.npoints
     u = np.conj(v)[::-1]
@@ -490,8 +477,7 @@ def coefficient_match(a: ChargeAnsatz | CheckedAnsatz,
         )
 
 
-def charge_pg_hermiticity(a: ChargeAnsatz | CheckedAnsatz, grid: Grid
-                          ) -> float:
+def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
     """Frobenius deviation of P C from Hermiticity.
 
     P D1 and P diag(w) are individually Hermitian exactly when the grid is
@@ -504,7 +490,7 @@ def charge_pg_hermiticity(a: ChargeAnsatz | CheckedAnsatz, grid: Grid
         [c - g for c, g in zip(cb, _reflected_adjoint(cb))])))
 
 
-def charge_norm(a: ChargeAnsatz | CheckedAnsatz, grid: Grid) -> float:
+def charge_norm(a: ChargeAnsatz, grid: Grid) -> float:
     """Frobenius norm of C, equal to that of P C."""
     return float(np.linalg.norm(np.concatenate(
         _checked(a, grid).bands)))

@@ -26,12 +26,12 @@ from .expressions import Expression, Sampler, parse_expression
 from .factorization import (PseudoMetric, SpaceTriple, as_pseudometric,
                             charge_from_spectrum, pt_symmetry_residual,
                             require_pseudo_hermitian, verify_table)
-from .family import (SIGMA_FLOOR, ChargeAnsatz, CheckedAnsatz, CheckedSplit,
-                     Grid, PotentialSplit, charge_norm, charge_pg_hermiticity,
-                     coefficient_match, compatible_split, compose_pct_residual,
-                     even_part, forward_family, hamiltonian_bands,
-                     inverse_family, make_grid, ode_pair_residual, odd_part,
-                     parity_deviation, tridiagonal)
+from .family import (SIGMA_FLOOR, ChargeAnsatz, Grid, PotentialSplit,
+                     charge_norm, charge_pg_hermiticity, coefficient_match,
+                     compatible_split, compose_pct_residual, even_part,
+                     forward_family, hamiltonian_bands, inverse_family,
+                     make_grid, ode_pair_residual, odd_part, parity_deviation,
+                     tridiagonal)
 from .metrics import (MetricCandidate, frobenius_residual, qh_residual,
                       spectral_metric)
 from .operators import CheckedOperator
@@ -479,8 +479,7 @@ def parse_model(document) -> ModelSpec:
         (sigma, alpha), payload["raw_max"] = _sample_parity_pair(
             exprs, ("sigma", "alpha"), sampler, document=document)
         omega = _as_number(document.get("omega", 0.0), "omega")
-        payload["grid"] = grid
-        payload["ansatz"] = ChargeAnsatz(sigma, alpha, omega)
+        payload["ansatz"] = ChargeAnsatz(sigma, alpha, omega, grid)
         if "S" in document or "Lambda" in document:
             (payload["s_even"], payload["lam_odd"]), _ = _sample_parity_pair(
                 exprs, ("S", "Lambda"), sampler, document=document)
@@ -522,12 +521,15 @@ def parse_model(document) -> ModelSpec:
 class _Analysis:
     """The chain of one model under fixed options: H, its eigensystem, the
     pseudometric P, the default metric Theta and the triple (P, C, P C);
-    for a family model, the compatible split of its ansatz.
+    for a family model, its ansatz and the compatible split of it.  Each
+    quantity is read by one name.
 
     Every task of a scenario or battery reads from one instance.  Each
-    quantity is built on first use and kept only if the build succeeds, so
-    a task that needs nothing raises nothing, and a domain error is raised
-    afresh, with the same text, by every task that needs the quantity.
+    quantity is built on first use, so a task that needs nothing raises
+    nothing.  The eigensystem is kept whether its solve succeeds or raises,
+    so the solve runs once; any other quantity is kept only if its build
+    succeeds.  Either way, a domain error is raised, with the same text,
+    by every task that needs the quantity.
 
     Under a "parity" or "identity" P, a real or PT-symmetric H is analyzed
     in its real form (``spectral.real_form``): H itself when it is real,
@@ -540,7 +542,8 @@ class _Analysis:
     one ``CheckedOperator`` (``op``), so that its tridiagonal bands and its
     Frobenius norm are each taken once per analysis; the tasks hand it to
     the public operator functions, as they do the ``metric`` (certified
-    where its eigenvalues are read) and a family model's ``ansatz`` record.
+    where its eigenvalues are read) and a family model's ``ansatz``, which
+    carries the grid it was checked on.
     """
 
     def __init__(self, spec: ModelSpec, opts: dict, tol: float):
@@ -549,22 +552,17 @@ class _Analysis:
         self.tol = tol
 
     @property
-    def h(self) -> np.ndarray:
-        """H, or its real form B in the frame of the analysis."""
-        if self.spec.kind == "family":
-            raise SchemaError("task needs an operator model, got kind 'family'")
-        return self.spec.payload["h"]
-
-    @property
     def rotated(self) -> bool:
         return self.spec.payload["rotated"]
 
     @cached_property
     def op(self) -> CheckedOperator:
-        """The record of ``h``: ``parse_model`` checked it, and required its
-        squared Frobenius norm finite, which the real form keeps up to
-        roundoff."""
-        return CheckedOperator(self.h)
+        """H, or its real form B in the frame of the analysis: ``parse_model``
+        checked it, and required its squared Frobenius norm finite, which
+        the real form keeps up to roundoff."""
+        if self.spec.kind == "family":
+            raise SchemaError("task needs an operator model, got kind 'family'")
+        return CheckedOperator(self.spec.payload["h"])
 
     def model_matrix(self, x: np.ndarray) -> np.ndarray:
         """A matrix of the analysis as a complex matrix in the frame of the
@@ -574,15 +572,27 @@ class _Analysis:
         return x.astype(complex, copy=False)
 
     @cached_property
+    def _eigensystem(self) -> SpectralData | QuasihermError:
+        """The eigensystem, or the domain error that its solve raised."""
+        op = self.op
+        try:
+            return eigendecompose(op, self.opts.get("gap_floor"))
+        except QuasihermError as exc:
+            return exc
+
+    @property
     def spectrum(self) -> SpectralData:
-        return eigendecompose(self.op, self.opts.get("gap_floor"))
+        s = self._eigensystem
+        if isinstance(s, QuasihermError):
+            raise s
+        return s
 
     @cached_property
     def spectrum_checks(self) -> tuple[float, float]:
         """The reconstruction and pairing deviations of the eigensystem,
         two N^3 products taken once per analysis."""
         s = self.spectrum
-        _, recon_rel = frobenius_residual(self.h - s.reconstruction(),
+        _, recon_rel = frobenius_residual(self.op.matrix - s.reconstruction(),
                                           self.op.norm)
         return recon_rel, float(np.linalg.norm(_minus_identity(s.pairing())))
 
@@ -608,26 +618,19 @@ class _Analysis:
         return SpaceTriple(pm, *charge_from_spectrum(self.spectrum, pm,
                                                      reality_tol=self.tol))
 
-    @cached_property
-    def ansatz(self) -> CheckedAnsatz:
-        """A family model's ansatz, checked where ``parse_model`` sampled it."""
-        kind, payload = self.spec.kind, self.spec.payload
+    @property
+    def ansatz(self) -> ChargeAnsatz:
+        """A family model's ansatz, on the grid where ``parse_model`` checked
+        it."""
+        kind = self.spec.kind
         if kind != "family":
             raise SchemaError(f"task needs a family model, got kind {kind!r}")
-        return CheckedAnsatz(payload["ansatz"], payload["grid"])
+        return self.spec.payload["ansatz"]
 
     @cached_property
     def split(self) -> PotentialSplit:
+        """The compatible split of the ansatz, on the ansatz's grid."""
         return compatible_split(self.ansatz, self.ansatz.grid)
-
-    @property
-    def potential(self) -> tuple[np.ndarray, np.ndarray]:
-        """S and Lambda of the ansatz, as ``forward_family`` gives them: the
-        split holds the same arrays, so they are read from it once a task
-        has built it, and no derivative is taken for them alone."""
-        if "split" in self.__dict__:  # where cached_property keeps it
-            return self.split.real_even, self.split.imag_odd
-        return forward_family(self.ansatz.ansatz)
 
 
 def _minus_identity(x: np.ndarray) -> np.ndarray:
@@ -741,16 +744,16 @@ def _psi0_from_options(opts, dim: int) -> np.ndarray:
 
 
 def _task_evolve(a: _Analysis):
-    h = a.h
+    dim = a.op.shape[0]
     t_max = float(a.opts.get("t_max", 20.0))
     steps = int(a.opts.get("steps", 200))
     if t_max <= 0 or steps < 2:
         raise SchemaError("need t_max > 0 and steps >= 2", "evolve")
-    if steps * h.shape[0] > MAX_EVOLVE_ENTRIES:
+    if steps * dim > MAX_EVOLVE_ENTRIES:
         raise SchemaError(
-            f"need steps * dim <= {MAX_EVOLVE_ENTRIES}, got {steps} * "
-            f"{h.shape[0]}", "evolve")
-    psi0 = _psi0_from_options(a.opts, h.shape[0])
+            f"need steps * dim <= {MAX_EVOLVE_ENTRIES}, got {steps} * {dim}",
+            "evolve")
+    psi0 = _psi0_from_options(a.opts, dim)
     if a.rotated:
         psi0 = state_to_real_form(psi0)  # the norm traces do not change
     recon_rel, pairing_dev = a.spectrum_checks
@@ -796,8 +799,7 @@ def _task_evolve(a: _Analysis):
 
 
 def _task_family_forward(a: _Analysis):
-    grid, ansatz = a.ansatz.grid, a.ansatz.ansatz
-    split = a.split
+    ansatz, split = a.ansatz, a.split
     s_even, lam_odd = split.real_even, split.imag_odd
     s_parity = parity_deviation(s_even, +1)
     lam_parity = parity_deviation(lam_odd, -1)
@@ -809,21 +811,21 @@ def _task_family_forward(a: _Analysis):
         _row("real_odd_sup", float(np.abs(split.real_odd).max())),
         _row("imag_even_sup", float(np.abs(split.imag_even).max())),
     ]
-    return rows, (grid.points, [
+    return rows, (ansatz.grid.points, [
         ("sigma", ansatz.sigma), ("alpha", ansatz.alpha),
         ("S", s_even), ("Lambda", lam_odd),
         ("real_odd", split.real_odd), ("imag_even", split.imag_even)])
 
 
 def _task_family_inverse(a: _Analysis):
-    spec = a.spec
-    grid, ansatz = a.ansatz.grid, a.ansatz.ansatz
+    spec, ansatz = a.spec, a.ansatz
+    grid = ansatz.grid
     branch = int(a.opts.get("branch", +1))
     if branch not in (+1, -1):
         raise SchemaError(f"need branch +1 or -1, got {branch}", "branch")
     roundtrip = "s_even" not in spec.payload
     if roundtrip:
-        s_even, lam_odd = a.potential
+        s_even, lam_odd = forward_family(ansatz)
     else:
         s_even, lam_odd = spec.payload["s_even"], spec.payload["lam_odd"]
     recovered = inverse_family(s_even, lam_odd, ansatz.omega, grid,
@@ -850,8 +852,8 @@ def _task_family_inverse(a: _Analysis):
 
 
 def _task_family_check(a: _Analysis):
-    spec = a.spec
-    grid, ansatz = a.ansatz.grid, a.ansatz.ansatz
+    spec, ansatz = a.spec, a.ansatz
+    grid = ansatz.grid
     levels = int(a.opts.get("refine", 0))
     # min() keeps 2**levels small; any level above 64 is over the cap
     if levels < 0 or ((grid.npoints - 1) * 2 ** min(levels, 64) + 1
@@ -859,20 +861,19 @@ def _task_family_check(a: _Analysis):
         raise SchemaError(
             f"need refine >= 0 and at most {MAX_REFINED_POINTS} points on "
             f"the finest grid, got refine {levels}", "refine")
-    # records of arrays checked where they entered: the charge bands are
-    # built once, the Hamiltonian bands once per split
-    rec, full = a.ansatz, a.split
+    # the ansatz and its splits are on their grid, so no array is checked
+    # again: the charge bands are built once, the Hamiltonian bands once
+    # per split
+    full = a.split
     zeros = np.zeros(grid.npoints)
-    v_full = CheckedSplit(full.potential())
-    v_partial = CheckedSplit(
-        replace(full, real_odd=zeros, imag_even=zeros).potential())
+    partial = replace(full, real_odd=zeros, imag_even=zeros)
 
-    cm = coefficient_match(rec, v_full, grid)
-    pg = charge_pg_hermiticity(rec, grid)
-    pc_scale = charge_norm(rec, grid)
-    r1, r2 = ode_pair_residual(rec, full.real_even, full.imag_odd, grid)
-    compose_full = compose_pct_residual(rec, v_full, grid)
-    compose_partial = compose_pct_residual(rec, v_partial, grid)
+    cm = coefficient_match(ansatz, full, grid)
+    pg = charge_pg_hermiticity(ansatz, grid)
+    pc_scale = charge_norm(ansatz, grid)
+    r1, r2 = ode_pair_residual(ansatz, full.real_even, full.imag_odd, grid)
+    compose_full = compose_pct_residual(ansatz, full, grid)
+    compose_partial = compose_pct_residual(ansatz, partial, grid)
 
     d3, d2 = cm.sup(3), cm.sup(2)
     rows = [
@@ -907,8 +908,8 @@ def _task_family_check(a: _Analysis):
             for row, old, add in zip(fine_samples, samples, new):
                 row[0::2], row[1::2] = old, add
             samples = fine_samples
-            fine_ansatz = ChargeAnsatz(*samples, ansatz.omega)
-            fr1, fr2 = ode_pair_residual(CheckedAnsatz(fine_ansatz, fine),
+            fine_ansatz = ChargeAnsatz(*samples, ansatz.omega, fine)
+            fr1, fr2 = ode_pair_residual(fine_ansatz,
                                          *forward_family(fine_ansatz), fine)
             rows.append(_row(f"ode_residual_S_level{k}", fr1))
             rows.append(_row(f"ode_residual_Lambda_level{k}", fr2))

@@ -98,6 +98,54 @@ def test_invalid_json_exit_two(tmp_path, capsys):
     assert main(["spectrum", "--model", str(path)]) == 2
 
 
+LATTICE_4 = {"kind": "lattice", "n": 4, "gamma": 0.3}
+BOX = {"kind": "schroedinger", "grid": {"L": 4, "N": 5}}
+
+
+# a fault of the model exits 2 with its message on stderr; a fault of an
+# evolve option is one failed SchemaError row, exit 1
+@pytest.mark.parametrize("argv,doc,code,message", [
+    (["report"], {"kind": "lattice", "n": 1}, 2,
+     "n: need at least two sites"),
+    (["report"], dict(LATTICE_4, pattern="zigzag"), 2,
+     "pattern: unknown pattern 'zigzag'"),
+    (["report"], [1, 2], 2, "model document must be an object"),
+    (["report"], dict(MODEL_2X2, pseudometric=5), 2,
+     "pseudometric: pseudometric must be 'parity', 'identity', or a matrix"),
+    (["report"], dict(BOX, grid={"L": "4", "N": 5}), 2,
+     "grid.L: expected a number, got '4'"),
+    (["report"], dict(BOX, grid={"L": 4, "N": 5.0}), 2,
+     "grid.N: expected an integer, got 5.0"),
+    (["report"], dict(BOX, grid=5), 2, "grid: expected an object with L and N"),
+    (["report"], dict(BOX, V_real=3), 2,
+     "V_real: expected an expression string, got 3"),
+    (["report"], {"kind": "matrix", "data": []}, 2,
+     "data: expected a non-empty list of rows"),
+    (["evolve", "--psi0", "9"], LATTICE_4, 1,
+     "psi0: psi0 index out of range for dim 4"),
+    (["evolve", "--psi0", "psi0.json"], LATTICE_4, 1,
+     "psi0: psi0 must have dimension 4"),
+    (["evolve", "--t-max", "-1"], LATTICE_4, 1,
+     "evolve: need t_max > 0 and steps >= 2"),
+], ids=["n-1", "pattern", "document-list", "pseudometric-number", "L-string",
+        "N-float", "grid-number", "V_real-number", "data-empty",
+        "psi0-index", "psi0-length", "t_max-negative"])
+def test_intake_error_exit_code_and_message(model_file, tmp_path, capsys,
+                                            argv, doc, code, message):
+    (tmp_path / "psi0.json").write_text("[1, 0]")
+    argv = [str(tmp_path / arg) if arg == "psi0.json" else arg
+            for arg in argv]
+    assert main([*argv, "--model", model_file(doc)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert (captured.out, captured.err) == ("", f"quasiherm: {message}\n")
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["rows"] == [
+            {"name": "SchemaError", "value": message, "pass": False,
+             "tol": None}]
+
+
 def test_reports_are_byte_identical(model_file, tmp_path):
     path = model_file(MODEL_2X2)
     out1 = tmp_path / "a.json"

@@ -5,10 +5,10 @@ from quasiherm import (BrokenPhase, DimensionMismatch, ExceptionalPoint,
                        NonHermitianMetric, NotPTSymmetric, PseudoMetric,
                        SingularPseudoMetric, as_pseudometric,
                        charge_from_metric, charge_from_spectrum,
-                       conjugation_in, eigendecompose, make_triple,
-                       parity_matrix, pt_symmetry_residual, qh_residual,
-                       signature, spectral_metric, standard_charge,
-                       triple_inner, verify_table)
+                       conjugation_in, eigendecompose, factorization,
+                       make_triple, parity_matrix, pt_symmetry_residual,
+                       qh_residual, signature, spectral_metric,
+                       standard_charge, triple_inner, verify_table)
 from quasiherm.models import parse_model, run_scenario
 from quasiherm.spectral import real_form
 
@@ -107,24 +107,27 @@ def test_standard_charge_reports_a_shape_fault_once(model_h, monkeypatch):
         "operator (2, 2) incompatible with pseudometric (3, 3)")
 
 
-def test_standard_charge_pairing_guard(model_h, parity2):
+def test_standard_charge_pairing_guard(model_h, parity2, monkeypatch):
+    monkeypatch.setattr(factorization, "PAIRING_FLOOR", 10.0)
     with pytest.raises(ExceptionalPoint):
-        standard_charge(model_h, parity2, pairing_floor=10.0)
+        standard_charge(model_h, parity2)
 
 
 P_SCALES = [1e-20, 1e-11, 1e-5, 1.0, 1e5, 1e11, 1e20]
 
 
 @pytest.mark.parametrize("scale", P_SCALES)
-def test_pairing_floor_follows_the_scale_of_p(model_h, parity2, scale):
+def test_pairing_floor_follows_the_scale_of_p(model_h, parity2, scale,
+                                              monkeypatch):
     # c_n = <phi_n|P^-1|phi_n> scales as 1/s, and C = P^-1 Theta not at all,
     # so the guard compares |c_n| with the floor times ||P^-1||_2
     reference, _ = standard_charge(model_h, parity2)
     c, cand = standard_charge(model_h, scale * parity2)
     assert cand.positive
     assert np.linalg.norm(c - reference) <= 1e-15 * np.linalg.norm(reference)
+    monkeypatch.setattr(factorization, "PAIRING_FLOOR", 10.0)
     with pytest.raises(ExceptionalPoint):
-        standard_charge(model_h, scale * parity2, pairing_floor=10.0)
+        standard_charge(model_h, scale * parity2)
     assert as_pseudometric(scale * parity2).inverse_norm == pytest.approx(
         1 / scale, rel=1e-15)
 

@@ -203,6 +203,49 @@ def test_wrong_length_sample_is_named(case):
         call()
 
 
+# each family function that takes an ansatz, with a split where it takes one
+FAMILY_USES = {
+    "charge_norm": lambda a, ps, g: charge_norm(a, g),
+    "charge_pg_hermiticity": lambda a, ps, g: charge_pg_hermiticity(a, g),
+    "compatible_split": (
+        lambda a, ps, g: compatible_split(a, g).real_odd.tolist()),
+    "ode_pair_residual": (
+        lambda a, ps, g: ode_pair_residual(a, ps.real_even, ps.imag_odd, g)),
+    "compose_pct_residual": compose_pct_residual,
+    "coefficient_match": lambda a, ps, g: coefficient_match(a, ps, g).sup(0),
+}
+
+
+@pytest.mark.parametrize("use", FAMILY_USES)
+def test_ansatz_and_split_are_taken_as_they_are_only_on_their_own_grid(
+        monkeypatch, use):
+    # an ansatz and a split that carry G11 are checked on a grid of another
+    # length; on G11 they are taken as they are: no array is scanned again,
+    # and the value is that of the grid-less ansatz and split
+    from quasiherm import family
+    call = FAMILY_USES[use]
+    a = replace(A11, grid=G11)
+    ps = compatible_split(a, G11)
+    assert ps.grid is G11 and S11.grid is None
+    with pytest.raises(DimensionMismatch,
+                       match=r"^sigma must have length 21, got shape"):
+        call(a, S21, G21)
+    if use in ("compose_pct_residual", "coefficient_match"):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^potential must have length 21, got shape"):
+            call(A21, ps, G21)
+    reference = call(A11, S11, G11)
+    samples = []
+    original = family._samples
+
+    def counted(*args, **kwargs):
+        samples.append(kwargs)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(family, "_samples", counted)
+    assert call(a, ps, G11) == reference
+    assert samples == []
+
+
 NAN = np.where(G21.points == 0.0, np.nan, 1.0)
 
 NON_FINITE = {
@@ -721,7 +764,8 @@ def test_derivative_companions_converge_to_symbolic_derivatives(texts):
         spec = parse_model({"kind": "family", "grid": {"L": 4, "N": n},
                             "sigma": texts[0], "alpha": texts[1],
                             "omega": 0.7})
-        g, a = spec.payload["grid"], spec.payload["ansatz"]
+        a = spec.payload["ansatz"]
+        g = a.grid
         ps = compatible_split(a, g)
         cm = coefficient_match(a, ps, g)
         assert cm.sup(1) <= 1e-13
@@ -751,7 +795,8 @@ def public_check_rows(texts, npoints, levels):
     for k in range(levels + 1):
         n = 2 ** k * (npoints - 1) + 1
         spec = parse_model(family_doc(texts, n))
-        g, a = spec.payload["grid"], spec.payload["ansatz"]
+        a = spec.payload["ansatz"]
+        g = a.grid
         ps = compatible_split(a, g)
         ode = ode_pair_residual(a, ps.real_even, ps.imag_odd, g)
         if k == 0:
@@ -780,7 +825,8 @@ def public_forward_inverse_rows(texts, npoints):
     """(name, value) of the family-forward and family-inverse rows of a
     report, from the public functions on the parsed ansatz."""
     spec = parse_model(family_doc(texts, npoints))
-    g, a = spec.payload["grid"], spec.payload["ansatz"]
+    a = spec.payload["ansatz"]
+    g = a.grid
     ps = compatible_split(a, g)
     back = inverse_family(ps.real_even, ps.imag_odd, a.omega, g)
     mask = np.abs(a.sigma) > SIGMA_FLOOR

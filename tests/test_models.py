@@ -207,7 +207,8 @@ def test_refined_check_matches_scalar_samples_at_every_level(doc):
     report = run_scenario(spec, "family-check", {"refine": 2})
     grid, ansatz = scalar_ansatz(doc, doc["grid"]["N"])
     base = run_scenario(
-        replace(spec, payload=dict(spec.payload, ansatz=ansatz)),
+        replace(spec, payload=dict(spec.payload,
+                                   ansatz=replace(ansatz, grid=grid))),
         "family-check")
     rows = list(base.rows)
     prev = [rows_by_name(base)[f"ode_residual_{f}"].value
@@ -528,7 +529,7 @@ def test_family_battery_builds_the_split_once(monkeypatch):
     parity = count_calls(monkeypatch, family, "parity_deviation")
     report = run_battery(parse_model(MODEL_FAMILY))
     assert report.all_passed
-    assert len(splits) == 1 and forwards == []
+    assert len(splits) == 1 and len(forwards) == 1
     # only the recovered sigma and alpha: the split of the parsed ansatz,
     # exactly even and odd, is built without compatible_split's checks
     assert len(parity) == 2
@@ -677,10 +678,10 @@ def test_spectrum_scenario_builds_nothing_else(monkeypatch):
 
 
 def test_errors_are_raised_again_not_cached(monkeypatch):
-    # every task needing the eigensystem reports the failure, and each
-    # one retries the eigensolve, since only successes are memoized; the
-    # identity is symmetric and commutes with the flip, so each retry is
-    # two sector eigh calls, and two of its three vectors share the even
+    # every task needing the eigensystem reports the failure, and none
+    # retries the eigensolve, since a failed one is kept too; the identity
+    # is symmetric and commutes with the flip, so the one solve is two
+    # sector eigh calls, and two of its three vectors share the even
     # sector, where no symmetry keeps them apart
     eig_calls = count_calls(monkeypatch, np.linalg, "eig")
     eigh_calls = count_calls(monkeypatch, np.linalg, "eigh")
@@ -691,7 +692,25 @@ def test_errors_are_raised_again_not_cached(monkeypatch):
                      "factorize.DegenerateSpectrum", "table.DegenerateSpectrum",
                      "evolve.DegenerateSpectrum"]
     assert eig_calls == []
-    assert len(eigh_calls) == 10
+    assert len(eigh_calls) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "matrix", "data": [[1, 1], [0, 1]]},
+    {"kind": "schroedinger", "grid": {"L": 8, "N": 201}, "V_imag": "x^3"}],
+    ids=["jordan", "imaginary-cubic"])
+def test_failed_eigensolve_runs_once(monkeypatch, doc):
+    # the general eigensolve raises for both; a report runs it once, and
+    # its rows are those of five fresh scenarios, each solving anew
+    fresh = [replace(r, name=f"{task}.{r.name}")
+             for task in models.OPERATOR_TASKS
+             for r in run_scenario(parse_model(doc), task).rows]
+    eig_calls = count_calls(monkeypatch, np.linalg, "eig")
+    report = run_battery(parse_model(doc))
+    assert len(eig_calls) == 1
+    assert report.rows == fresh
+    assert [r.name for r in report.rows] == [
+        f"{task}.DegenerateSpectrum" for task in models.OPERATOR_TASKS]
 
 
 def test_factorize_gates_before_the_eigensolve(monkeypatch):

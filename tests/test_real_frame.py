@@ -173,8 +173,8 @@ def test_dense_pseudometric_is_not_rotated():
     structured = parse_model(dict(doc, pseudometric="parity"))
     a = models._Analysis(dense, {}, models.DEFAULT_TOL)
     assert not a.rotated
-    assert a.h is dense.payload["h"]
-    assert a.h.tobytes() == document_h(doc).tobytes()
+    assert a.op.matrix is dense.payload["h"]
+    assert a.op.matrix.tobytes() == document_h(doc).tobytes()
     assert models._Analysis(structured, {}, models.DEFAULT_TOL).rotated
     rows_dense = run_battery(dense).rows
     rows_structured = run_battery(structured).rows
