@@ -9,7 +9,8 @@ Grammar, lowest to highest precedence:
     atom   := NUMBER | "x" | NAME "(" expr ")" | "(" expr ")"
 
 so "-x^2" is -(x^2) and "x^2^3" is x^(2^3).  Domain violations surface at
-evaluation time with the offending sample point.
+evaluation time with the offending sample point.  exp, log, sqrt and abs
+are numpy's ufuncs, scalars included; the other functions and "^" are libm's.
 """
 
 from __future__ import annotations
@@ -160,6 +161,11 @@ def _eval(node, x: float) -> float:
         return -_eval(node[1], x)
     if tag == "call":
         arg = _eval(node[2], x)
+        if node[1] in _NUMPY_FUNCTIONS:
+            with np.errstate(all="ignore"):
+                value = float(_NUMPY_FUNCTIONS[node[1]](np.float64(arg)))
+            if math.isfinite(value):
+                return value
         try:
             return float(FUNCTIONS[node[1]](arg))
         except (ValueError, OverflowError) as exc:
@@ -196,11 +202,14 @@ class _Rerun(Exception):
     what to raise."""
 
 
-# numpy twins of the scalar operations that are IEEE correctly rounded and
-# hence bit-identical to Python float arithmetic; "^" and the remaining
-# FUNCTIONS go through libm per element, since numpy's SIMD kernels differ
+# numpy twins of the scalar operations: arithmetic, sqrt and abs are correctly
+# rounded; exp and log are numpy's kernels, which _eval calls too, with libm's
+# value or error where they leave the finite range.  "^" and the other
+# FUNCTIONS stay on libm, which keeps f(-x) = +-f(x) bit for bit, as the PT
+# real form needs; numpy's SIMD kernels do not promise that
 _NUMPY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-_NUMPY_FUNCTIONS = {"sqrt": np.sqrt, "abs": np.abs}
+_NUMPY_FUNCTIONS = {"sqrt": np.sqrt, "abs": np.abs, "exp": np.exp,
+                    "log": np.log}
 
 
 class Sampler:
@@ -213,7 +222,7 @@ class Sampler:
     made once per mirror pair of points: when every operand of a call or
     of "^" equals its own reversal bit for bit (as an even function does
     on a grid closed under reflection), the first half of the points
-    gives the whole.
+    gives the whole.  exp, log, sqrt and abs are one numpy call per node.
     """
 
     def __init__(self, xs):
@@ -317,8 +326,9 @@ class Expression:
         xs is an array of points, or a Sampler whose memo the expressions
         sampled through it share.  Returns a fresh array.  Raises EvalError
         at the first point whose evaluation fails or whose value is not
-        finite.  A function of samples that read the same reversed costs
-        one libm call per mirror pair of points, and u^2 is u*u.
+        finite.  exp, log, sqrt and abs are one ufunc call over the points;
+        any other function, or "^", of samples that read the same reversed
+        costs one libm call per mirror pair of points, and u^2 is u*u.
         """
         sampler = xs if isinstance(xs, Sampler) else Sampler(xs)
         try:

@@ -317,14 +317,15 @@ def test_mirrored_points_fail_as_the_scalar_loop(text):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 201])
 def test_libm_runs_once_per_mirror_pair(monkeypatch, n):
+    # cos stays on libm; exp and log are one numpy call per node
     calls = []
 
-    def exp(v):
+    def cos(v):
         calls.append(v)
-        return math.exp(v)
+        return math.cos(v)
 
-    monkeypatch.setitem(FUNCTIONS, "exp", exp)
-    expr = parse_expression("x*exp(-x^2)")
+    monkeypatch.setitem(FUNCTIONS, "cos", cos)
+    expr = parse_expression("x*cos(-x^2)")
     xs = _mirrored_points(n)
     assert_matches_scalar_loop(expr, xs)
     calls.clear()
@@ -332,7 +333,7 @@ def test_libm_runs_once_per_mirror_pair(monkeypatch, n):
     assert len(calls) == (n + 1) // 2
     # an odd operand reads differently reversed: every point is a call
     calls.clear()
-    parse_expression("exp(x)").sample(xs)
+    parse_expression("cos(x)").sample(xs)
     assert len(calls) == n
     if n > 1:
         calls.clear()
@@ -403,7 +404,7 @@ def test_numbers_are_scalars_not_filled_arrays():
     ("abs(x)^1.5", "pow", 101),
     ("(x*x + 1)^(-1.5)", "pow", 101),
     ("2^(x*x)", "pow", 101),
-    ("exp(-(2))*exp(-x^2)", "exp", 102),
+    ("cos(-(2))*cos(-x^2)", "cos", 102),
     # an odd operand beside a scalar: every point is a call
     ("(x + 5)^0.5", "pow", 201),
 ])
@@ -426,3 +427,28 @@ def test_mirror_rule_holds_beside_a_scalar_operand(monkeypatch, text, fn,
     assert len(counted) == calls
     monkeypatch.undo()
     assert_matches_scalar_loop(expr, xs)
+
+
+# points of exp over [-700, 700] and of log over [1e-300, 1e300], with
+# random points where exp is near 1 and log near 0
+ORACLE_POINTS = {
+    "exp": np.concatenate([np.linspace(-700.0, 700.0, 2001),
+                           np.random.default_rng(5).uniform(-2, 2, 1000)]),
+    "log": np.concatenate([np.geomspace(1e-300, 1e300, 2001),
+                           np.random.default_rng(6).uniform(0.5, 2, 1000)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POINTS))
+def test_numpy_kernels_are_within_one_ulp(name):
+    # exp and log are numpy's kernels, sampled and in scalar calls alike
+    mpmath = pytest.importorskip("mpmath")
+    xs = ORACLE_POINTS[name]
+    expr = parse_expression(f"{name}(x)")
+    out = expr.sample(xs)
+    assert out.tobytes() == np.array([expr(x) for x in xs.tolist()]).tobytes()
+    fn = getattr(mpmath, name)
+    with mpmath.workdps(40):
+        ulps = [abs((mpmath.mpf(v) - fn(mpmath.mpf(x))) / u) for x, v, u in
+                zip(xs.tolist(), out.tolist(), np.spacing(out).tolist())]
+    assert max(ulps) <= 1

@@ -246,3 +246,21 @@ def test_columns_keep_their_dtype_without_a_copy():
     assert _as_columns([[1, 2], [3, 4]]).dtype == float
     mixed = [np.array([1.0, 2.0]), np.array([1j, 0])]
     assert _as_columns(mixed).dtype == complex
+
+
+# odd imaginary and even real potentials: the real form needs the sampled
+# V_imag exactly odd and V_real exactly even on the symmetric grid
+ODD_POTENTIALS = ["0.1*x^3", "x^5", "sin(x)", "tanh(x)", "sinh(x)/10",
+                  "tan(x/8)", "x*exp(-x^2)", "x*log(1+x^2)", "x^3*cos(x)"]
+EVEN_POTENTIALS = ["x^2", "cos(x)", "cosh(x/4)", "exp(-x^2)", "log(1+x^2)",
+                   "abs(x)^1.5"]
+
+
+@pytest.mark.parametrize("n", [301, 401])
+@pytest.mark.parametrize("v_real", EVEN_POTENTIALS)
+@pytest.mark.parametrize("v_imag", ODD_POTENTIALS)
+def test_pt_potentials_parse_to_the_real_form(v_imag, v_real, n):
+    spec = parse_model({"kind": "schroedinger", "grid": {"L": 4, "N": n},
+                        "V_real": v_real, "V_imag": v_imag})
+    assert spec.payload["rotated"]
+    assert spec.payload["h"].dtype == np.float64
