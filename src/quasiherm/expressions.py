@@ -9,8 +9,9 @@ Grammar, lowest to highest precedence:
     atom   := NUMBER | "x" | NAME "(" expr ")" | "(" expr ")"
 
 so "-x^2" is -(x^2) and "x^2^3" is x^(2^3).  Domain violations surface at
-evaluation time with the offending sample point.  exp, log, sqrt and abs
-are numpy's ufuncs, scalars included; the other functions and "^" are libm's.
+evaluation time with the offending sample point.  Every node is sampled by
+one (u)func call: exp, log, sqrt and abs are numpy's ufuncs, scalars
+included; the other functions and "^" are libm's, called once per point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -218,11 +218,9 @@ class Sampler:
     Expressions sampled through one Sampler (``expr.sample(sampler)``)
     evaluate each distinct subexpression, an AST subtree, once over the
     points.  The memo holds only subtrees whose samples came out finite at
-    every point, so a shared entry never hides an error.  A libm call is
-    made once per mirror pair of points: when every operand of a call or
-    of "^" equals its own reversal bit for bit (as an even function does
-    on a grid closed under reflection), the first half of the points
-    gives the whole.  exp, log, sqrt and abs are one numpy call per node.
+    every point, so a shared entry never hides an error.  Each node is one
+    numpy call; the parity functions and "^" are libm's, through
+    np.frompyfunc.
     """
 
     def __init__(self, xs):
@@ -236,28 +234,16 @@ class Sampler:
         """Number of points, as for an array."""
         return self.points.size
 
-    def _pointwise(self, fn, *args) -> np.ndarray | np.float64:
+    def _libm(self, fn, *args) -> np.ndarray | np.float64:
         """fn on Python floats at every point, or once if every operand is
-        a constant, which is passed as a repeated scalar.  When the samples
-        of every other operand read the same reversed, with +0.0 and -0.0
-        told apart, so do the results: fn runs on the first ceil(n/2)
-        points and the rest are their mirror."""
+        a constant."""
         samples = [self.eval(a) for a in args]
-        arrays = [v for v in samples if v.ndim]
-        n = self.size
-        mirrored = all(np.array_equal(b, b[::-1])
-                       for b in (v.view(np.int64) for v in arrays))
-        todo = (n - n // 2 if mirrored else n) if arrays else 1
-        operands = [v[:todo].tolist() if v.ndim else repeat(float(v))
-                    for v in samples]
         try:
             # a negative base to a fractional power is complex: TypeError
-            out = np.fromiter(map(fn, *operands), float, todo)
+            return np.asarray(np.frompyfunc(fn, len(samples), 1)(*samples),
+                              dtype=float)[()]
         except (ArithmeticError, ValueError, TypeError) as exc:
             raise _Rerun from exc
-        if not arrays:
-            return out[0]
-        return np.concatenate((out, out[:n - todo][::-1])) if mirrored else out
 
     def eval(self, node) -> np.ndarray | np.float64:
         """Samples of node, computed once per node, as an array that must
@@ -277,7 +263,7 @@ class Sampler:
             if node[1] in _NUMPY_FUNCTIONS:
                 out = _NUMPY_FUNCTIONS[node[1]](self.eval(node[2]))
             else:
-                out = self._pointwise(FUNCTIONS[node[1]], node[2])
+                out = self._libm(FUNCTIONS[node[1]], node[2])
         else:
             _, op, lhs, rhs = node
             if op in _NUMPY_OPS:
@@ -286,7 +272,7 @@ class Sampler:
                 base = self.eval(lhs)
                 out = base * base
             else:
-                out = self._pointwise(pow, lhs, rhs)
+                out = self._libm(pow, lhs, rhs)
         if not (np.isfinite(out).all() if out.ndim else math.isfinite(out)):
             raise _Rerun
         self.memo[node] = out
@@ -326,9 +312,9 @@ class Expression:
         xs is an array of points, or a Sampler whose memo the expressions
         sampled through it share.  Returns a fresh array.  Raises EvalError
         at the first point whose evaluation fails or whose value is not
-        finite.  exp, log, sqrt and abs are one ufunc call over the points;
-        any other function, or "^", of samples that read the same reversed
-        costs one libm call per mirror pair of points, and u^2 is u*u.
+        finite.  Each node is one (u)func call over the points: exp, log,
+        sqrt and abs are numpy's, any other function and "^" are libm's,
+        and u^2 is u*u.
         """
         sampler = xs if isinstance(xs, Sampler) else Sampler(xs)
         try:

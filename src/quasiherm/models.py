@@ -73,7 +73,13 @@ MAX_REFINED_POINTS = 2 ** 20 + 1
 # bounds the CSV text held at once (a few MB per series at this size)
 CSV_CHUNK_POINTS = 2 ** 16
 
-MODEL_KINDS = ("matrix", "lattice", "schroedinger", "family")
+# each model kind and the top-level fields it takes besides "kind"
+MODEL_FIELDS = {
+    "matrix": {"data", "pseudometric"},
+    "lattice": {"n", "coupling", "gamma", "pattern", "pseudometric"},
+    "schroedinger": {"grid", "V_real", "V_imag", "pseudometric"},
+    "family": {"grid", "sigma", "alpha", "omega", "S", "Lambda"},
+}
 
 # parity tagging tolerance for expression-sampled model functions
 MODEL_PARITY_RTOL = 1e-10
@@ -465,8 +471,15 @@ def parse_model(document) -> ModelSpec:
     if not isinstance(document, dict):
         raise SchemaError("model document must be an object")
     kind = _need(document, "kind", "")
-    if kind not in MODEL_KINDS:
-        raise SchemaError(f"kind must be one of {MODEL_KINDS}", "kind")
+    if not isinstance(kind, str) or kind not in MODEL_FIELDS:
+        raise SchemaError(f"kind must be one of {tuple(MODEL_FIELDS)}", "kind")
+    if kind == "family" and "pseudometric" in document:
+        raise SchemaError(
+            "a family model takes no pseudometric: P is the index "
+            "reversal of its grid", "pseudometric")
+    extra = set(document) - MODEL_FIELDS[kind] - {"kind"}
+    if extra:
+        raise SchemaError(f"unknown fields {sorted(extra)}")
 
     payload: dict = {}
     if kind == "family":
@@ -483,10 +496,6 @@ def parse_model(document) -> ModelSpec:
         if "S" in document or "Lambda" in document:
             (payload["s_even"], payload["lam_odd"]), _ = _sample_parity_pair(
                 exprs, ("S", "Lambda"), sampler, document=document)
-        if "pseudometric" in document:
-            raise SchemaError(
-                "a family model takes no pseudometric: P is the index "
-                "reversal of its grid", "pseudometric")
     else:
         h = _operator(kind, document)
         pchoice = document.get("pseudometric", "parity")

@@ -88,6 +88,22 @@ def test_family_pseudometric_exit_two(model_file, capsys):
             captured.err)
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"kind": "matrix", "data": MODEL_2X2["data"],
+      "pseudometrc": "identity"}, "pseudometrc"),
+    ({"kind": "lattice", "n": 4, "gama": 0.3}, "gama"),
+    ({"kind": "schroedinger", "grid": {"L": 8, "N": 101}, "Vreal": "x^2",
+      "V_imag": "0.1*x^3"}, "Vreal"),
+    ({"kind": "family", "grid": {"L": 4, "N": 101}, "sigma": "1",
+      "alpha": "0", "omgea": 0.7}, "omgea"),
+], ids=lambda v: v if isinstance(v, str) else v["kind"])
+def test_unknown_model_field_exit_two(model_file, capsys, doc, field):
+    assert main(["report", "--model", model_file(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown fields [{field!r}]" in captured.err
+
+
 def test_unreadable_model_exit_two(tmp_path, capsys):
     assert main(["spectrum", "--model", str(tmp_path / "missing.json")]) == 2
 
@@ -356,6 +372,7 @@ def test_non_finite_psi0_entry_is_a_schema_row(model_file, tmp_path, capsys,
     ["spectrum", "--tol", "-1"],
     ["spectrum", "--tol", "nan"],
     ["spectrum", "--tol", "inf"],
+    ["metric", "--tol", "abc"],
     ["spectrum", "--gap-floor", "-1"],
     ["spectrum", "--gap-floor", "nan"],
     ["evolve", "--t-max", "inf"],
@@ -365,7 +382,10 @@ def test_bad_float_option_exit_two(model_file, capsys, recwarn, argv):
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--model", model_file(MODEL_2X2)])
     assert exit_info.value.code == 2
-    assert "expected a" in capsys.readouterr().err
+    _, flag, value = argv
+    bound = "" if flag == "--t-max" else " >= 0"
+    assert (f"argument {flag}: expected a finite number{bound}, "
+            f"got {value!r}") in capsys.readouterr().err
     assert len(recwarn) == 0
 
 

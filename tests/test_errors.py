@@ -1,10 +1,11 @@
 """The argument checks of the public functions: each raises its own error
 type with its own message.
 
-Two raises have no case here.  ``eigendecompose``'s NonConvergence is LAPACK
+One raise has no case here: ``eigendecompose``'s NonConvergence is LAPACK
 failing to converge, which no small input brings about.  The NotPTSymmetric
-of ``charge_from_spectrum`` on complex pairings is reached by no input:
-c_n = phi_n^dagger P^-1 phi_n with P^-1 Hermitian is real up to roundoff.
+of ``charge_from_spectrum`` on complex pairings takes a P that is not
+Hermitian, since c_n = phi_n^dagger P^-1 phi_n with P^-1 Hermitian is real
+up to roundoff; only a PseudoMetric built by hand holds one.
 """
 
 import math
@@ -12,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from quasiherm import (DimensionMismatch, PseudoMetric, SelfOrthogonal,
-                       SingularMetric, biorthonormalize, charge_from_metric,
+from quasiherm import (DimensionMismatch, NotPTSymmetric, PseudoMetric,
+                       SelfOrthogonal, SingularMetric, biorthonormalize,
+                       charge_from_metric, charge_from_spectrum,
                        conjugation_in, eigendecompose, hermitize,
                        inverse_family, make_ansatz, make_grid, make_triple,
                        propagate_spectrum, qh_residual, spectral_metric,
@@ -100,6 +102,11 @@ CASES = {
     "conjugation_in-singular-theta": (
         lambda: conjugation_in(make_triple(I2, np.diag([1.0, 0.0])), "H", I2),
         SingularMetric, "Theta is numerically singular: Singular matrix"),
+    "charge_from_spectrum-complex-pairings": (
+        lambda: charge_from_spectrum(spectrum(), PseudoMetric(
+            "dense", 2, (1, 1), np.array([[1 + 1j, 0], [0, -1]]))),
+        NotPTSymmetric, "left-eigenvector pairings acquired imaginary parts; "
+        "H is not consistently pseudo-Hermitian w.r.t. P"),
     # family
     "make_ansatz-infinite-omega": (
         lambda: make_ansatz(make_grid(1.0, 5), np.ones(5), np.zeros(5),

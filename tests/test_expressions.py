@@ -316,8 +316,9 @@ def test_mirrored_points_fail_as_the_scalar_loop(text):
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 201])
-def test_libm_runs_once_per_mirror_pair(monkeypatch, n):
-    # cos stays on libm; exp and log are one numpy call per node
+def test_libm_runs_once_per_point(monkeypatch, n):
+    # cos stays on libm: one call on a Python float per point, whether or
+    # not the points and the operand read the same reversed
     calls = []
 
     def cos(v):
@@ -325,20 +326,14 @@ def test_libm_runs_once_per_mirror_pair(monkeypatch, n):
         return math.cos(v)
 
     monkeypatch.setitem(FUNCTIONS, "cos", cos)
-    expr = parse_expression("x*cos(-x^2)")
     xs = _mirrored_points(n)
-    assert_matches_scalar_loop(expr, xs)
-    calls.clear()
-    expr.sample(xs)
-    assert len(calls) == (n + 1) // 2
-    # an odd operand reads differently reversed: every point is a call
-    calls.clear()
-    parse_expression("cos(x)").sample(xs)
-    assert len(calls) == n
-    if n > 1:
+    assert_matches_scalar_loop(parse_expression("x*cos(-x^2)"), xs)
+    for text, points in [("x*cos(-x^2)", xs), ("cos(x)", xs),
+                         ("x*cos(-x^2)", np.linspace(-1.0, 2.0, n))]:
         calls.clear()
-        expr.sample(np.linspace(-1.0, 2.0, n))
+        parse_expression(text).sample(points)
         assert len(calls) == n
+        assert all(type(v) is float for v in calls)
 
 
 def test_squares_are_correctly_rounded():
@@ -400,16 +395,17 @@ def test_numbers_are_scalars_not_filled_arrays():
 
 @pytest.mark.parametrize("text,fn,calls", [
     # a "num" exponent, a constant exponent that is not a literal, and a
-    # constant base: each a scalar beside a mirrored operand
-    ("abs(x)^1.5", "pow", 101),
-    ("(x*x + 1)^(-1.5)", "pow", 101),
-    ("2^(x*x)", "pow", 101),
-    ("cos(-(2))*cos(-x^2)", "cos", 102),
-    # an odd operand beside a scalar: every point is a call
+    # constant base: each a scalar broadcast beside an even operand
+    ("abs(x)^1.5", "pow", 201),
+    ("(x*x + 1)^(-1.5)", "pow", 201),
+    ("2^(x*x)", "pow", 201),
+    # an all-constant call is one call, then one per point
+    ("cos(-(2))*cos(-x^2)", "cos", 202),
+    # an odd operand beside a scalar
     ("(x + 5)^0.5", "pow", 201),
 ])
-def test_mirror_rule_holds_beside_a_scalar_operand(monkeypatch, text, fn,
-                                                   calls):
+def test_libm_runs_once_per_point_beside_a_scalar_operand(monkeypatch, text,
+                                                          fn, calls):
     from quasiherm import expressions
     counted = []
     original = FUNCTIONS.get(fn, pow)

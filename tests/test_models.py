@@ -127,6 +127,12 @@ def test_digest_and_byte_identical_reports():
     assert other.digest != spec.digest
 
 
+def test_numpy_floats_hash_as_python_floats():
+    doc = {"kind": "lattice", "n": 4, "gamma": 0.3}
+    assert parse_model(dict(doc, gamma=np.float64(0.3))).digest == (
+        parse_model(doc).digest)
+
+
 def test_factorize_scenario_golden_rows():
     spec = parse_model(MODEL_2X2)
     report = run_scenario(spec, "factorize")
@@ -387,12 +393,15 @@ def test_report_json_and_digest_render_as_leaf_by_leaf():
         doc["rows"] = [{"name": name, "value": raw, "pass": passed,
                         "tol": tol} for name, raw, passed, tol in rows]
         assert report.to_json() == render_leaf_by_leaf(doc) + "\n"
-        # the model digest hashes the whole document, extra fields too
+        # the model digest hashes the document's canonical JSON, which
+        # sorts the keys at every depth
         model = dict(MODEL_2X2, note=note)
-        assert parse_model(_embedded(model)).digest == hashlib.sha256(
-            render_leaf_by_leaf(model, sort_keys=True).encode()).hexdigest()
+        assert models.canonical_json(_embedded(model)) == render_leaf_by_leaf(
+            model, sort_keys=True)
 
     check()
+    assert parse_model(MODEL_2X2).digest == hashlib.sha256(
+        render_leaf_by_leaf(MODEL_2X2, sort_keys=True).encode()).hexdigest()
 
 
 def test_series_csv_renders_as_point_major_rows(monkeypatch):
