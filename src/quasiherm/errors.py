@@ -79,7 +79,7 @@ class NonFiniteResult(QuasihermError):
 
 
 class BadGrid(QuasihermError):
-    """Grid parameters violate the symmetric-lattice contract."""
+    """Bad symmetric-grid parameters, or an ansatz and a split on two grids."""
 
 
 class SigmaVanishes(QuasihermError):

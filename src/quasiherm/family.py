@@ -11,10 +11,10 @@ effective hard walls sit one spacing outside the sampled extent.
 Every operator is held as its three stencil bands (lower, diagonal,
 upper), and P acts as a plain reversal, so the family checks run in O(N).
 Dense matrices are assembled from the same bands only for callers that
-need them, such as the Schroedinger eigensolve.  The family functions
-check their arrays, but take a ``ChargeAnsatz`` or a ``PotentialSplit`` as
-it is when its ``grid`` is the grid they are handed: the model path builds
-them on their grid from arrays checked where they enter.
+need them, such as the Schroedinger eigensolve.  A ``ChargeAnsatz`` or a
+``PotentialSplit`` carries the grid its arrays were checked on, and the
+family checks take it as it is, on that grid; a function handed a grid
+checks the arrays it is handed against it.
 
 The forward map from a charge ansatz to the potential reads, per sample,
 
@@ -112,14 +112,14 @@ def _samples(grid: Grid, dtype=float, **named) -> list[np.ndarray]:
 class ChargeAnsatz:
     """Sampled first-order charge data: even sigma, odd alpha, constant omega.
 
-    ``grid``, when set, is the grid on which sigma and alpha are float
-    arrays checked (their length, finite entries), and the bands of the
-    charge C on it are taken on first use and kept."""
+    sigma and alpha are float arrays checked on ``grid`` (their length,
+    finite entries), and the bands of the charge C on it are taken on first
+    use and kept."""
 
     sigma: np.ndarray
     alpha: np.ndarray
     omega: float
-    grid: Grid | None = None
+    grid: Grid
 
     @property
     def w(self) -> np.ndarray:
@@ -135,20 +135,20 @@ def make_ansatz(grid: Grid, sigma, alpha, omega: float = 0.0) -> ChargeAnsatz:
     s, a = _samples(grid, sigma=(sigma, +1), alpha=(alpha, -1))
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
-    return ChargeAnsatz(s.copy(), a.copy(), float(omega))
+    return ChargeAnsatz(s.copy(), a.copy(), float(omega), grid)
 
 
 @dataclass(frozen=True)
 class PotentialSplit:
     """Potential split by reality and parity:
-    V = real_even + real_odd + i*(imag_even + imag_odd); ``grid``, when set,
-    is the grid on which its potential is a checked complex array."""
+    V = real_even + real_odd + i*(imag_even + imag_odd), each part a float
+    array checked on ``grid``."""
 
     real_even: np.ndarray
     real_odd: np.ndarray
     imag_even: np.ndarray
     imag_odd: np.ndarray
-    grid: Grid | None = None
+    grid: Grid
 
     def potential(self) -> np.ndarray:
         return (self.real_even + self.real_odd
@@ -159,7 +159,7 @@ def make_split(grid: Grid, real_even, real_odd, imag_even, imag_odd
                ) -> PotentialSplit:
     return PotentialSplit(*(f.copy() for f in _samples(
         grid, real_even=(real_even, +1), real_odd=(real_odd, -1),
-        imag_even=(imag_even, +1), imag_odd=(imag_odd, -1))))
+        imag_even=(imag_even, +1), imag_odd=(imag_odd, -1))), grid)
 
 
 def _d1_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,18 +204,14 @@ def hamiltonian_bands(grid: Grid, v: np.ndarray) -> tuple:
     return -lower, v - diag, -upper
 
 
-def _checked(a: ChargeAnsatz, grid: Grid) -> ChargeAnsatz:
-    """``a`` as it is on its own ``grid``, else its arrays checked there."""
-    if a.grid is grid:
-        return a
-    sigma, alpha = _samples(grid, sigma=a.sigma, alpha=a.alpha)
-    return ChargeAnsatz(sigma, alpha, a.omega, grid)
-
-
-def _potential(ps: PotentialSplit, grid: Grid) -> np.ndarray:
-    """The potential of ``ps``, checked unless ``ps`` is on ``grid``."""
-    v = ps.potential()
-    return v if ps.grid is grid else _samples(grid, complex, potential=v)[0]
+def _shared_grid(a: ChargeAnsatz, ps: PotentialSplit) -> Grid:
+    """The grid of ``a``; BadGrid unless ``ps`` is on one of the same
+    half-width and point count."""
+    ga, gs = ((g.half_width, g.npoints) for g in (a.grid, ps.grid))
+    if ga != gs:
+        raise BadGrid(f"the ansatz is on the grid (L, N) = {ga}, the split "
+                      f"on {gs}")
+    return a.grid
 
 
 def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
@@ -226,8 +222,8 @@ def discretize_hamiltonian(grid: Grid, potential) -> np.ndarray:
 
 def discretize_charge(grid: Grid, sigma, alpha) -> np.ndarray:
     """C = D1 + diag(sigma + i alpha) with Dirichlet ends."""
-    return tridiagonal(*_checked(
-        ChargeAnsatz(np.ravel(sigma), np.ravel(alpha), 0.0), grid).bands)
+    s, a = _samples(grid, sigma=np.ravel(sigma), alpha=np.ravel(alpha))
+    return tridiagonal(*ChargeAnsatz(s, a, 0.0, grid).bands)
 
 
 def _reflected_adjoint(bands) -> tuple:
@@ -264,7 +260,7 @@ def forward_family(a: ChargeAnsatz) -> tuple[np.ndarray, np.ndarray]:
     return s_even, lam_odd
 
 
-def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
+def compatible_split(a: ChargeAnsatz) -> PotentialSplit:
     """Full four-component potential split compatible with the ansatz.
 
     Besides the pointwise S and Lambda, the first-order coefficient of the
@@ -274,16 +270,13 @@ def compatible_split(a: ChargeAnsatz, grid: Grid) -> PotentialSplit:
     one-sided end stencils are not mirror images in floating point, so the
     derivatives are projected onto their parity (sigma' odd, alpha' even);
     the interior differences already have it exactly and do not change.
-    The split of an ansatz on ``grid`` is on ``grid`` too; that of any
-    other ansatz is checked by ``make_split``, and has no grid.
+    The split is on the ansatz's grid.
     """
-    rec = _checked(a, grid)
-    s_even, lam_odd = forward_family(rec)
-    ds = odd_part(np.gradient(rec.sigma, grid.spacing, edge_order=2))
-    da = even_part(np.gradient(rec.alpha, grid.spacing, edge_order=2))
-    if rec is a:
-        return PotentialSplit(s_even, -ds, -da, lam_odd, grid)
-    return make_split(grid, s_even, -ds, -da, lam_odd)
+    h = a.grid.spacing
+    s_even, lam_odd = forward_family(a)
+    ds = odd_part(np.gradient(a.sigma, h, edge_order=2))
+    da = even_part(np.gradient(a.alpha, h, edge_order=2))
+    return PotentialSplit(s_even, -ds, -da, lam_odd, a.grid)
 
 
 def _finite(value, what: str):
@@ -303,28 +296,25 @@ def _central2(f: np.ndarray, h: float) -> np.ndarray:
     return (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
 
 
-def ode_pair_residual(a: ChargeAnsatz, s_even, lam_odd, grid: Grid
+def ode_pair_residual(a: ChargeAnsatz, ps: PotentialSplit
                       ) -> tuple[float, float]:
     """Max-norm residuals of the differentiated compatibility pair
 
         S' = 2 sigma' sigma - 2 alpha' alpha
         Lambda' = 2 sigma' alpha + 2 alpha' sigma
 
-    with central differences on interior points; O(h^2) for smooth data
-    produced by forward_family.  NonFiniteResult when either overflows.
-    S and Lambda passed with an ansatz on ``grid`` are taken as checked too.
+    with central differences on interior points, S and Lambda being the
+    split's real_even and imag_odd; O(h^2) for smooth data produced by
+    forward_family.  NonFiniteResult when either overflows.
     """
-    rec = _checked(a, grid)
-    sigma, alpha, h = rec.sigma, rec.alpha, grid.spacing
-    s_arr, lam_arr = (s_even, lam_odd) if rec is a else _samples(
-        grid, s_even=s_even, lam_odd=lam_odd)
-    sig_i = sigma[1:-1]
-    alp_i = alpha[1:-1]
+    h = _shared_grid(a, ps).spacing
+    sig_i, alp_i = a.sigma[1:-1], a.alpha[1:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        dsig = _central(sigma, h)
-        dalp = _central(alpha, h)
-        r1 = np.abs(_central(s_arr, h) - (2 * dsig * sig_i - 2 * dalp * alp_i))
-        r2 = np.abs(_central(lam_arr, h)
+        dsig = _central(a.sigma, h)
+        dalp = _central(a.alpha, h)
+        r1 = np.abs(_central(ps.real_even, h)
+                    - (2 * dsig * sig_i - 2 * dalp * alp_i))
+        r2 = np.abs(_central(ps.imag_odd, h)
                     - (2 * dsig * alp_i + 2 * dalp * sig_i))
     return _finite((float(r1.max()), float(r2.max())),
                    "the ODE pair residual")
@@ -368,8 +358,7 @@ def inverse_family(s_even, lam_odd, omega: float, grid: Grid,
     return make_ansatz(grid, sigma, alpha, omega)
 
 
-def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
-                         ) -> float:
+def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit) -> float:
     """Largest entry of H^dagger (P C) - (P C) H away from the boundary.
 
     Rows and columns within BOUNDARY_MARGIN of the ends carry truncated
@@ -381,8 +370,9 @@ def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
     is taken over (P H^dagger P) C - C H, a pentadiagonal difference of
     two tridiagonal products.  NonFiniteResult when it overflows.
     """
-    hb = hamiltonian_bands(grid, _potential(ps, grid))
-    cb = _checked(a, grid).bands
+    grid = _shared_grid(a, ps)
+    hb = hamiltonian_bands(grid, ps.potential())
+    cb = a.bands
     m = BOUNDARY_MARGIN
     n = grid.npoints
     with np.errstate(over="ignore", invalid="ignore"):
@@ -420,7 +410,7 @@ def odd_part(f: np.ndarray) -> np.ndarray:
     return 0.5 * (f - f[::-1])
 
 
-def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
+def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit
                       ) -> CoefficientResiduals:
     """Coefficient-level comparison of H^dagger (P C) against (P C) H.
 
@@ -438,15 +428,16 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
         order 1:  u - 2 w'          | V
         order 0:  u w - w''         | V' + w V
 
-    The order-3 and order-2 residuals cancel identically; the order-1 and
-    order-0 residuals are the compatibility conditions.  Their odd real
-    and odd imaginary projections reproduce the differentiated pair tested
-    by ode_pair_residual; the even projections vanish exactly when
-    real_odd = -sigma' and imag_even = -alpha'.  NonFiniteResult when a
-    residual overflows.
+    The order-3 and order-2 residuals cancel identically, so they are
+    returned as zeros; the order-1 and order-0 residuals are the
+    compatibility conditions.  Their odd real and odd imaginary projections
+    reproduce the differentiated pair tested by ode_pair_residual; the even
+    projections vanish exactly when real_odd = -sigma' and imag_even =
+    -alpha'.  NonFiniteResult when a residual overflows.
     """
-    v = _potential(ps, grid)
-    w = _checked(a, grid).w
+    grid = _shared_grid(a, ps)
+    v = ps.potential()
+    w = a.w
     h = grid.spacing
     n = grid.npoints
     u = np.conj(v)[::-1]
@@ -459,10 +450,6 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
         ddw = _central2(w, h)
         dv = _central(v, h)
 
-        lhs_d3 = np.full(n - 2, -1.0 + 0.0j)
-        rhs_d3 = np.full(n - 2, -1.0 + 0.0j)
-        lhs_d2 = -w_i
-        rhs_d2 = -w_i
         lhs_d1 = u_i - 2.0 * dw
         rhs_d1 = v_i
         lhs_d0 = u_i * w_i - ddw
@@ -470,14 +457,14 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit, grid: Grid
 
         return CoefficientResiduals(
             x=grid.points[1:-1].copy(),
-            d3=lhs_d3 - rhs_d3,
-            d2=lhs_d2 - rhs_d2,
+            d3=np.zeros(n - 2, complex),
+            d2=np.zeros(n - 2, complex),
             d1=_finite(lhs_d1 - rhs_d1, "the order-1 coefficient residual"),
             d0=_finite(lhs_d0 - rhs_d0, "the order-0 coefficient residual"),
         )
 
 
-def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
+def charge_pg_hermiticity(a: ChargeAnsatz) -> float:
     """Frobenius deviation of P C from Hermiticity.
 
     P D1 and P diag(w) are individually Hermitian exactly when the grid is
@@ -485,12 +472,11 @@ def charge_pg_hermiticity(a: ChargeAnsatz, grid: Grid) -> float:
     machine zero.  P (P C - (P C)^dagger) = C - P C^dagger P has the same
     norm and stays tridiagonal.
     """
-    cb = _checked(a, grid).bands
+    cb = a.bands
     return float(np.linalg.norm(np.concatenate(
         [c - g for c, g in zip(cb, _reflected_adjoint(cb))])))
 
 
-def charge_norm(a: ChargeAnsatz, grid: Grid) -> float:
+def charge_norm(a: ChargeAnsatz) -> float:
     """Frobenius norm of C, equal to that of P C."""
-    return float(np.linalg.norm(np.concatenate(
-        _checked(a, grid).bands)))
+    return float(np.linalg.norm(np.concatenate(a.bands)))

@@ -340,14 +340,22 @@ def _parse_matrix(data, path: str) -> np.ndarray:
     return out
 
 
+def _reject_unknown_fields(doc: dict, known, path: str = "") -> None:
+    """SchemaError for a field of ``doc`` not in ``known``, and first for a
+    name that is not a string, which no JSON text gives and no sort takes."""
+    extra = set(doc) - known
+    if not all(isinstance(name, str) for name in extra):
+        raise SchemaError("field names must be strings", path)
+    if extra:
+        raise SchemaError(f"unknown fields {sorted(extra)}", path)
+
+
 def _parse_grid(doc, path: str, max_points: float = math.inf) -> Grid:
     if not isinstance(doc, dict):
         raise SchemaError("expected an object with L and N", path)
     length = _as_number(_need(doc, "L", f"{path}."), f"{path}.L")
     npts = _as_int(_need(doc, "N", f"{path}."), f"{path}.N")
-    extra = set(doc) - {"L", "N"}
-    if extra:
-        raise SchemaError(f"unknown fields {sorted(extra)}", path)
+    _reject_unknown_fields(doc, {"L", "N"}, path)
     if length <= 0:
         raise SchemaError("L must be positive", f"{path}.L")
     if npts < 5 or npts % 2 == 0:
@@ -477,9 +485,7 @@ def parse_model(document) -> ModelSpec:
         raise SchemaError(
             "a family model takes no pseudometric: P is the index "
             "reversal of its grid", "pseudometric")
-    extra = set(document) - MODEL_FIELDS[kind] - {"kind"}
-    if extra:
-        raise SchemaError(f"unknown fields {sorted(extra)}")
+    _reject_unknown_fields(document, MODEL_FIELDS[kind] | {"kind"})
 
     payload: dict = {}
     if kind == "family":
@@ -639,7 +645,7 @@ class _Analysis:
     @cached_property
     def split(self) -> PotentialSplit:
         """The compatible split of the ansatz, on the ansatz's grid."""
-        return compatible_split(self.ansatz, self.ansatz.grid)
+        return compatible_split(self.ansatz)
 
 
 def _minus_identity(x: np.ndarray) -> np.ndarray:
@@ -870,19 +876,18 @@ def _task_family_check(a: _Analysis):
         raise SchemaError(
             f"need refine >= 0 and at most {MAX_REFINED_POINTS} points on "
             f"the finest grid, got refine {levels}", "refine")
-    # the ansatz and its splits are on their grid, so no array is checked
-    # again: the charge bands are built once, the Hamiltonian bands once
-    # per split
+    # no array is checked again: the charge bands are built once, the
+    # Hamiltonian bands once per split
     full = a.split
     zeros = np.zeros(grid.npoints)
     partial = replace(full, real_odd=zeros, imag_even=zeros)
 
-    cm = coefficient_match(ansatz, full, grid)
-    pg = charge_pg_hermiticity(ansatz, grid)
-    pc_scale = charge_norm(ansatz, grid)
-    r1, r2 = ode_pair_residual(ansatz, full.real_even, full.imag_odd, grid)
-    compose_full = compose_pct_residual(ansatz, full, grid)
-    compose_partial = compose_pct_residual(ansatz, partial, grid)
+    cm = coefficient_match(ansatz, full)
+    pg = charge_pg_hermiticity(ansatz)
+    pc_scale = charge_norm(ansatz)
+    r1, r2 = ode_pair_residual(ansatz, full)
+    compose_full = compose_pct_residual(ansatz, full)
+    compose_partial = compose_pct_residual(ansatz, partial)
 
     d3, d2 = cm.sup(3), cm.sup(2)
     rows = [
@@ -918,8 +923,10 @@ def _task_family_check(a: _Analysis):
                 row[0::2], row[1::2] = old, add
             samples = fine_samples
             fine_ansatz = ChargeAnsatz(*samples, ansatz.omega, fine)
-            fr1, fr2 = ode_pair_residual(fine_ansatz,
-                                         *forward_family(fine_ansatz), fine)
+            s_even, lam_odd = forward_family(fine_ansatz)
+            zero = np.zeros(n_pts)
+            fr1, fr2 = ode_pair_residual(fine_ansatz, PotentialSplit(
+                s_even, zero, zero, lam_odd, fine))
             rows.append(_row(f"ode_residual_S_level{k}", fr1))
             rows.append(_row(f"ode_residual_Lambda_level{k}", fr2))
             floor = 100 * np.finfo(float).eps

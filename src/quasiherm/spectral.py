@@ -192,7 +192,8 @@ def _left_vectors(w: np.ndarray, flip: bool) -> tuple[np.ndarray, float]:
     no conjugate, so it holds for a complex W too.  When ``flip`` holds and
     cond_1(W) exceeds LEFT_FROM_FLIP_COND they are J conj(W) instead: from
     b w = lambda w follows b^dagger J conj(w) = conj(lambda) J conj(w),
-    column by column, so no eigenvalue matching is needed.  Linearly
+    column by column, so no eigenvalue matching is needed; a finite
+    J-pairing start above the cap takes no O(N^3) step.  Linearly
     dependent eigenvectors, a singular W or an inverse that overflows,
     raise DegenerateSpectrum."""
     def residual(x):
@@ -200,10 +201,14 @@ def _left_vectors(w: np.ndarray, flip: bool) -> tuple[np.ndarray, float]:
         r.flat[::len(w) + 1] -= 1.0
         return r
 
+    w_norm = np.linalg.norm(w, 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = None
         if flip:
             x = w[::-1].T / np.einsum("ij,ij->j", w[::-1], w)[:, None]
+            cond = float(w_norm * np.abs(x).sum(axis=0).max())
+            if math.isfinite(cond) and cond > LEFT_FROM_FLIP_COND:
+                return w[::-1].conj(), cond
             resid = residual(x)
             # a zero w_n^T J w_n fails the test as a NaN or an inf
             if not np.linalg.norm(resid) < _SQRT_EPS:
@@ -219,7 +224,7 @@ def _left_vectors(w: np.ndarray, flip: bool) -> tuple[np.ndarray, float]:
         del resid
         left = x.conj().T
         # ||W^-1||_1 = ||(W^-1)^dagger||_inf
-        cond = float(np.linalg.norm(w, 1) * np.linalg.norm(left, np.inf))
+        cond = float(w_norm * np.linalg.norm(left, np.inf))
     if not math.isfinite(cond):
         raise DegenerateSpectrum(
             f"the eigenvectors are linearly dependent (cond_1 {cond})")

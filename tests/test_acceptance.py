@@ -150,13 +150,13 @@ def test_criterion_5_section_six_algebra():
     grid = make_grid(4.0, 201)
     worst_top = worst_pg_rel = 0.0
     for ansatz in _ansatz_zoo(grid):
-        cm = coefficient_match(ansatz, compatible_split(ansatz, grid), grid)
+        cm = coefficient_match(ansatz, compatible_split(ansatz))
         worst_top = max(worst_top, cm.sup(3), cm.sup(2))
         pc_norm = np.linalg.norm(
             parity_matrix(grid.npoints)
             @ discretize_charge(grid, ansatz.sigma, ansatz.alpha))
         worst_pg_rel = max(worst_pg_rel,
-                           charge_pg_hermiticity(ansatz, grid) / pc_norm)
+                           charge_pg_hermiticity(ansatz) / pc_norm)
 
     res = []
     n = 101
@@ -164,8 +164,7 @@ def test_criterion_5_section_six_algebra():
         g = make_grid(4.0, n)
         a = make_ansatz(g, 1.0 + 0.5 * np.exp(-g.points ** 2),
                         g.points * np.exp(-g.points ** 2), 0.7)
-        s_even, lam_odd = forward_family(a)
-        res.append(ode_pair_residual(a, s_even, lam_odd, g))
+        res.append(ode_pair_residual(a, compatible_split(a)))
         n = 2 * n - 1
     ratios = [res[k][i] / res[k + 1][i] for k in (0, 1) for i in (0, 1)]
     ok = (worst_top <= 1e-13 and worst_pg_rel <= 1e-13

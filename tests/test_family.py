@@ -5,15 +5,15 @@ import pytest
 
 from conftest import exact
 from quasiherm import (BadGrid, ChargeAnsatz, DimensionMismatch,
-                       NonFiniteResult, ParityViolation, SigmaVanishes,
-                       adjoint, charge_norm, charge_pg_hermiticity,
-                       coefficient_match, compatible_split,
-                       compose_pct_residual, discretize_charge,
-                       discretize_hamiltonian, even_part, first_difference,
-                       forward_family, inverse_family, make_ansatz, make_grid,
-                       make_split, odd_part, ode_pair_residual, parity_matrix,
-                       parse_model, run_battery, run_scenario,
-                       second_difference)
+                       NonFiniteResult, ParityViolation, PotentialSplit,
+                       SigmaVanishes, adjoint, charge_norm,
+                       charge_pg_hermiticity, coefficient_match,
+                       compatible_split, compose_pct_residual,
+                       discretize_charge, discretize_hamiltonian, even_part,
+                       first_difference, forward_family, inverse_family,
+                       make_ansatz, make_grid, make_split, odd_part,
+                       ode_pair_residual, parity_matrix, parse_model,
+                       run_battery, run_scenario, second_difference)
 from quasiherm.family import BOUNDARY_MARGIN, SIGMA_FLOOR, parity_deviation
 
 
@@ -33,6 +33,12 @@ def analytic_split(grid, omega=0.7):
     s_even = sigma ** 2 - alpha ** 2 + omega
     lam_odd = 2.0 * sigma * alpha
     return make_split(grid, s_even, -dsigma, -dalpha, lam_odd)
+
+
+def pair_split(grid, s_even, lam_odd):
+    """The split of S and Lambda alone, without derivative companions."""
+    zeros = np.zeros(grid.npoints)
+    return make_split(grid, s_even, zeros, zeros, lam_odd)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +162,7 @@ def test_discretizers_flatten_their_input():
 
 G21, G11 = make_grid(2.0, 21), make_grid(2.0, 11)
 A21, A11 = smooth_ansatz(G21), smooth_ansatz(G11)
-S21, S11 = compatible_split(A21, G21), compatible_split(A11, G11)
+S21, S11 = compatible_split(A21), compatible_split(A11)
 SHORT = np.ones(11)
 ONES = np.ones(21)
 
@@ -170,28 +176,9 @@ WRONG_LENGTH = {
         lambda: discretize_hamiltonian(G21, SHORT), "potential"),
     "discretize_charge": (
         lambda: discretize_charge(G21, ONES, SHORT), "alpha"),
-    "compatible_split": (lambda: compatible_split(A11, G21), "sigma"),
-    "ode_pair_residual-ansatz": (
-        lambda: ode_pair_residual(A11, S21.real_even, S21.imag_odd, G21),
-        "sigma"),
-    "ode_pair_residual-lam_odd": (
-        lambda: ode_pair_residual(A21, S21.real_even, S11.imag_odd, G21),
-        "lam_odd"),
     "inverse_family": (
         lambda: inverse_family(S11.real_even, S21.imag_odd, 0.7, G21),
         "s_even"),
-    "compose_pct_residual-split": (
-        lambda: compose_pct_residual(A21, S11, G21), "potential"),
-    "compose_pct_residual-ansatz": (
-        lambda: compose_pct_residual(A11, S21, G21), "sigma"),
-    "coefficient_match-alpha": (
-        lambda: coefficient_match(replace(A21, alpha=A11.alpha), S21, G21),
-        "alpha"),
-    "coefficient_match-split": (
-        lambda: coefficient_match(A21, S11, G21), "potential"),
-    "charge_pg_hermiticity": (
-        lambda: charge_pg_hermiticity(A11, G21), "sigma"),
-    "charge_norm": (lambda: charge_norm(A11, G21), "sigma"),
 }
 
 
@@ -203,38 +190,37 @@ def test_wrong_length_sample_is_named(case):
         call()
 
 
-# each family function that takes an ansatz, with a split where it takes one
+def test_records_carry_the_grid_their_arrays_were_checked_on():
+    assert A11.grid is G11 and S11.grid is G11
+    assert make_split(G21, ONES, 0 * ONES, 0 * ONES, 0 * ONES).grid is G21
+    s_even, lam_odd = forward_family(A21)
+    assert inverse_family(s_even, lam_odd, 0.7, G21).grid is G21
+    for record, fields in ((ChargeAnsatz, (ONES, ONES, 0.0)),
+                           (PotentialSplit, (ONES,) * 4)):
+        with pytest.raises(TypeError, match="grid"):
+            record(*fields)
+
+
+# each family check that takes an ansatz, with a split where it takes one
 FAMILY_USES = {
-    "charge_norm": lambda a, ps, g: charge_norm(a, g),
-    "charge_pg_hermiticity": lambda a, ps, g: charge_pg_hermiticity(a, g),
-    "compatible_split": (
-        lambda a, ps, g: compatible_split(a, g).real_odd.tolist()),
-    "ode_pair_residual": (
-        lambda a, ps, g: ode_pair_residual(a, ps.real_even, ps.imag_odd, g)),
+    "charge_norm": lambda a, ps: charge_norm(a),
+    "charge_pg_hermiticity": lambda a, ps: charge_pg_hermiticity(a),
+    "compatible_split": lambda a, ps: compatible_split(a).real_odd.tolist(),
+    "ode_pair_residual": ode_pair_residual,
     "compose_pct_residual": compose_pct_residual,
-    "coefficient_match": lambda a, ps, g: coefficient_match(a, ps, g).sup(0),
+    "coefficient_match": lambda a, ps: coefficient_match(a, ps).sup(0),
 }
 
 
 @pytest.mark.parametrize("use", FAMILY_USES)
 def test_ansatz_and_split_are_taken_as_they_are_only_on_their_own_grid(
         monkeypatch, use):
-    # an ansatz and a split that carry G11 are checked on a grid of another
-    # length; on G11 they are taken as they are: no array is scanned again,
-    # and the value is that of the grid-less ansatz and split
+    # a check reads the grid from the records and scans no array again; a
+    # grid of the same half-width and point count is the same grid
     from quasiherm import family
     call = FAMILY_USES[use]
-    a = replace(A11, grid=G11)
-    ps = compatible_split(a, G11)
-    assert ps.grid is G11 and S11.grid is None
-    with pytest.raises(DimensionMismatch,
-                       match=r"^sigma must have length 21, got shape"):
-        call(a, S21, G21)
-    if use in ("compose_pct_residual", "coefficient_match"):
-        with pytest.raises(DimensionMismatch,
-                           match=r"^potential must have length 21, got shape"):
-            call(A21, ps, G21)
-    reference = call(A11, S11, G11)
+    twin = make_grid(2.0, 11)
+    reference = call(A11, S11)
     samples = []
     original = family._samples
 
@@ -242,8 +228,48 @@ def test_ansatz_and_split_are_taken_as_they_are_only_on_their_own_grid(
         samples.append(kwargs)
         return original(*args, **kwargs)
     monkeypatch.setattr(family, "_samples", counted)
-    assert call(a, ps, G11) == reference
+    assert call(A11, S11) == reference
     assert samples == []
+    assert call(replace(A11, grid=twin), S11) == reference
+    assert call(A11, replace(S11, grid=twin)) == reference
+
+
+# an ansatz and a split on grids of other point counts, or of another
+# half-width at the same point count
+A11_WIDE = smooth_ansatz(make_grid(4.0, 11))
+PAIR_CHECKS = {"ode_pair_residual": ode_pair_residual,
+               "compose_pct_residual": compose_pct_residual,
+               "coefficient_match": coefficient_match}
+DIFFERENT_GRIDS = {
+    f"{name}-{which}": (check, a, ps)
+    for name, check in PAIR_CHECKS.items()
+    for which, a, ps in (("ansatz", A11, S21), ("split", A21, S11),
+                         ("half_width", A11_WIDE, S11))}
+
+
+@pytest.mark.parametrize("case", DIFFERENT_GRIDS)
+def test_records_on_different_grids_raise_bad_grid(case):
+    check, a, ps = DIFFERENT_GRIDS[case]
+    with pytest.raises(BadGrid) as err:
+        check(a, ps)
+    assert str(err.value) == (
+        f"the ansatz is on the grid (L, N) = ({a.grid.half_width}, "
+        f"{a.grid.npoints}), the split on (2.0, {ps.grid.npoints})")
+
+
+def test_readme_ansatz_with_a_split_on_a_wider_grid_is_a_bad_grid():
+    # the README ansatz and its split on L = 4, N = 101: checked with an
+    # L = 8, N = 101 grid handed apart from them, the order-1 residual read
+    # 0.99 in place of its 5e-16; each record now carries its grid, and a
+    # split on the wider one is a BadGrid
+    a = smooth_ansatz(make_grid(4.0, 101))
+    ps = compatible_split(a)
+    assert coefficient_match(a, ps).sup(1) < 1e-15
+    wide = make_grid(8.0, 101)
+    for other in (replace(ps, grid=wide),
+                  compatible_split(smooth_ansatz(wide))):
+        with pytest.raises(BadGrid):
+            coefficient_match(a, other)
 
 
 NAN = np.where(G21.points == 0.0, np.nan, 1.0)
@@ -331,8 +357,7 @@ def test_ode_pair_refinement_ratio():
     for _ in range(3):
         g = make_grid(4.0, n)
         a = smooth_ansatz(g)
-        s_even, lam_odd = forward_family(a)
-        res.append(ode_pair_residual(a, s_even, lam_odd, g))
+        res.append(ode_pair_residual(a, compatible_split(a)))
         n = 2 * n - 1
     for level in (0, 1):
         assert 3.5 <= res[level][0] / res[level + 1][0] <= 4.5
@@ -342,8 +367,7 @@ def test_ode_pair_refinement_ratio():
 def test_ode_pair_constants_are_exact():
     g = make_grid(2.0, 21)
     a = make_ansatz(g, np.full(21, 1.3), np.zeros(21), 0.1)
-    s_even, lam_odd = forward_family(a)
-    assert ode_pair_residual(a, s_even, lam_odd, g) == (0.0, 0.0)
+    assert ode_pair_residual(a, compatible_split(a)) == (0.0, 0.0)
 
 
 def test_ode_pair_detects_perturbation():
@@ -354,7 +378,8 @@ def test_ode_pair_detects_perturbation():
         g = make_grid(4.0, n)
         a = smooth_ansatz(g)
         s_even, lam_odd = forward_family(a)
-        r1, _ = ode_pair_residual(a, s_even + g.points ** 2, lam_odd, g)
+        r1, _ = ode_pair_residual(
+            a, pair_split(g, s_even + g.points ** 2, lam_odd))
         residuals.append(r1)
         n = 2 * n - 1
     interior_edge = 2.0 * (4.0 - make_grid(4.0, 101).spacing)
@@ -496,13 +521,11 @@ def test_compose_matches_dense_reference(n, ansatz, full):
     g = make_grid(4.0, n)
     a = ansatz(g)
     if full:
-        ps = compatible_split(a, g)
+        ps = compatible_split(a)
     else:
-        s_even, lam_odd = forward_family(a)
-        zeros = np.zeros(n)
-        ps = make_split(g, s_even, zeros, zeros, lam_odd)
+        ps = pair_split(g, *forward_family(a))
     dense, bound = _dense_compose(g, a, ps)
-    assert abs(compose_pct_residual(a, ps, g) - dense) <= bound
+    assert abs(compose_pct_residual(a, ps) - dense) <= bound
 
 
 def test_compose_matches_dense_reference_on_tiny_grids():
@@ -514,7 +537,7 @@ def test_compose_matches_dense_reference_on_tiny_grids():
         ps = make_split(g, even_part(raw[2]), odd_part(raw[3]),
                         even_part(raw[4]), odd_part(raw[5]))
         dense, bound = _dense_compose(g, a, ps)
-        assert abs(compose_pct_residual(a, ps, g) - dense) <= bound
+        assert abs(compose_pct_residual(a, ps) - dense) <= bound
 
 
 def test_compose_constant_case_vanishes():
@@ -523,7 +546,7 @@ def test_compose_constant_case_vanishes():
     a = make_ansatz(g, np.full(101, c0), np.zeros(101), omega)
     zeros = np.zeros(101)
     ps = make_split(g, np.full(101, c0 ** 2 + omega), zeros, zeros, zeros)
-    resid = compose_pct_residual(a, ps, g)
+    resid = compose_pct_residual(a, ps)
     assert resid <= 1e-12 * _compose_scale(g, a, ps)
 
 
@@ -534,10 +557,9 @@ def test_compose_full_split_bounded_vs_partial_growing():
         g = make_grid(4.0, n)
         a = smooth_ansatz(g)
         s_even, lam_odd = forward_family(a)
-        zeros = np.zeros(n)
-        full_res.append(compose_pct_residual(a, compatible_split(a, g), g))
+        full_res.append(compose_pct_residual(a, compatible_split(a)))
         partial_res.append(compose_pct_residual(
-            a, make_split(g, s_even, zeros, zeros, lam_odd), g))
+            a, pair_split(g, s_even, lam_odd)))
         n = 2 * n - 1
     # with the derivative companions the residual stays bounded under
     # refinement; without them it diverges like 1/h
@@ -553,7 +575,7 @@ def test_compose_random_potential_is_incompatible():
     raw = rng.normal(size=101)
     ps = make_split(g, even_part(raw), odd_part(raw), np.zeros(101),
                     np.zeros(101))
-    assert compose_pct_residual(a, ps, g) > 1.0
+    assert compose_pct_residual(a, ps) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +584,7 @@ def test_compose_random_potential_is_incompatible():
 def test_coefficient_top_orders_cancel_identically():
     g = make_grid(4.0, 101)
     a = smooth_ansatz(g)
-    cm = coefficient_match(a, compatible_split(a, g), g)
+    cm = coefficient_match(a, compatible_split(a))
     assert np.all(cm.d3 == 0)
     assert np.all(cm.d2 == 0)
 
@@ -572,7 +594,7 @@ def test_coefficient_constants_vanish_entirely():
     a = make_ansatz(g, np.full(41, 1.1), np.zeros(41), 0.2)
     zeros = np.zeros(41)
     ps = make_split(g, np.full(41, 1.1 ** 2 + 0.2), zeros, zeros, zeros)
-    cm = coefficient_match(a, ps, g)
+    cm = coefficient_match(a, ps)
     for order in (3, 2, 1, 0):
         assert cm.sup(order) == 0.0
 
@@ -582,7 +604,7 @@ def test_coefficient_residuals_second_order_with_analytic_split():
     n = 101
     for _ in range(3):
         g = make_grid(4.0, n)
-        cm = coefficient_match(smooth_ansatz(g), analytic_split(g), g)
+        cm = coefficient_match(smooth_ansatz(g), analytic_split(g))
         sups.append((cm.sup(1), cm.sup(0)))
         n = 2 * n - 1
     for level in (0, 1):
@@ -596,15 +618,14 @@ def test_coefficient_first_order_forces_derivative_companions():
     g = make_grid(4.0, 201)
     a = smooth_ansatz(g)
     s_even, lam_odd = forward_family(a)
-    zeros = np.zeros(201)
-    cm = coefficient_match(a, make_split(g, s_even, zeros, zeros, lam_odd), g)
+    cm = coefficient_match(a, pair_split(g, s_even, lam_odd))
     h = g.spacing
     dsig = (a.sigma[2:] - a.sigma[:-2]) / (2 * h)
     dalp = (a.alpha[2:] - a.alpha[:-2]) / (2 * h)
     assert np.abs(cm.d1 - (-2.0) * (dsig + 1j * dalp)).max() <= 1e-13
     assert cm.sup(1) > 0.1
     # the full split removes the obstruction down to discretization error
-    cm_full = coefficient_match(a, analytic_split(g), g)
+    cm_full = coefficient_match(a, analytic_split(g))
     assert cm_full.sup(1) <= 0.05 * cm.sup(1)
 
 
@@ -612,8 +633,7 @@ def test_coefficient_projections_reproduce_ode_pair():
     g = make_grid(4.0, 201)
     a = smooth_ansatz(g)
     s_even, lam_odd = forward_family(a)
-    zeros = np.zeros(201)
-    cm = coefficient_match(a, make_split(g, s_even, zeros, zeros, lam_odd), g)
+    cm = coefficient_match(a, pair_split(g, s_even, lam_odd))
     h = g.spacing
     ds = (s_even[2:] - s_even[:-2]) / (2 * h)
     dlam = (lam_odd[2:] - lam_odd[:-2]) / (2 * h)
@@ -626,7 +646,7 @@ def test_coefficient_projections_reproduce_ode_pair():
     alp2 = (a.alpha[2:] - 2 * a.alpha[1:-1] + a.alpha[:-2]) / h ** 2
     assert np.abs(even_part(cm.d0.real) + sig2).max() <= 1e-12
     assert np.abs(odd_part(cm.d0.imag) + alp2).max() <= 1e-12
-    r1, r2 = ode_pair_residual(a, s_even, lam_odd, g)
+    r1, r2 = ode_pair_residual(a, pair_split(g, s_even, lam_odd))
     dsig = (a.sigma[2:] - a.sigma[:-2]) / (2 * h)
     dalp = (a.alpha[2:] - a.alpha[:-2]) / (2 * h)
     sig_i, alp_i = a.sigma[1:-1], a.alpha[1:-1]
@@ -646,7 +666,7 @@ def test_charge_pg_hermiticity_valid_ansatz():
     a = smooth_ansatz(g)
     pc_norm = np.linalg.norm(parity_matrix(201)
                              @ discretize_charge(g, a.sigma, a.alpha))
-    assert charge_pg_hermiticity(a, g) <= 1e-13 * pc_norm
+    assert charge_pg_hermiticity(a) <= 1e-13 * pc_norm
 
 
 @pytest.mark.parametrize("n", [201, 801])
@@ -654,22 +674,22 @@ def test_charge_pg_hermiticity_valid_ansatz():
 def test_charge_pg_hermiticity_exact_and_norm(n, ansatz):
     g = make_grid(4.0, n)
     a = ansatz(g)
-    assert charge_pg_hermiticity(a, g) == 0.0
+    assert charge_pg_hermiticity(a) == 0.0
     pc = parity_matrix(n) @ discretize_charge(g, a.sigma, a.alpha)
-    assert charge_norm(a, g) == pytest.approx(np.linalg.norm(pc), rel=1e-14)
+    assert charge_norm(a) == pytest.approx(np.linalg.norm(pc), rel=1e-14)
 
 
 def test_charge_pg_hermiticity_zero_ansatz():
     g = make_grid(1.0, 11)
     a = make_ansatz(g, np.zeros(11), np.zeros(11), 0.0)
-    assert charge_pg_hermiticity(a, g) == 0.0
+    assert charge_pg_hermiticity(a) == 0.0
 
 
 def test_charge_pg_hermiticity_detects_broken_parity():
     g = make_grid(1.0, 11)
     # deliberately odd sigma, constructed raw to bypass validation
-    bad = ChargeAnsatz(g.points.copy(), np.zeros(11), 0.0)
-    assert charge_pg_hermiticity(bad, g) > 1e-3
+    bad = ChargeAnsatz(g.points.copy(), np.zeros(11), 0.0, g)
+    assert charge_pg_hermiticity(bad) > 1e-3
 
 
 def test_discretized_model_supports_metric_machinery():
@@ -700,16 +720,16 @@ def test_generalized_charge_observability_equivalence():
     theta_g = p @ c
     obs_abs, _ = observability_check(c, theta_g)
     ruseu = np.linalg.norm(c.conj().T @ p - p @ c)
-    pg = charge_pg_hermiticity(a, g)
+    pg = charge_pg_hermiticity(a)
     scale = np.linalg.norm(theta_g)
     assert pg <= 1e-13 * scale
     assert ruseu <= 1e-13 * scale
     assert obs_abs <= 1e-12 * scale * np.linalg.norm(c)
 
     # broken parity: all three witnesses light up together
-    bad = ChargeAnsatz(g.points.copy(), np.zeros(41), 0.0)
+    bad = ChargeAnsatz(g.points.copy(), np.zeros(41), 0.0, g)
     c_bad = discretize_charge(g, bad.sigma, bad.alpha)
-    pg_bad = charge_pg_hermiticity(bad, g)
+    pg_bad = charge_pg_hermiticity(bad)
     ruseu_bad = np.linalg.norm(c_bad.conj().T @ p - p @ c_bad)
     assert pg_bad > 1e-3
     assert ruseu_bad == pytest.approx(pg_bad, rel=1e-12)
@@ -730,7 +750,7 @@ def test_compatible_split_derivatives_have_exact_parity(n):
     g = make_grid(1.3, n)
     a = make_ansatz(g, even_part(1.0 + rng.random(n)),
                     odd_part(rng.normal(size=n)), 0.2)
-    ps = compatible_split(a, g)
+    ps = compatible_split(a)
     assert np.array_equal(ps.real_odd, -ps.real_odd[::-1])
     assert np.array_equal(ps.imag_even, ps.imag_even[::-1])
     assert np.array_equal(ps.real_odd[1:-1],
@@ -766,8 +786,8 @@ def test_derivative_companions_converge_to_symbolic_derivatives(texts):
                             "omega": 0.7})
         a = spec.payload["ansatz"]
         g = a.grid
-        ps = compatible_split(a, g)
-        cm = coefficient_match(a, ps, g)
+        ps = compatible_split(a)
+        cm = coefficient_match(a, ps)
         assert cm.sup(1) <= 1e-13
         errors.append((np.abs(ps.real_odd + dsigma(g.points)).max(),
                        np.abs(ps.imag_even + dalpha(g.points)).max(),
@@ -796,21 +816,20 @@ def public_check_rows(texts, npoints, levels):
         n = 2 ** k * (npoints - 1) + 1
         spec = parse_model(family_doc(texts, n))
         a = spec.payload["ansatz"]
-        g = a.grid
-        ps = compatible_split(a, g)
-        ode = ode_pair_residual(a, ps.real_even, ps.imag_odd, g)
+        ps = compatible_split(a)
+        ode = ode_pair_residual(a, ps)
         if k == 0:
             zeros = np.zeros(n)
             partial = replace(ps, real_odd=zeros, imag_even=zeros)
-            cm = coefficient_match(a, ps, g)
+            cm = coefficient_match(a, ps)
             rows += [(f"d{order}_sup", cm.sup(order)) for order in (3, 2, 1, 0)]
-            rows += [("pg_hermiticity", charge_pg_hermiticity(a, g)),
+            rows += [("pg_hermiticity", charge_pg_hermiticity(a)),
                      ("ode_residual_S", ode[0]),
                      ("ode_residual_Lambda", ode[1]),
                      ("compose_residual_full_split",
-                      compose_pct_residual(a, ps, g)),
+                      compose_pct_residual(a, ps)),
                      ("compose_residual_s_lambda_only",
-                      compose_pct_residual(a, partial, g))]
+                      compose_pct_residual(a, partial))]
         else:
             rows += [(f"ode_residual_S_level{k}", ode[0]),
                      (f"ode_residual_Lambda_level{k}", ode[1])]
@@ -827,7 +846,7 @@ def public_forward_inverse_rows(texts, npoints):
     spec = parse_model(family_doc(texts, npoints))
     a = spec.payload["ansatz"]
     g = a.grid
-    ps = compatible_split(a, g)
+    ps = compatible_split(a)
     back = inverse_family(ps.real_even, ps.imag_odd, a.omega, g)
     mask = np.abs(a.sigma) > SIGMA_FLOOR
     forward = [("S_parity_dev", parity_deviation(ps.real_even, +1)),
@@ -900,12 +919,11 @@ OVERFLOWING = {
     # |alpha| near 1e105 keeps S and Lambda finite; u w and the band
     # products of the order-0 residual and the composition overflow
     "coefficient_match": (lambda x: 1e105 * x * np.exp(-x ** 2), 4.0, 201,
-                          lambda a, ps, g: coefficient_match(a, ps, g)),
+                          coefficient_match),
     "compose_pct_residual": (lambda x: 1e105 * x * np.exp(-x ** 2), 4.0, 201,
-                             lambda a, ps, g: compose_pct_residual(a, ps, g)),
+                             compose_pct_residual),
     # alpha^2 stays below the largest double, 2 alpha' alpha does not
-    "ode_pair_residual": (lambda x: 1.3e154 * x, 1.0, 101, lambda a, ps, g:
-                          ode_pair_residual(a, ps.real_even, ps.imag_odd, g)),
+    "ode_pair_residual": (lambda x: 1.3e154 * x, 1.0, 101, ode_pair_residual),
 }
 
 
@@ -916,6 +934,6 @@ def test_overflowing_residuals_raise_non_finite_result(case):
     g = make_grid(half_width, n)
     a = make_ansatz(g, 1.0 + 0.5 * np.exp(-g.points ** 2), alpha(g.points),
                     0.7)
-    ps = compatible_split(a, g)
+    ps = compatible_split(a)
     with pytest.raises(NonFiniteResult, match="is not finite$"):
-        call(a, ps, g)
+        call(a, ps)

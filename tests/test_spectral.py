@@ -607,6 +607,40 @@ def test_repeated_eigenvalue_of_a_flip_symmetric_form_falls_back_to_lu(
     assert np.abs(s.pairing() - np.eye(n)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("case", ["broken-schroedinger", "jordan-edge",
+                                  "endpoints-edge"])
+def test_flip_route_is_taken_from_the_start(monkeypatch, case):
+    # a finite J-pairing start whose cond_1(W) is above the cap gives
+    # J conj(W) with no LU inverse, and its cond_1 is the refined one to
+    # 1e-7; a pairing that is not finite (a zero w_n^T J w_n), or one that
+    # misses its residual test below the cap, still starts from the LU
+    # inverse, and takes the route of the refined cond_1
+    h, route = {
+        "broken-schroedinger": (broken_schroedinger(201), True),
+        "jordan-edge": (np.array([[1.0, 1.3e154], [0.0, 1.0]]), True),
+        "endpoints-edge": (document_h({"kind": "lattice", "n": 11,
+                                       "gamma": 1.0954341605591822,
+                                       "pattern": "endpoints"}), False)}[case]
+    refined = {}
+    for threshold in (np.inf, spectral.LEFT_FROM_FLIP_COND):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "LEFT_FROM_FLIP_COND", threshold)
+            calls = record_left_vectors(m)
+            inverted = record(m, "inv")
+            try:
+                eigendecompose(h)
+            except DegenerateSpectrum:
+                assert case == "jordan-edge"
+        (refined[threshold], flipped), = calls
+    cond = refined[spectral.LEFT_FROM_FLIP_COND]
+    assert flipped == route and (cond > spectral.LEFT_FROM_FLIP_COND) == route
+    if case == "broken-schroedinger":
+        assert inverted == []
+        assert cond == pytest.approx(refined[np.inf], rel=1e-7)
+    else:
+        assert len(inverted) == 1 and cond == refined[np.inf]
+
+
 def test_broken_lattice_pairs_to_rounding():
     # the broken alternating lattice of the benchmark: its real form has
     # conjugate eigenvalue pairs and a complex W, whose LU inverse, without

@@ -58,6 +58,11 @@ The corpus:
     form and its left vectors are J conj(W), mapped by S;
   - a Jordan block that passes the intake check but whose degeneracy
     floor overflows;
+  - a Schroedinger model whose potential 1/x cannot be evaluated at the
+    grid point x = 0 (exit 2);
+  - a Hermitian matrix model that mixes plain numbers with [re, im]
+    pairs and does not commute with the flip, so that its entries are
+    parsed one by one and it is solved whole;
   - every model of the benchmark workloads (bench/workloads.py, read only)
     at the requested seeds.
 
@@ -135,6 +140,9 @@ REAL_DENSE_P = {"kind": "matrix", "data": [[2, 1], [-1, -3]],
                 "pseudometric": [[1, 0], [0, -1]]}
 FLIP_P = dict(BROKEN_EVOLVE, pseudometric=np.fliplr(np.eye(201)).tolist())
 JORDAN_EDGE = {"kind": "matrix", "data": [[1, 1.3e154], [0, 1]]}
+POLE_AT_ZERO = {"kind": "schroedinger", "grid": {"L": 1, "N": 11},
+                "V_real": "1/x"}
+MIXED_HERMITIAN = {"kind": "matrix", "data": [[1, [0, 0.5]], [[0, -0.5], 2]]}
 
 
 def explicit_p_model() -> dict:
@@ -174,7 +182,9 @@ def corpus(seeds) -> list[tuple[str, dict]]:
     named += list(OVERFLOW_NORM.items())
     named += [("one-state", ONE_STATE), ("scaled-p", SCALED_P),
               ("edge-p", EDGE_P), ("real-dense-p", REAL_DENSE_P),
-              ("broken-evolve-flip-p", FLIP_P), ("jordan-edge", JORDAN_EDGE)]
+              ("broken-evolve-flip-p", FLIP_P), ("jordan-edge", JORDAN_EDGE),
+              ("pole-at-zero", POLE_AT_ZERO),
+              ("mixed-hermitian", MIXED_HERMITIAN)]
     for workload in WORKLOADS:
         for seed in seeds:
             named += [(f"{workload}-s{seed}/{m['id']}", m["doc"])
