@@ -17,6 +17,7 @@ included; the other functions and "^" are libm's, called once per point.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -92,24 +93,17 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                node = ("bin", val, node, self.term())
-            else:
-                return node
+        return self.left_assoc("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                node = ("bin", val, node, self.unary())
-            else:
-                return node
+        return self.left_assoc("*/", self.unary)
+
+    def left_assoc(self, ops: str, operand):
+        """operand ((an op of ops) operand)*, folded from the left."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = ("bin", self.take()[1], node, operand())
+        return node
 
     def unary(self):
         kind, val, _ = self.peek()
@@ -174,14 +168,8 @@ def _eval(node, x: float) -> float:
     a = _eval(lhs, x)
     b = _eval(rhs, x)
     try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
+        if op in _SCALAR_OPS:
+            return _SCALAR_OPS[op](a, b)
         if rhs == _TWO:
             result = a * a
             if math.isinf(result) and math.isfinite(a):
@@ -202,6 +190,8 @@ class _Rerun(Exception):
     what to raise."""
 
 
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 # numpy twins of the scalar operations: arithmetic, sqrt and abs are correctly
 # rounded; exp and log are numpy's kernels, which _eval calls too, with libm's
 # value or error where they leave the finite range.  "^" and the other
@@ -231,7 +221,8 @@ class Sampler:
 
     @property
     def size(self) -> int:
-        """Number of points, as for an array."""
+        """Number of points, which ``np.size`` reads as for an array: the
+        benchmark's tracer counts sampled points with it."""
         return self.points.size
 
     def _libm(self, fn, *args) -> np.ndarray | np.float64:

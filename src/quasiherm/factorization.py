@@ -24,13 +24,12 @@ from .metrics import (MetricCandidate, certify_metric, frobenius_deviation,
 from .operators import (CheckedOperator, adjoint_product, as_operator,
                         as_state, checked_operator, hermitian_part,
                         parity_matrix, right_product)
-from .spectral import (DEFAULT_REALITY_TOL, SpectralData, eigendecompose,
+from .spectral import (DEFAULT_TOL, SpectralData, eigendecompose,
                        require_real_spectrum)
 
 # eigenvalues within this relative distance of zero make P uninvertible
 PSEUDOMETRIC_NULL_RTOL = 1e-10
 
-DEFAULT_PT_RTOL = 1e-10
 PAIRING_FLOOR = 1e-10
 
 SPACES = ("F", "R", "H")
@@ -219,7 +218,7 @@ def require_pseudo_hermitian(rel: float, pt_rtol: float) -> None:
             f"H is not pseudo-Hermitian w.r.t. P (relative residual {rel:.3e})")
 
 
-def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
+def standard_charge(h, p, *, reality_tol: float = DEFAULT_TOL,
                     gap_floor: float | None = None
                     ) -> tuple[np.ndarray, MetricCandidate]:
     """Conventional involutory charge and its positive metric Theta = P C.
@@ -229,13 +228,13 @@ def standard_charge(h, p, *, reality_tol: float = DEFAULT_REALITY_TOL,
     """
     op = checked_operator(h)
     pm = as_pseudometric(p)
-    require_pseudo_hermitian(pt_symmetry_residual(op, pm)[1], DEFAULT_PT_RTOL)
+    require_pseudo_hermitian(pt_symmetry_residual(op, pm)[1], DEFAULT_TOL)
     return charge_from_spectrum(eigendecompose(op, gap_floor), pm,
                                 reality_tol=reality_tol)
 
 
 def charge_from_spectrum(s: SpectralData, p, *,
-                         reality_tol: float = DEFAULT_REALITY_TOL
+                         reality_tol: float = DEFAULT_TOL
                          ) -> tuple[np.ndarray, MetricCandidate]:
     """Standard charge C and metric Theta = P C from the eigensystem of H.
 
@@ -334,7 +333,8 @@ class TableRow:
     passed: bool | None
 
 
-def verify_table(t: SpaceTriple, h, *, rtol: float = 1e-10) -> list[TableRow]:
+def verify_table(t: SpaceTriple, h, *, rtol: float = DEFAULT_TOL
+                 ) -> list[TableRow]:
     """Residuals of every intertwining relation of the triple, in a fixed
     order suited to golden-file comparison.
 

@@ -35,7 +35,7 @@ the only sign that round-trips the forward map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,12 +60,13 @@ class Grid:
 
     Points are built as (j - (N-1)/2) * h so the reflection
     x_j = -x_{N-1-j} is exact in floating point and x = 0 is a grid point.
+    A grid compares and hashes as its (L, N), which fix the rest.
     """
 
     half_width: float
     npoints: int
-    spacing: float
-    points: np.ndarray
+    spacing: float = field(compare=False)
+    points: np.ndarray = field(compare=False)
 
 
 def make_grid(half_width: float, npoints: int) -> Grid:
@@ -84,6 +85,14 @@ def parity_deviation(f: np.ndarray, sign: int) -> float:
     return float(np.abs(f - sign * f[::-1]).max())
 
 
+def _check_length(grid: Grid, name: str, f) -> None:
+    """DimensionMismatch unless ``f`` is a vector of the grid's length."""
+    shape = np.shape(f)
+    if shape != (grid.npoints,):
+        raise DimensionMismatch(
+            f"{name} must have length {grid.npoints}, got shape {shape}")
+
+
 def _samples(grid: Grid, dtype=float, **named) -> list[np.ndarray]:
     """The named sample arrays as ``dtype`` arrays, each checked to have the
     grid's length (DimensionMismatch) and finite entries (ValueError).  An
@@ -93,9 +102,7 @@ def _samples(grid: Grid, dtype=float, **named) -> list[np.ndarray]:
     for name, value in named.items():
         f, sign = value if isinstance(value, tuple) else (value, 0)
         f = np.asarray(f, dtype=dtype)
-        if f.shape != (grid.npoints,):
-            raise DimensionMismatch(
-                f"{name} must have length {grid.npoints}, got shape {f.shape}")
+        _check_length(grid, name, f)
         if not np.isfinite(f).all():
             raise ValueError(f"{name} samples must be finite")
         if sign:
@@ -112,14 +119,18 @@ def _samples(grid: Grid, dtype=float, **named) -> list[np.ndarray]:
 class ChargeAnsatz:
     """Sampled first-order charge data: even sigma, odd alpha, constant omega.
 
-    sigma and alpha are float arrays checked on ``grid`` (their length,
-    finite entries), and the bands of the charge C on it are taken on first
-    use and kept."""
+    sigma and alpha are float arrays on ``grid``: building the record checks
+    their lengths (DimensionMismatch), make_ansatz their entries too.  The
+    bands of the charge C on it are taken on first use and kept."""
 
     sigma: np.ndarray
     alpha: np.ndarray
     omega: float
     grid: Grid
+
+    def __post_init__(self):
+        for name in ("sigma", "alpha"):
+            _check_length(self.grid, name, getattr(self, name))
 
     @property
     def w(self) -> np.ndarray:
@@ -142,13 +153,17 @@ def make_ansatz(grid: Grid, sigma, alpha, omega: float = 0.0) -> ChargeAnsatz:
 class PotentialSplit:
     """Potential split by reality and parity:
     V = real_even + real_odd + i*(imag_even + imag_odd), each part a float
-    array checked on ``grid``."""
+    array of ``grid``'s length, checked when the record is built."""
 
     real_even: np.ndarray
     real_odd: np.ndarray
     imag_even: np.ndarray
     imag_odd: np.ndarray
     grid: Grid
+
+    def __post_init__(self):
+        for name in ("real_even", "real_odd", "imag_even", "imag_odd"):
+            _check_length(self.grid, name, getattr(self, name))
 
     def potential(self) -> np.ndarray:
         return (self.real_even + self.real_odd
@@ -205,10 +220,9 @@ def hamiltonian_bands(grid: Grid, v: np.ndarray) -> tuple:
 
 
 def _shared_grid(a: ChargeAnsatz, ps: PotentialSplit) -> Grid:
-    """The grid of ``a``; BadGrid unless ``ps`` is on one of the same
-    half-width and point count."""
-    ga, gs = ((g.half_width, g.npoints) for g in (a.grid, ps.grid))
-    if ga != gs:
+    """The grid of ``a``; BadGrid unless ``ps`` is on an equal one."""
+    if a.grid != ps.grid:
+        ga, gs = ((g.half_width, g.npoints) for g in (a.grid, ps.grid))
         raise BadGrid(f"the ansatz is on the grid (L, N) = {ga}, the split "
                       f"on {gs}")
     return a.grid
@@ -386,18 +400,15 @@ def compose_pct_residual(a: ChargeAnsatz, ps: PotentialSplit) -> float:
 
 @dataclass(frozen=True)
 class CoefficientResiduals:
-    """Per-order coefficient residuals of the composed third-order
+    """Order-1 and order-0 coefficient residuals of the composed third-order
     operators, sampled on the interior points."""
 
     x: np.ndarray
-    d3: np.ndarray
-    d2: np.ndarray
     d1: np.ndarray
     d0: np.ndarray
 
     def sup(self, order: int) -> float:
-        arr = {3: self.d3, 2: self.d2, 1: self.d1, 0: self.d0}[order]
-        return float(np.abs(arr).max())
+        return float(np.abs({1: self.d1, 0: self.d0}[order]).max())
 
 
 def even_part(f: np.ndarray) -> np.ndarray:
@@ -428,18 +439,17 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit
         order 1:  u - 2 w'          | V
         order 0:  u w - w''         | V' + w V
 
-    The order-3 and order-2 residuals cancel identically, so they are
-    returned as zeros; the order-1 and order-0 residuals are the
-    compatibility conditions.  Their odd real and odd imaginary projections
-    reproduce the differentiated pair tested by ode_pair_residual; the even
-    projections vanish exactly when real_odd = -sigma' and imag_even =
-    -alpha'.  NonFiniteResult when a residual overflows.
+    The order-3 and order-2 coefficients cancel identically and are not
+    returned; the order-1 and order-0 residuals are the compatibility
+    conditions.  Their odd real and odd imaginary projections reproduce the
+    differentiated pair tested by ode_pair_residual; the even projections
+    vanish exactly when real_odd = -sigma' and imag_even = -alpha'.
+    NonFiniteResult when a residual overflows.
     """
     grid = _shared_grid(a, ps)
     v = ps.potential()
     w = a.w
     h = grid.spacing
-    n = grid.npoints
     u = np.conj(v)[::-1]
 
     w_i = w[1:-1]
@@ -457,8 +467,6 @@ def coefficient_match(a: ChargeAnsatz, ps: PotentialSplit
 
         return CoefficientResiduals(
             x=grid.points[1:-1].copy(),
-            d3=np.zeros(n - 2, complex),
-            d2=np.zeros(n - 2, complex),
             d1=_finite(lhs_d1 - rhs_d1, "the order-1 coefficient residual"),
             d0=_finite(lhs_d0 - rhs_d0, "the order-0 coefficient residual"),
         )

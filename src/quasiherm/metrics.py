@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonPositiveWeight, NotPositive
 from .operators import (adjoint_product, as_operator, checked_operator,
                         hermitian_part, right_product)
-from .spectral import DEFAULT_REALITY_TOL, SpectralData, require_real_spectrum
+from .spectral import DEFAULT_TOL, SpectralData, require_real_spectrum
 
 # positive means min_eig > floor * max_eig: scale-invariant certificate
 POSITIVITY_FLOOR_FACTOR = 1e-12
@@ -102,7 +102,7 @@ def certify_metric(theta) -> MetricCandidate:
 
 
 def spectral_metric(s: SpectralData, weights=None, *,
-                    reality_tol: float = DEFAULT_REALITY_TOL) -> MetricCandidate:
+                    reality_tol: float = DEFAULT_TOL) -> MetricCandidate:
     """Metric Theta = sum_n kappa_n |phi_n><phi_n| from the left eigensystem.
 
     The strictly positive weights kappa_n parameterize the full

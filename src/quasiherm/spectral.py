@@ -30,7 +30,8 @@ LEFT_FROM_FLIP_COND = 1e8
 
 SELF_ORTHOGONALITY_RTOL = 1e-12
 
-DEFAULT_REALITY_TOL = 1e-10
+# the one default relative tolerance of the package, and the CLI's --tol
+DEFAULT_TOL = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = np.finfo(float).eps

@@ -28,6 +28,14 @@ def test_power_right_associative():
     assert parse_expression("2^3^2")(0.0) == 512.0
 
 
+@pytest.mark.parametrize("text,value", [("8-2-1", 5.0), ("2-3+4", 3.0),
+                                        ("8/2/2", 2.0), ("3/4*2", 1.5),
+                                        ("1-2*3-4/2", -7.0)])
+def test_sums_and_products_associate_left(text, value):
+    assert parse_expression(text)(0.0) == value
+    assert parse_expression(text).sample(np.zeros(1))[0] == value
+
+
 def test_power_with_negative_exponent():
     assert parse_expression("2^-3")(0.0) == 0.125
 

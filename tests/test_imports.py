@@ -1,7 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import quasiherm
+from quasiherm import cli, factorization, metrics, models, spectral
 
 PACKAGE = Path(quasiherm.__file__).parent
 
@@ -23,3 +25,20 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     found = {path.name: private_imports(path)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_default_tolerance_is_the_one_constant():
+    # one source for the default relative tolerance: spectral's, which the
+    # other modules import; models.DEFAULT_TOL is the same object
+    assert models.DEFAULT_TOL is spectral.DEFAULT_TOL == 1e-10
+    defaults = [inspect.signature(fn).parameters[name].default
+                for fn, name in ((metrics.spectral_metric, "reality_tol"),
+                                 (factorization.standard_charge, "reality_tol"),
+                                 (factorization.charge_from_spectrum,
+                                  "reality_tol"),
+                                 (factorization.verify_table, "rtol"),
+                                 (models.run_scenario, "tol"),
+                                 (models.run_battery, "tol"))]
+    assert all(d is spectral.DEFAULT_TOL for d in defaults)
+    args = cli.build_parser().parse_args(["spectrum", "--model", "m.json"])
+    assert args.tol is spectral.DEFAULT_TOL

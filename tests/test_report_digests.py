@@ -49,3 +49,24 @@ def test_compare_prints_the_largest_move_over_tol(tmp_path, capsys,
     assert out[3] == ("largest |delta value|/tol over rows passing on "
                       "either side: 0.4")
     assert out[4].endswith("eigs: [1.0, 2.0] against [1.0, 2.00000000004]")
+
+
+def test_compare_names_the_rows_that_one_output_has(tmp_path, capsys,
+                                                    monkeypatch):
+    tool = load_tool(monkeypatch)
+    check, report = ["f", "family check --format json"], ["f", "report"]
+    a = [check + ["d3_sup", 0.0, 1e-13, True],
+         check + ["d1_sup", 1e-15, None, None],
+         report + ["family-check.d3_sup", 0.0, 1e-13, True],
+         ["g", "family check --format json", "d3_sup", 0.0, 1e-13, True]]
+    b = [check + ["d1_sup", 1e-15, None, None],
+         report + ["extra", 1.0, None, None]]
+    write_values(tmp_path / "a.txt", a)
+    write_values(tmp_path / "b.txt", b)
+    assert tool.compare_values(tmp_path / "a.txt", tmp_path / "b.txt") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["0 rows with a tol compared, 0 moved; "
+                       "4 rows in one output only",
+                       "  d3_sup: 2 in A only, 0 in B only",
+                       "  extra: 0 in A only, 1 in B only",
+                       "  family-check.d3_sup: 1 in A only, 0 in B only"]

@@ -27,7 +27,8 @@ line of its own, a JSON list:
 |value_A - value_B| / tol over the rows with a tol (over every entry of a
 list value), once over all of them and once over the rows that pass on at
 least one side, so that a row failing by far at both does not hide the
-rest; it always exits 0.
+rest, and names each row that only one output has, with its count in
+each; it always exits 0.
 
 Every call runs ``quasiherm.cli.main`` in process on a model file in a
 temporary directory.  Warnings raised during a call are hashed by category
@@ -86,6 +87,7 @@ import re
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 # BLAS reads these once, when numpy is first imported
@@ -256,7 +258,8 @@ def _numbers(value) -> list[float] | None:
 def compare_values(path_a: str, path_b: str) -> int:
     """Print the largest |Delta value| / tol between two ``--values``
     outputs, over all rows with a tol and over those that pass on either
-    side."""
+    side, and the count in each output of every row name that only one
+    output has."""
     def read(path):
         out, seen = {}, {}
         for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -284,6 +287,10 @@ def compare_values(path_a: str, path_b: str) -> int:
                 worst[scope] = (delta / tol, (key, va, vb))
     print(f"{compared} rows with a tol compared, {moved} moved; "
           f"{len(a.keys() ^ b.keys())} rows in one output only")
+    only_a = Counter(key[2] for key in a.keys() - b.keys())
+    only_b = Counter(key[2] for key in b.keys() - a.keys())
+    for name in sorted(only_a.keys() | only_b.keys()):
+        print(f"  {name}: {only_a[name]} in A only, {only_b[name]} in B only")
     for scope, (ratio, where) in worst.items():
         print(f"largest |delta value|/tol over {scope}: {ratio:.3g}")
         if where is not None:
